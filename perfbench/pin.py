@@ -1,5 +1,5 @@
-"""Write pins.json: the SHA-256 of every file each workload's pipeline reads
-and writes at the default seed, as its manifests record them.
+"""Write pins.json: the SHA-256 of every file each step of each workload's
+pipeline reads and writes at the default seed, as its manifests record them.
 
     python3 perfbench/pin.py
 
@@ -27,13 +27,13 @@ def main() -> int:
             p = run.run_pass(workload, cwd, run.DEFAULT_SEED, traced=False)
         finally:
             shutil.rmtree(cwd, ignore_errors=True)
-        errors = [e for r in setup + p.runs for e in r.errors] + p.errors
+        errors = [e for r in setup + p.runs for e in r.errors]
         if errors:
             print("\n".join(errors), file=sys.stderr)
             return 1
         pins[name] = p.digests
     run.PINS.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"pinned {sum(map(len, pins.values()))} files in {run.PINS}")
+    print(f"pinned {sum(len(d) for steps in pins.values() for d in steps.values())} step files in {run.PINS}")
     return 0
 
 

@@ -6,11 +6,11 @@ Run it from the repository root; it reads the package from `src/` and the
 reference generator from `tests/conftest.py`.  A workload generates seeded
 synthetic desk corpora (`gen.py`), then runs its pipeline with every step
 as its own `python -m xfervocab.cli ...` process, one at a time: a closed
-loop with a single client.  After an untimed warm-up pass (bytecode
-compilation, file cache) the pipeline repeats until the next pass would end
-after S seconds; timings are medians over the timed passes.  The set-up
-runs once before the warm-up and once before every timed pass; `setup_s`
-is the median of those runs.
+loop with a single client.  The set-up repeats, into the same files,
+until it has run at least MIN_SETUPS times and for SETUP_SECONDS;
+`setup_s` is the median of those runs.  After an untimed warm-up pass
+(bytecode compilation, file cache) the pipeline repeats until the next pass
+would end after S seconds; timings are medians over the timed passes.
 
 Workloads, and why each exists:
 
@@ -30,13 +30,15 @@ Every pass checks its outputs: each manifest's digests match the files on
 disk, `apply-wp` lines detokenize to their input, `apply-bpe` lines with
 `@@ ` joined equal their input, `embeddings.bin` equals the input matrix,
 and every pass yields the same bytes as the warm-up pass.  At the default
-seed every artifact must also match `pins.json` (regenerate with `pin.py`).
-A step fails on a non-zero exit or a failed check.
+seed every step's inputs and outputs must also match `pins.json`
+(regenerate with `pin.py`).  A step fails on a non-zero exit or a failed
+check; `failed` counts each failed step once.
 
 With `--trace 0` the last stdout line reports the end-to-end metrics; with
 `--trace 1` untraced and traced passes alternate and it reports the
-per-layer metrics (`traced.py`), including the tracing overhead.  Lines
-above it print every metric with its unit, the per-step times, the exact
+per-layer metrics (`traced.py`) that every workload measures, including the
+tracing overhead.  Lines above it print every metric with its unit: the
+per-step times, the metrics of each layer the workload enters, the exact
 workload properties and the environment.
 """
 
@@ -68,36 +70,19 @@ WORK_ROOT = ROOT / ".bench_work"
 PINS = BENCH / "pins.json"
 DEFAULT_SEED = 1
 
-# Per-layer metrics for the result line: those every workload measures.
-# Layer times a workload never enters are printed, not reported, since
-# they would read exactly 0 on every run.
+MIN_SETUPS = 5
+SETUP_SECONDS = 5.0
+
+# Per-layer metrics for the result line: only those every workload
+# measures.  A metric of a layer that some workload never enters would
+# read 0 there by construction, so it is printed on the workloads that
+# enter the layer and left out of the line.
 PER_LAYER = {
     "cli.self_s": "s",
     "cli.bytes_in": "bytes",
     "cli.bytes_out": "bytes",
     "cli.steps": "count",
     "corpus.load_s": "s",
-    "corpus.sample_equal.pairs": "count",
-    "wordpiece.learn.calls": "count",
-    "wordpiece.learn.unit_types": "count",
-    "wordpiece.learn.within_tolerance_ratio": "ratio",
-    "wordpiece.apply.sentences": "count",
-    "wordpiece.apply.tokens": "count",
-    "wordpiece.apply.resegment_ratio": "ratio",
-    "wordpiece.apply.repeat_word_share": "ratio",
-    "wordpiece.apply.escape_token_share": "ratio",
-    "bpe.learn.merges_ratio": "ratio",
-    "bpe.learn.word_types": "count",
-    "bpe.apply.words": "count",
-    "bpe.apply.repeat_word_share": "ratio",
-    "transfer.map.dp_cells": "count",
-    "transfer.map.dp_bytes": "bytes",
-    "sharedvocab.merged.attempts": "count",
-    "sharedvocab.learn_calls_per_build": "ratio",
-    "mteval.sentence_stats.calls": "count",
-    "mteval.tokenize.calls": "count",
-    "mteval.tokenize.unique_ratio": "ratio",
-    "mteval.bootstrap.gather_bytes": "bytes",
     "trace.overhead_s": "s",
 }
 
@@ -138,8 +123,14 @@ class StepRun:
     digests: dict[str, str] = field(default_factory=dict)  # manifest inputs and outputs
     spans: dict | None = None
 
-    def compare(self, reference: dict[str, str], what: str) -> None:
-        differ = [path for path, digest in self.digests.items() if reference.get(path) != digest]
+    def compare(self, reference: dict[str, dict[str, str]], what: str) -> None:
+        """Check this step read and wrote the same files as in `reference`
+        (step label -> path -> digest); a step that already failed is not
+        checked again."""
+        if self.errors:
+            return
+        want = reference.get(self.step.label, {})
+        differ = sorted(p for p in want.keys() | self.digests.keys() if want.get(p) != self.digests.get(p))
         if differ:
             self.errors.append(f"{self.step.label}: {', '.join(differ)} differ from {what}")
 
@@ -211,7 +202,8 @@ class Workload:
     def steps(self, seed: int) -> list[Step]:
         raise NotImplementedError
 
-    def check(self, cwd: Path) -> list[str]:
+    def check(self, cwd: Path) -> list[tuple[str, str]]:
+        """Output checks of a pass: (label of the step at fault, message)."""
         return []
 
     def properties(self, cwd: Path) -> dict[str, float]:
@@ -258,11 +250,11 @@ class Warmstart(Workload):
                                     "--seed", str(seed), "--out", "out/balanced.vocab"], "balanced_vocab_s"),
         ]
 
-    def check(self, cwd: Path) -> list[str]:
+    def check(self, cwd: Path) -> list[tuple[str, str]]:
         source = read_lines(cwd / "in" / "train.all")
         joined = [line.replace("@@ ", "") for line in read_lines(cwd / "out" / "train.bpe")]
         if joined != source:
-            return ["apply-bpe: output with '@@ ' joined differs from its input"]
+            return [("apply-bpe", "output with '@@ ' joined differs from its input")]
         return []
 
     def computed_layers(self, cwd: Path) -> dict[str, float]:
@@ -325,7 +317,7 @@ class Coldstart(Workload):
                                    "--out", "out/impact.tsv"], "segment_s"),
         ]
 
-    def check(self, cwd: Path) -> list[str]:
+    def check(self, cwd: Path) -> list[tuple[str, str]]:
         from xfervocab.wordpiece import detokenize
 
         errors = []
@@ -333,9 +325,9 @@ class Coldstart(Workload):
             source = read_lines(cwd / "in" / f"c.{side}")
             segmented = read_lines(cwd / "out" / f"c.{side}.wp")
             if [detokenize(line.split(" ")) for line in segmented] != source:
-                errors.append(f"apply-wp-{side}: detokenized output differs from its input")
+                errors.append((f"apply-wp-{side}", "detokenized output differs from its input"))
         if (cwd / "out/bundle/embeddings.bin").read_bytes() != (cwd / "in/parent.emb").read_bytes():
-            errors.append("transform-vocab: embeddings.bin differs from the input matrix")
+            errors.append(("transform-vocab", "embeddings.bin differs from the input matrix"))
         return errors
 
     def computed_layers(self, cwd: Path) -> dict[str, float]:
@@ -400,21 +392,19 @@ WORKLOADS = {w.name: w for w in (Warmstart(), Coldstart(), Evaluate())}
 class Pass:
     runs: list[StepRun]
     wall: float
-    errors: list[str] = field(default_factory=list)  # output checks, one per failed step
 
     @property
-    def digests(self) -> dict[str, str]:
-        return dict(sorted(d for run in self.runs for d in run.digests.items()))
+    def digests(self) -> dict[str, dict[str, str]]:
+        """Step label -> path -> digest of what the step read and wrote."""
+        return {run.step.label: dict(sorted(run.digests.items())) for run in self.runs}
 
-    def compare(self, reference: dict[str, str], what: str) -> None:
+    def compare(self, reference: dict[str, dict[str, str]], what: str) -> None:
         for run in self.runs:
             run.compare(reference, what)
-        missing = sorted(set(reference) - set(self.digests))
-        if missing:
-            self.errors.append(f"{', '.join(missing)} in {what} not written")
 
 
 def run_pass(workload: Workload, cwd: Path, seed: int, traced: bool) -> Pass:
+    """One pass of the pipeline; every error is attached to its step."""
     out = cwd / "out"
     if out.exists():
         shutil.rmtree(out)
@@ -425,7 +415,9 @@ def run_pass(workload: Workload, cwd: Path, seed: int, traced: bool) -> Pass:
         runs.append(run_cli(step, cwd, i, cwd / f"spans.{i:02d}.json" if traced else None))
     result = Pass(runs, time.perf_counter() - t0)
     if not any(run.errors for run in runs):
-        result.errors = workload.check(cwd)
+        by_label = {run.step.label: run for run in runs}
+        for label, message in workload.check(cwd):
+            by_label[label].errors.append(f"{label}: {message}")
     return result
 
 
@@ -441,7 +433,8 @@ def manifest_bytes(cwd: Path) -> tuple[int, int]:
 
 def layer_metrics(workload: Workload, cwd: Path, p: Pass) -> tuple[dict[str, float], float]:
     """Per-layer metrics of one traced pass, and the largest gap, over its
-    processes, between summed self times and top-level span time."""
+    processes, between summed self times and top-level span time.  A layer
+    the pass never entered gets no metrics."""
     times: dict[str, float] = {"cli.self": 0.0, "trace.bookkeeping": 0.0}
     counts: dict[str, float] = {}
     calls: dict[str, int] = {}
@@ -476,41 +469,46 @@ def layer_metrics(workload: Workload, cwd: Path, p: Pass) -> tuple[dict[str, flo
     def c(name: str) -> float:
         return counts.get(name, 0)
 
-    def ratio(num: float, den: float) -> float:
-        return num / den if den else 0.0
-
     metrics = {f"{name}_s": value for name, value in times.items()}
     bytes_in, bytes_out = manifest_bytes(cwd)
-    metrics.update({
-        "cli.steps": len(p.runs),
-        "cli.bytes_in": bytes_in,
-        "cli.bytes_out": bytes_out,
-        "corpus.sample_equal.pairs": c("corpus.sample_equal.pairs"),
-        "wordpiece.learn.calls": c("wordpiece.learn.calls"),
-        "wordpiece.learn.unit_types": c("wordpiece.learn.unit_types"),
-        "wordpiece.learn.within_tolerance_ratio": ratio(c("wordpiece.learn.within_tolerance"),
-                                                        c("wordpiece.learn.calls")),
-        "wordpiece.apply.sentences": calls.get("wordpiece.apply", 0),
-        "wordpiece.apply.tokens": c("wordpiece.apply.tokens"),
-        "wordpiece.apply.resegment_ratio": ratio(calls.get("wordpiece.apply", 0), len(segmented)),
-        "wordpiece.apply.repeat_word_share": ratio(c("wordpiece.apply.words") - c("wordpiece.apply.words.distinct"),
-                                                   c("wordpiece.apply.words")),
-        "wordpiece.apply.escape_token_share": ratio(c("wordpiece.apply.escape_tokens"), c("wordpiece.apply.tokens")),
-        "bpe.learn.ms_per_merge": ratio(1000 * times.get("bpe.learn", 0.0), c("bpe.learn.merges")),
-        "bpe.learn.merges_ratio": ratio(c("bpe.learn.merges"), c("bpe.learn.merges_requested")),
-        "bpe.learn.word_types": c("bpe.learn.word_types"),
-        "bpe.apply.words": c("bpe.apply.words"),
-        "bpe.apply.repeat_word_share": ratio(c("bpe.apply.words") - c("bpe.apply.words.distinct"),
-                                             c("bpe.apply.words")),
-        "transfer.map.dp_cells": 0,
-        "transfer.map.dp_bytes": 0,
-        "sharedvocab.merged.attempts": 0,
-        "sharedvocab.learn_calls_per_build": ratio(build_learns, builds),
-        "mteval.sentence_stats.calls": c("mteval.sentence_stats.calls"),
-        "mteval.tokenize.calls": calls.get("mteval.tokenize", 0),
-        "mteval.tokenize.unique_ratio": ratio(c("mteval.tokenize.strings.distinct"), calls.get("mteval.tokenize", 0)),
-        "mteval.bootstrap.gather_bytes": 0,
-    })
+    metrics.update({"cli.steps": len(p.runs), "cli.bytes_in": bytes_in, "cli.bytes_out": bytes_out})
+    if "corpus.sample_equal" in times:
+        metrics["corpus.sample_equal.pairs"] = c("corpus.sample_equal.pairs")
+    if "wordpiece.learn" in times:
+        metrics.update({
+            "wordpiece.learn.calls": c("wordpiece.learn.calls"),
+            "wordpiece.learn.unit_types": c("wordpiece.learn.unit_types"),
+            "wordpiece.learn.within_tolerance_ratio": c("wordpiece.learn.within_tolerance")
+            / c("wordpiece.learn.calls"),
+        })
+    if "wordpiece.apply" in calls:
+        metrics.update({
+            "wordpiece.apply.sentences": calls["wordpiece.apply"],
+            "wordpiece.apply.tokens": c("wordpiece.apply.tokens"),
+            "wordpiece.apply.resegment_ratio": calls["wordpiece.apply"] / len(segmented),
+            "wordpiece.apply.repeat_word_share": 1 - c("wordpiece.apply.words.distinct") / c("wordpiece.apply.words"),
+            "wordpiece.apply.escape_token_share": c("wordpiece.apply.escape_tokens") / c("wordpiece.apply.tokens"),
+        })
+    if "bpe.learn" in times:
+        metrics.update({
+            "bpe.learn.ms_per_merge": 1000 * times["bpe.learn"] / c("bpe.learn.merges"),
+            "bpe.learn.merges_ratio": c("bpe.learn.merges") / c("bpe.learn.merges_requested"),
+            "bpe.learn.word_types": c("bpe.learn.word_types"),
+        })
+    if "bpe.apply" in calls:
+        metrics.update({
+            "bpe.apply.words": c("bpe.apply.words"),
+            "bpe.apply.repeat_word_share": 1 - c("bpe.apply.words.distinct") / c("bpe.apply.words"),
+        })
+    if builds:
+        metrics["sharedvocab.learn_calls_per_build"] = build_learns / builds
+    if "mteval.sentence_stats" in times:
+        metrics["mteval.sentence_stats.calls"] = c("mteval.sentence_stats.calls")
+    if "mteval.tokenize" in calls:
+        metrics.update({
+            "mteval.tokenize.calls": calls["mteval.tokenize"],
+            "mteval.tokenize.unique_ratio": c("mteval.tokenize.strings.distinct") / calls["mteval.tokenize"],
+        })
     metrics.update(workload.computed_layers(cwd))
     return metrics, residual
 
@@ -546,7 +544,7 @@ def cpu_model() -> str:
     return platform.processor() or "unknown"
 
 
-def load_pins(workload: str) -> dict[str, str]:
+def load_pins(workload: str) -> dict[str, dict[str, str]]:
     return json.loads(PINS.read_text(encoding="utf-8"))[workload]
 
 
@@ -555,34 +553,30 @@ def measure(workload: Workload, seed: int, seconds: float, trace: bool, cwd: Pat
     problems: list[str] = []
     attempted = failed = 0
 
-    def account(runs: list[StepRun], errors: list[str] = ()) -> None:
+    def account(runs: list[StepRun]) -> None:
         nonlocal attempted, failed
         attempted += len(runs)
-        step_errors = [e for r in runs for e in r.errors]
-        failed += sum(1 for r in runs if r.errors) + len(errors)
-        problems.extend(step_errors + list(errors))
+        failed += sum(1 for r in runs if r.errors)
+        problems.extend(e for r in runs for e in r.errors)
 
     setup_times: list[float] = []
-    setup_inputs: list[dict[str, str]] = []
-
-    def set_up() -> float:
+    inputs = None
+    while len(setup_times) < MIN_SETUPS or sum(setup_times) < SETUP_SECONDS:
         t0 = time.perf_counter()
         runs = workload.setup(cwd, seed)
         setup_times.append(time.perf_counter() - t0)
         account(runs)
-        setup_inputs.append({p.name: sha256(p) for p in sorted((cwd / "in").iterdir())})
-        if setup_inputs[-1] != setup_inputs[0]:
+        written = {p.name: sha256(p) for p in sorted((cwd / "in").iterdir())}
+        if inputs is not None and written != inputs:
             problems.append("setup: a repeated set-up wrote different inputs")
-        return time.perf_counter() - t0
-
-    set_up()
+        inputs = written
     properties = workload.properties(cwd)
 
     warm = run_pass(workload, cwd, seed, traced=False)
     if seed == DEFAULT_SEED:
         warm.compare(load_pins(workload.name), PINS.name)
-    account(warm.runs, warm.errors)
-    if not warm.errors and not any(run.errors for run in warm.runs):
+    account(warm.runs)
+    if not any(run.errors for run in warm.runs):
         properties.update(workload.computed_layers(cwd))
 
     untraced: list[Pass] = []
@@ -591,13 +585,10 @@ def measure(workload: Workload, seed: int, seconds: float, trace: bool, cwd: Pat
     residual = 0.0
     start = time.perf_counter()
     while True:
-        # One set-up before each pass: setup_s samples the same machine
-        # conditions as the passes.  It does not count against the window.
-        start += set_up()
         is_traced = trace and len(traced) < len(untraced)
         p = run_pass(workload, cwd, seed, is_traced)
         p.compare(warm.digests, "the warm-up pass")
-        account(p.runs, p.errors)
+        account(p.runs)
         (traced if is_traced else untraced).append(p)
         if is_traced and not any(run.errors for run in p.runs):
             metrics, gap = layer_metrics(workload, cwd, p)
