@@ -11,6 +11,9 @@ until it has run at least MIN_SETUPS times and for SETUP_SECONDS;
 `setup_s` is the median of those runs.  After an untimed warm-up pass
 (bytecode compilation, file cache) the pipeline repeats until the next pass
 would end after S seconds; timings are medians over the timed passes.
+Before every step a reference process (`python -c "import numpy"`) runs;
+`wall_ref` is a pass's step time divided by its reference time, so the
+host's drift in speed cancels and the program's time stays.
 
 Workloads, and why each exists:
 
@@ -71,7 +74,14 @@ PINS = BENCH / "pins.json"
 DEFAULT_SEED = 1
 
 MIN_SETUPS = 5
-SETUP_SECONDS = 5.0
+SETUP_SECONDS = 2.0
+
+# The reference process, run before every step: Python start-up and the
+# numpy import, which every step also pays, and no code of the repository.
+# On a shared host the speed of such processes drifts by tens of percent
+# over minutes, every step by the same factor; dividing a pass's time by
+# its references' time removes that drift and keeps the program's own.
+REFERENCE = [sys.executable, "-c", "import numpy"]
 
 # Per-layer metrics for the result line: only those every workload
 # measures.  A metric of a layer that some workload never enters would
@@ -135,6 +145,30 @@ class StepRun:
             self.errors.append(f"{self.step.label}: {', '.join(differ)} differ from {what}")
 
 
+def run_process(cmd: list[str], cwd: Path, stderr) -> tuple[float, int, int]:
+    """Run one process to its end; returns its wall seconds, exit code and
+    peak resident set in KiB."""
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(cmd, cwd=cwd, env=ENV, stdout=subprocess.DEVNULL, stderr=stderr)
+    try:
+        _, status, usage = os.wait4(proc.pid, 0)
+    except BaseException:  # interrupted: stop the process before leaving
+        proc.kill()
+        proc.wait()
+        raise
+    seconds = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return seconds, proc.returncode, usage.ru_maxrss
+
+
+def run_reference(cwd: Path) -> float:
+    """Wall seconds of one reference process (see REFERENCE)."""
+    seconds, code, _ = run_process(REFERENCE, cwd, subprocess.DEVNULL)
+    if code != 0:
+        raise RuntimeError(f"reference process {REFERENCE} exited {code}")
+    return seconds
+
+
 def run_cli(step: Step, cwd: Path, index: int, spans: Path | None) -> StepRun:
     manifest = f"out/manifest.{index:02d}.{step.label}.json"
     argv = ["--manifest", manifest, *step.argv]
@@ -143,21 +177,12 @@ def run_cli(step: Step, cwd: Path, index: int, spans: Path | None) -> StepRun:
     else:
         cmd = [sys.executable, str(BENCH / "traced.py"), str(spans), *argv]
     with open(cwd / "stderr.log", "w+b") as err:
-        t0 = time.perf_counter()
-        proc = subprocess.Popen(cmd, cwd=cwd, env=ENV, stdout=subprocess.DEVNULL, stderr=err)
-        try:
-            _, status, usage = os.wait4(proc.pid, 0)
-        except BaseException:  # interrupted: stop the step before leaving
-            proc.kill()
-            proc.wait()
-            raise
-        seconds = time.perf_counter() - t0
-        proc.returncode = os.waitstatus_to_exitcode(status)
+        seconds, code, rss_kb = run_process(cmd, cwd, err)
         err.seek(0)
         stderr = err.read().decode("utf-8", "replace").strip()
-    run = StepRun(step, seconds, usage.ru_maxrss, [])
-    if proc.returncode != 0:
-        run.errors.append(f"{step.label}: exit {proc.returncode}: {stderr[-500:]}")
+    run = StepRun(step, seconds, rss_kb, [])
+    if code != 0:
+        run.errors.append(f"{step.label}: exit {code}: {stderr[-500:]}")
     else:
         payload = json.loads((cwd / manifest).read_text(encoding="utf-8"))
         run.digests = {**payload["inputs"], **payload["outputs"]}
@@ -353,8 +378,8 @@ class Coldstart(Workload):
 class Evaluate(Workload):
     name = "evaluate"
     inputs = {
-        "src.cy": (gen.CYRILLIC, 3_500, 1_500),
-        "ref.lt": (gen.LATIN, 3_500, 1_500),
+        "src.cy": (gen.CYRILLIC, 5_000, 1_500),
+        "ref.lt": (gen.LATIN, 5_000, 1_500),
     }
     samples = 1000
     n_max = 4
@@ -391,7 +416,17 @@ WORKLOADS = {w.name: w for w in (Warmstart(), Coldstart(), Evaluate())}
 @dataclass
 class Pass:
     runs: list[StepRun]
-    wall: float
+    refs: list[float]  # wall seconds of the reference process before each step
+
+    @property
+    def wall(self) -> float:
+        """The pipeline's time: the sum of its step processes' wall times."""
+        return sum(run.seconds for run in self.runs)
+
+    @property
+    def wall_ref(self) -> float:
+        """The pipeline's time over the time of its reference processes."""
+        return self.wall / sum(self.refs)
 
     @property
     def digests(self) -> dict[str, dict[str, str]]:
@@ -404,16 +439,17 @@ class Pass:
 
 
 def run_pass(workload: Workload, cwd: Path, seed: int, traced: bool) -> Pass:
-    """One pass of the pipeline; every error is attached to its step."""
+    """One pass of the pipeline, each step preceded by a reference process;
+    every error is attached to its step."""
     out = cwd / "out"
     if out.exists():
         shutil.rmtree(out)
     out.mkdir()
-    runs = []
-    t0 = time.perf_counter()
+    result = Pass([], [])
     for i, step in enumerate(workload.steps(seed), start=1):
-        runs.append(run_cli(step, cwd, i, cwd / f"spans.{i:02d}.json" if traced else None))
-    result = Pass(runs, time.perf_counter() - t0)
+        result.refs.append(run_reference(cwd))
+        result.runs.append(run_cli(step, cwd, i, cwd / f"spans.{i:02d}.json" if traced else None))
+    runs = result.runs
     if not any(run.errors for run in runs):
         by_label = {run.step.label: run for run in runs}
         for label, message in workload.check(cwd):
@@ -586,7 +622,9 @@ def measure(workload: Workload, seed: int, seconds: float, trace: bool, cwd: Pat
     start = time.perf_counter()
     while True:
         is_traced = trace and len(traced) < len(untraced)
+        t0 = time.perf_counter()
         p = run_pass(workload, cwd, seed, is_traced)
+        elapsed = time.perf_counter() - t0
         p.compare(warm.digests, "the warm-up pass")
         account(p.runs)
         (traced if is_traced else untraced).append(p)
@@ -594,7 +632,7 @@ def measure(workload: Workload, seed: int, seconds: float, trace: bool, cwd: Pat
             metrics, gap = layer_metrics(workload, cwd, p)
             layers.append(metrics)
             residual = max(residual, gap)
-        if time.perf_counter() - start + p.wall > seconds and (traced or not trace):
+        if time.perf_counter() - start + elapsed > seconds and (traced or not trace):
             break
 
     print(f"# xfervocab pipeline benchmark: workload {workload.name}, seed {seed}, "
@@ -610,6 +648,8 @@ def measure(workload: Workload, seed: int, seconds: float, trace: bool, cwd: Pat
     peak_mb = max(r.rss_kb for p in untraced for r in p.runs) / 1024
     report("setup_s", setup_times, "s")
     report("wall_s", walls, "s")
+    report("reference_s", [r for p in untraced for r in p.refs], "s")
+    report("wall_ref", [p.wall_ref for p in untraced], "ref")
     print(f"{'peak_rss_mb':<40} {peak_mb:>14.6f} MB     largest over {len(untraced)} passes")
     for metric in dict.fromkeys(s.metric for s in workload.steps(seed) if s.metric):
         report(metric, [sum(r.seconds for r in p.runs if r.step.metric == metric) for p in untraced], "s")
@@ -642,7 +682,7 @@ def measure(workload: Workload, seed: int, seconds: float, trace: bool, cwd: Pat
     else:
         result_metrics = {
             "setup_s": {"value": setup_s, "unit": "s"},
-            "wall_s": {"value": statistics.median(walls), "unit": "s"},
+            "wall_ref": {"value": statistics.median(p.wall_ref for p in untraced), "unit": "ref"},
             "peak_rss_mb": {"value": peak_mb, "unit": "MB"},
         }
     for problem in dict.fromkeys(problems):
