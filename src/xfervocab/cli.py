@@ -33,6 +33,7 @@ from .corpus import (
     subsample,
     write_parallel,
     write_parallel_tsv,
+    _read_lines,
 )
 from .diagnostics import (
     length_filter_impact,
@@ -66,13 +67,6 @@ def _sha256(path: Path) -> str:
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
     return "sha256:" + digest.hexdigest()
-
-
-def _read_sentences(path: str) -> list[str]:
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    return lines
 
 
 def _write_lines(path: str, lines) -> None:
@@ -341,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_learn_bpe(args, manifest):
-    corpora = [_read_sentences(path) for path in args.input]
+    corpora = [_read_lines(path) for path in args.input]
     for path in args.input:
         manifest.add_input(path)
     table = learn_bpe(corpora, args.merges)
@@ -354,13 +348,13 @@ def _cmd_apply_bpe(args, manifest):
     table = MergeTable.load(args.table)
     manifest.add_input(args.table)
     manifest.add_input(args.input)
-    lines = [" ".join(segment_sentence(table, line)) for line in _read_sentences(args.input)]
+    lines = [" ".join(segment_sentence(table, line)) for line in _read_lines(args.input)]
     _write_lines(args.out, lines)
     manifest.add_output(args.out)
 
 
 def _cmd_learn_wp(args, manifest):
-    corpora = [_read_sentences(path) for path in args.input]
+    corpora = [_read_lines(path) for path in args.input]
     for path in args.input:
         manifest.add_input(path)
     spec = VocabSpec(args.target_size, args.tolerance, args.max_train_sentences)
@@ -374,7 +368,7 @@ def _cmd_apply_wp(args, manifest):
     vocab = Vocabulary.load(args.vocab)
     manifest.add_input(args.vocab)
     manifest.add_input(args.input)
-    lines = [" ".join(apply_wordpiece(vocab, line)) for line in _read_sentences(args.input)]
+    lines = [" ".join(apply_wordpiece(vocab, line)) for line in _read_lines(args.input)]
     _write_lines(args.out, lines)
     manifest.add_output(args.out)
 
@@ -390,7 +384,7 @@ def _cmd_transform_vocab(args, manifest):
     elif args.child:
         for path in args.child:
             manifest.add_input(path)
-        corpora = [_read_sentences(path) for path in args.child]
+        corpora = [_read_lines(path) for path in args.child]
         vocab, mapping = transform_vocab(parent, corpora, args.variant, args.seed)
     else:
         raise XfervocabError("give --child corpus files or --child-vocab")
@@ -464,14 +458,14 @@ def _cmd_diag(args, manifest):
     vocab = Vocabulary.load(args.vocab)
     manifest.add_input(args.vocab)
     if args.diag_command == "rate":
-        sentences = [s for path in args.input for s in _read_sentences(path)]
+        sentences = [s for path in args.input for s in _read_lines(path)]
         for path in args.input:
             manifest.add_input(path)
         rate = segmentation_rate(vocab, sentences)
         print(f"segmentation_rate\t{rate:.4f}")
         _write_report(args, manifest, f"segmentation_rate\n{rate!r}\n")
     elif args.diag_command == "usage":
-        sentences = [s for path in args.input for s in _read_sentences(path)]
+        sentences = [s for path in args.input for s in _read_lines(path)]
         for path in args.input:
             manifest.add_input(path)
         predicate = None
@@ -490,7 +484,7 @@ def _cmd_diag(args, manifest):
             lang, _, path = item.partition("=")
             if not path:
                 raise XfervocabError(f"--corpus expects LANG=FILE, got {item!r}")
-            corpora[lang] = _read_sentences(path)
+            corpora[lang] = _read_lines(path)
             manifest.add_input(path)
         breakdown = overlap_breakdown(vocab, corpora, args.min_count, args.parent, args.child)
         langs = sorted(corpora)
@@ -566,8 +560,8 @@ def _cmd_corpus(args, manifest):
 
 def _cmd_eval(args, manifest):
     if args.eval_command == "bleu":
-        candidates = _read_sentences(args.candidates)
-        references = _read_sentences(args.references)
+        candidates = _read_lines(args.candidates)
+        references = _read_lines(args.references)
         manifest.add_input(args.candidates)
         manifest.add_input(args.references)
         report = bleu(candidates, references, args.n_max, args.smoothing, args.tokenize)
@@ -575,9 +569,9 @@ def _cmd_eval(args, manifest):
         print(report.signature())
         _write_report(args, manifest, report.to_tsv())
     elif args.eval_command == "bootstrap":
-        cand_a = _read_sentences(args.candidates_a)
-        cand_b = _read_sentences(args.candidates_b)
-        references = _read_sentences(args.references)
+        cand_a = _read_lines(args.candidates_a)
+        cand_b = _read_lines(args.candidates_b)
+        references = _read_lines(args.references)
         for path in (args.candidates_a, args.candidates_b, args.references):
             manifest.add_input(path)
         result = paired_bootstrap(
@@ -596,9 +590,9 @@ def _cmd_eval(args, manifest):
         print(f"stop {str(stop).lower()}\tbest_step {best_step}")
         _write_report(args, manifest, f"stop\tbest_step\n{str(stop).lower()}\t{best_step}\n")
     elif args.eval_command == "token-analysis":
-        child = [line.split() for line in _read_sentences(args.child)]
-        baseline = [line.split() for line in _read_sentences(args.baseline)]
-        references = [line.split() for line in _read_sentences(args.references)]
+        child = [line.split() for line in _read_lines(args.child)]
+        baseline = [line.split() for line in _read_lines(args.baseline)]
+        references = [line.split() for line in _read_lines(args.references)]
         for path in (args.child, args.baseline, args.references):
             manifest.add_input(path)
         overlap = token_overlap_analysis(child, baseline, references)

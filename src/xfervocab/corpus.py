@@ -74,16 +74,20 @@ class FilterReport:
 
 
 def _read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 file, split on "\\n" only; a bad byte is reported
+    with the file and the number of its line."""
     raw = Path(path).read_bytes()
-    chunks = raw.split(b"\n")
-    if chunks and chunks[-1] == b"":
-        chunks.pop()
-    lines = []
-    for i, chunk in enumerate(chunks, start=1):
-        try:
-            lines.append(chunk.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise CorpusDecodeError(f"{path}: line {i}: invalid UTF-8 ({exc.reason})") from exc
+    try:
+        lines = raw.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        for i, chunk in enumerate(raw.split(b"\n"), start=1):
+            try:
+                chunk.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorpusDecodeError(f"{path}: line {i}: invalid UTF-8 ({exc.reason})") from exc
+        raise
+    if lines and lines[-1] == "":
+        lines.pop()
     return lines
 
 

@@ -180,8 +180,8 @@ def transform_vocab(
     the parent segmentation, for the unused-parent report.
     """
     sentences = [list(part) for part in child_corpus]
-    learner = WordpieceLearner.from_corpora(sentences)
-    child = learner.learn(VocabSpec(target_size=len(parent), tolerance=tolerance))
+    spec = VocabSpec(target_size=len(parent), tolerance=tolerance)
+    child = WordpieceLearner.from_corpora(sentences).learn(spec)
     mapping = map_vocabularies(parent, child, variant, seed)
 
     observed: set[str] = set()
@@ -213,6 +213,10 @@ def save_embeddings_binary(matrix: np.ndarray, path: str | Path) -> None:
 
 def load_embeddings_binary(path: str | Path) -> np.ndarray:
     raw = Path(path).read_bytes()
+    if len(raw) < 8:
+        raise EmbeddingShapeError(f"{path}: {len(raw)} bytes is shorter than the 8-byte header")
+    if (len(raw) - 8) % 4:
+        raise EmbeddingShapeError(f"{path}: payload of {len(raw) - 8} bytes is not a whole number of float32 values")
     rows, cols = np.frombuffer(raw[:8], dtype="<u4")
     matrix = np.frombuffer(raw[8:], dtype="<f4")
     if matrix.size != int(rows) * int(cols):

@@ -268,3 +268,27 @@ def test_diag_filter_impact(texts, capsys):
         "--threshold", "50", "--out", str(texts / "fi.tsv"),
     ]) == 0
     assert "dropped_fraction 0.5" in capsys.readouterr().out
+
+
+def test_invalid_utf8_names_file_and_line(texts, capsys):
+    bad = texts / "bad.txt"
+    bad.write_bytes(b"the cat\na dog\nsat \xff here\n")
+    code = main(["eval", "bleu", "--candidates", str(bad), "--references", str(texts / "refs.txt")])
+    assert code == 1
+    assert f"{bad}: line 3: invalid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [b"\x02\x00\x00", b"\x01\x00\x00\x00\x02\x00\x00\x00\x00\x00\x80\x3f\x00"])
+def test_truncated_embeddings_exit_1(texts, capsys, payload):
+    write(texts / "parent.vocab", ["a", "b"])
+    write(texts / "child.vocab", ["b", "x"])
+    (texts / "emb.bin").write_bytes(payload)
+    code = main([
+        "transform-vocab",
+        "--parent-vocab", str(texts / "parent.vocab"),
+        "--child-vocab", str(texts / "child.vocab"),
+        "--embeddings", str(texts / "emb.bin"),
+        "--out-dir", str(texts / "bundle"),
+    ])
+    assert code == 1
+    assert f"{texts / 'emb.bin'}:" in capsys.readouterr().err

@@ -1,0 +1,66 @@
+"""Golden SHA-256 digests of learned vocabularies and transfer mappings.
+
+The digests pin the exact bytes the learners produce at small sizes, so any
+change to candidate counting, the threshold ladder or the tie-breaks shows
+up here.  A change that means to alter an output updates the digest and
+says so in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from tests.conftest import LATIN, desk_parallel, desk_sentences
+from xfervocab.sharedvocab import build_balanced_vocab, build_merged_vocab
+from xfervocab.transfer import transform_vocab
+from xfervocab.wordpiece import VocabSpec, learn_wordpiece
+
+GREEK = "αβγδεζηθικλμνξο"
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def vocab_text(vocab) -> str:
+    return f"{vocab.within_tolerance}\n" + "\n".join(vocab.tokens) + "\n"
+
+
+@pytest.fixture(scope="module")
+def parent():
+    return desk_parallel(41, n_sentences=500, n_types=200)
+
+
+@pytest.fixture(scope="module")
+def child():
+    return desk_parallel(43, LATIN, GREEK, n_sentences=400, n_types=150)
+
+
+@pytest.mark.parametrize(
+    "target, digest",
+    [
+        (150, "373cef08a638547488c70b9554629ef2a266539abea891cb4f62ab15853007ec"),
+        (400, "3a13ccf369ffc0eb813d966da8aeb340f3000ff46dceb5146c6a646859d0e202"),
+    ],
+)
+def test_learn_wordpiece_digest(target, digest):
+    corpus = desk_sentences(31, LATIN, 1200, 300)
+    assert sha(vocab_text(learn_wordpiece([corpus], VocabSpec(target_size=target)))) == digest
+
+
+def test_merged_vocab_digest(parent, child):
+    merged, report = build_merged_vocab(parent, child, 450)
+    assert sha(vocab_text(merged)) == "6737ca1ca9eea0fccf3c94de268615c1b4de4d83919f0a7243e99a6f41224e6c"
+    assert sha(report.to_tsv()) == "1bf5fd6a23f4ef4133b517ee0d6e289df62b85266dd04ec5987db90f470f7977"
+
+
+def test_balanced_vocab_digest(parent, child):
+    balanced = build_balanced_vocab(parent, child, 450, seed=3)
+    assert sha(vocab_text(balanced)) == "ae392c9d499a5cb25ec216423e7403a0226a75951938ea29c37becba947b1207"
+
+
+def test_transform_vocab_digest(parent, child):
+    parent_vocab = learn_wordpiece([parent.sources, parent.targets], VocabSpec(target_size=300))
+    vocab, mapping = transform_vocab(parent_vocab, [child.sources, child.targets], variant="levenshtein", seed=5)
+    assert sha(mapping.to_tsv()) == "cc672399466b2491f7789ff346a6673232d5d45f64f6c1293bfd30d5d2236bb4"
+    assert sha(vocab_text(vocab)) == "ef0fcc5581d0e4be2940d69b8be207aa35030b69c2827cb61f55718e6c3196e8"

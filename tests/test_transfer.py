@@ -218,3 +218,12 @@ def test_embeddings_tsv_and_binary_loaders(tmp_path):
     assert np.array_equal(load_embeddings(tsv_path), matrix)
     header = bin_path.read_bytes()[:8]
     assert np.frombuffer(header, dtype="<u4").tolist() == [2, 2]
+
+
+@pytest.mark.parametrize("cut", [0, 5, 8 + 3, 8 + 17])
+def test_truncated_binary_embeddings_name_the_file(tmp_path, cut):
+    path = tmp_path / "m.bin"
+    save_embeddings_binary(np.ones((2, 3), dtype=np.float32), path)
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(EmbeddingShapeError, match=str(path)):
+        load_embeddings_binary(path)

@@ -1,17 +1,25 @@
 """Wordpiece segmentation against the hand-worked fixtures, plus the learner
-contract: exact and tolerance-bounded sizes, determinism, escape totality."""
+contract: exact and tolerance-bounded sizes, determinism, escape totality,
+and the incremental threshold ladder against a recount-from-scratch oracle."""
 
 import random
 import warnings
+from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xfervocab.errors import EscapeDecodeError
 from xfervocab.wordpiece import (
     ESCAPE_TOKENS,
+    WORD_MARKER,
     VocabSpec,
     Vocabulary,
     WordpieceLearner,
+    _count_units,
+    _segment_boundaries,
+    _unsafe_mask,
     apply_wordpiece,
     detokenize,
     learn_wordpiece,
@@ -197,3 +205,93 @@ def test_learned_vocab_segments_and_roundtrips_training_text(latin_corpus):
     vocab = learn_wordpiece([latin_corpus[:2000]], VocabSpec(target_size=500))
     for sentence in latin_corpus[:100]:
         assert detokenize(apply_wordpiece(vocab, sentence)) == sentence
+
+
+def oracle_ranking(unit_counts, refine_iterations=4):
+    """Recount-from-scratch oracle for the threshold ladder: every pass of
+    every threshold segments every unit again, recounts every candidate and
+    re-sorts them all.  Returns the base, the ranking and the raw counts."""
+    chars = set().union(*unit_counts) - {"\\", WORD_MARKER}
+    base = sorted(chars.union(ESCAPE_TOKENS))
+    marked = [(u + WORD_MARKER, _unsafe_mask(u), f) for u, f in sorted(unit_counts.items())]
+
+    def count_candidates(current, max_len):
+        counts = defaultdict(int)
+        for word, unsafe, freq in marked:
+            for start, _end in _segment_boundaries(word, unsafe, current, max_len):
+                if unsafe[start]:
+                    continue
+                stop = start
+                while stop < len(word) and not unsafe[stop]:
+                    stop += 1
+                for end in range(start + 1, stop + 1):
+                    counts[word[start:end]] += freq
+        return counts
+
+    def build(min_count):
+        iterations = 1 if min_count <= 1 else refine_iterations
+        current, max_len = set(base), 1
+        for _ in range(iterations):
+            counts = count_candidates(current, max_len)
+            adjusted = dict(counts)
+            selected = {}
+            for cand in sorted(counts, key=lambda c: (-len(c), c)):
+                count = adjusted[cand]
+                if len(cand) < 2 or (count < min_count and min_count > 1):
+                    continue
+                selected[cand] = count
+                for cut in range(1, len(cand)):
+                    adjusted[cand[:cut]] -= count
+            current = set(base) | set(selected)
+            max_len = max(len(t) for t in current)
+        result = [(tok, selected.get(tok, counts.get(tok, 0))) for tok in set(base) | set(selected)]
+        return sorted(result, key=lambda item: (-item[1], item[0]))
+
+    ladder, level = [], max(unit_counts.values())
+    while level >= 2:
+        ladder.append(level)
+        level //= 2
+    seen, ranking = set(base), []
+    for threshold in ladder + [1]:
+        for tok, _count in build(threshold):
+            if tok not in seen:
+                seen.add(tok)
+                ranking.append(tok)
+    return base, ranking, dict(build(1))
+
+
+def oracle_learn(unit_counts, spec):
+    base, ranking, raw = oracle_ranking(unit_counts, spec.refine_iterations)
+    selected = ranking[: spec.target_size - len(base)]
+    within = abs(len(base) + len(selected) - spec.target_size) <= spec.tolerance * spec.target_size
+    ordered = sorted(selected + base, key=lambda tok: (-raw.get(tok, 0), tok))
+    return ordered, within
+
+
+ORACLE_ALPHABET = "abcab_\\019\t.,-αβγ"
+
+oracle_corpora = st.lists(st.text(ORACLE_ALPHABET, min_size=1, max_size=8), min_size=1, max_size=20).flatmap(
+    lambda words: st.lists(
+        st.lists(st.sampled_from(words), min_size=1, max_size=8).map(" ".join), min_size=1, max_size=40
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sentences=oracle_corpora, refine_iterations=st.sampled_from([1, 2, 4]), extra=st.lists(st.integers(0, 120), max_size=3))
+def test_incremental_ladder_matches_recount_oracle(sentences, refine_iterations, extra):
+    counts = _count_units([sentences], len(sentences))
+    base, ranking, raw = oracle_ranking(counts, refine_iterations)
+    learner = WordpieceLearner(counts, refine_iterations)
+    assert learner.base_tokens == base
+    assert learner._canonical_ranking() == ranking
+    learned_raw = dict(zip(ranking, learner._ranked_raw.tolist())) | dict(zip(base, learner._base_raw))
+    assert learned_raw == {tok: raw.get(tok, 0) for tok in learned_raw}
+    assert set(learned_raw) == set(raw) | set(base)
+    # Targets inside the inventory, at its end, and past it (tolerance misses).
+    for target in {len(base), len(base) + len(ranking), *(len(base) + k for k in extra)}:
+        spec = VocabSpec(target_size=target, refine_iterations=refine_iterations)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            vocab = learner.learn(spec)
+        assert (vocab.tokens, vocab.within_tolerance) == oracle_learn(counts, spec)
