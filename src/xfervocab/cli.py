@@ -430,9 +430,7 @@ def _cmd_merge_vocab(args, manifest):
             f"merged size {report.final_size} in {report.iterations} iterations "
             f"(within_tolerance={report.within_tolerance})"
         )
-        if args.report:
-            Path(args.report).write_text(report.to_tsv(), encoding="utf-8")
-            manifest.add_output(args.report)
+        _write_report(args.report, manifest, report.to_tsv())
     else:
         print(f"merged {len(merged)} tokens -> {args.out}")
 
@@ -448,10 +446,10 @@ def _cmd_balanced_vocab(args, manifest):
     print(f"balanced vocabulary: {len(vocab)} tokens -> {args.out}")
 
 
-def _write_report(args, manifest, tsv: str) -> None:
-    if args.out:
-        Path(args.out).write_text(tsv, encoding="utf-8")
-        manifest.add_output(args.out)
+def _write_report(path: str | None, manifest, tsv: str) -> None:
+    if path:
+        Path(path).write_text(tsv, encoding="utf-8")
+        manifest.add_output(path)
 
 
 def _cmd_diag(args, manifest):
@@ -463,7 +461,7 @@ def _cmd_diag(args, manifest):
             manifest.add_input(path)
         rate = segmentation_rate(vocab, sentences)
         print(f"segmentation_rate\t{rate:.4f}")
-        _write_report(args, manifest, f"segmentation_rate\n{rate!r}\n")
+        _write_report(args.out, manifest, f"segmentation_rate\n{rate!r}\n")
     elif args.diag_command == "usage":
         sentences = [s for path in args.input for s in _read_lines(path)]
         for path in args.input:
@@ -477,7 +475,7 @@ def _cmd_diag(args, manifest):
             predicate = unicode_range_predicate(ranges)
         usage = vocab_usage(vocab, sentences, predicate)
         print(f"vocab_usage\t{usage:.4f}")
-        _write_report(args, manifest, f"vocab_usage\n{usage!r}\n")
+        _write_report(args.out, manifest, f"vocab_usage\n{usage!r}\n")
     elif args.diag_command == "overlap":
         corpora = {}
         for item in args.corpus:
@@ -503,14 +501,14 @@ def _cmd_diag(args, manifest):
             row(["reused parent"] + [""] * (len(langs) - 1), breakdown.reused_parent)
         if breakdown.unused_by_child is not None:
             row(["unused by child"] + [""] * (len(langs) - 1), breakdown.unused_by_child)
-        _write_report(args, manifest, breakdown.to_tsv())
+        _write_report(args.out, manifest, breakdown.to_tsv())
     elif args.diag_command == "filter-impact":
         corpus = _read_corpus(args)
         for path in _corpus_inputs_of(args):
             manifest.add_input(path)
         report = length_filter_impact(vocab, corpus, args.threshold)
         print(f"kept {report.kept}\tdropped {report.dropped}\tdropped_fraction {report.dropped_fraction:.4f}")
-        _write_report(args, manifest, report.to_tsv())
+        _write_report(args.out, manifest, report.to_tsv())
 
 
 def _cmd_corpus(args, manifest):
@@ -547,9 +545,7 @@ def _cmd_corpus(args, manifest):
                 manifest.add_input(args.vocab)
                 out, sub_report = filter_by_subword_length(out, vocab, args.max_subwords)
                 report = FilterReport.from_counts(sub_report.kept, report.dropped + sub_report.dropped)
-            if args.report:
-                Path(args.report).write_text(report.to_tsv(), encoding="utf-8")
-                manifest.add_output(args.report)
+            _write_report(args.report, manifest, report.to_tsv())
             print(f"kept {report.kept}\tdropped {report.dropped}\tdropped_fraction {report.dropped_fraction:.4f}")
         elif args.corpus_command == "pseudo":
             out = make_pseudo_related(corpus, args.keep_percent, args.seed)
@@ -567,7 +563,7 @@ def _cmd_eval(args, manifest):
         report = bleu(candidates, references, args.n_max, args.smoothing, args.tokenize)
         print(f"{report.score:.2f}")
         print(report.signature())
-        _write_report(args, manifest, report.to_tsv())
+        _write_report(args.out, manifest, report.to_tsv())
     elif args.eval_command == "bootstrap":
         cand_a = _read_lines(args.candidates_a)
         cand_b = _read_lines(args.candidates_b)
@@ -580,7 +576,7 @@ def _cmd_eval(args, manifest):
         print(
             f"wins_a {result.wins_a}\twins_b {result.wins_b}\tties {result.ties}\tbetter {result.better}"
         )
-        _write_report(args, manifest, result.to_tsv())
+        _write_report(args.out, manifest, result.to_tsv())
     elif args.eval_command == "stop":
         curve = LearningCurve.from_tsv(args.curve)
         manifest.add_input(args.curve)
@@ -588,7 +584,7 @@ def _cmd_eval(args, manifest):
             curve, args.window_frac, args.delta_frac, args.min_evals, args.relative_to
         )
         print(f"stop {str(stop).lower()}\tbest_step {best_step}")
-        _write_report(args, manifest, f"stop\tbest_step\n{str(stop).lower()}\t{best_step}\n")
+        _write_report(args.out, manifest, f"stop\tbest_step\n{str(stop).lower()}\t{best_step}\n")
     elif args.eval_command == "token-analysis":
         child = [line.split() for line in _read_lines(args.child)]
         baseline = [line.split() for line in _read_lines(args.baseline)]
@@ -600,7 +596,7 @@ def _cmd_eval(args, manifest):
             f"baseline_and_reference {overlap.baseline_and_reference}\tbaseline_only {overlap.baseline_only}"
             f"\treference_only {overlap.reference_only}\tneither {overlap.neither}"
         )
-        _write_report(args, manifest, overlap.to_tsv())
+        _write_report(args.out, manifest, overlap.to_tsv())
 
 
 _HANDLERS = {

@@ -11,15 +11,16 @@ international tokenization that pads punctuation not surrounded by digits.
 from __future__ import annotations
 
 import math
-import os
 import unicodedata
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from .corpus import _read_lines
+from .errors import CorpusFormatError
 
 TOKENIZATIONS = ("none", "intl")
 SMOOTHINGS = ("none", "exponential")
@@ -29,17 +30,6 @@ _PUNCT_NORMALIZATION = {
     "„": '"', "«": '"', "»": '"', "–": "-", "—": "-",
     "−": "-", "…": "...", " ": " ",
 }
-
-
-def thread_cap() -> int:
-    """Parallelism ceiling; XFERVOCAB_THREADS overrides the CPU count."""
-    env = os.environ.get("XFERVOCAB_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return max(1, os.cpu_count() or 1)
 
 
 def tokenize_intl(text: str) -> list[str]:
@@ -129,11 +119,14 @@ class LearningCurve:
     @classmethod
     def from_tsv(cls, path: str | Path) -> "LearningCurve":
         points = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            columns = line.split("\t")
-            if columns[0] == "step":  # header
+        for i, line in enumerate(_read_lines(path), start=1):
+            step, _, score = line.partition("\t")
+            if step == "step":  # header
                 continue
-            points.append((int(columns[0]), float(columns[1])))
+            try:
+                points.append((int(step), float(score)))
+            except ValueError:
+                raise CorpusFormatError(f"{path}: line {i}: expected step<TAB>score") from None
         return cls(tuple(points))
 
     def to_tsv(self) -> str:
@@ -197,24 +190,21 @@ def sentence_stats(
 
 
 def _scores_from_sums(
-    matches: np.ndarray,
-    totals: np.ndarray,
-    sys_len: np.ndarray,
-    ref_len: np.ndarray,
-    weights: np.ndarray,
-    smoothing: str,
+    sums: np.ndarray, weights: np.ndarray, smoothing: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized document-level BLEU over rows of summed statistics.
+    """Vectorized document-level BLEU over rows of summed statistics, laid
+    out as the columns of sentence_stats.
 
     Returns (scores, precisions, bp); with exponential smoothing a zero
     match count at order n is replaced by 1/2^k, k counting the zero orders
     seen so far.
     """
-    matches = np.asarray(matches, dtype=np.float64)
-    totals = np.asarray(totals, dtype=np.float64)
-    sys_len = np.asarray(sys_len, dtype=np.float64)
-    ref_len = np.asarray(ref_len, dtype=np.float64)
-    n_max = matches.shape[-1]
+    sums = np.asarray(sums, dtype=np.float64)
+    n_max = (sums.shape[-1] - 2) // 2
+    matches = sums[..., :n_max]
+    totals = sums[..., n_max : 2 * n_max]
+    sys_len = sums[..., 2 * n_max]
+    ref_len = sums[..., 2 * n_max + 1]
 
     effective = matches.copy()
     if smoothing == "exponential":
@@ -253,23 +243,14 @@ def bleu(
     weights: Sequence[float] | None = None,
 ) -> BleuReport:
     """Document-level BLEU (multiplied by 100) for one candidate corpus."""
-    stats = sentence_stats(candidates, references, n_max, tokenization)
-    sums = stats.sum(axis=0)
+    references = _normalize_references(references, len(candidates))
+    sums = sentence_stats(candidates, references, n_max, tokenization).sum(axis=0)
     if weights is None:
         weights = [1.0 / n_max] * n_max
     weights_arr = np.asarray(weights, dtype=np.float64)
     if weights_arr.shape != (n_max,):
         raise ValueError(f"expected {n_max} weights")
-    scores, precisions, bp = _scores_from_sums(
-        sums[None, :n_max],
-        sums[None, n_max : 2 * n_max],
-        sums[None, 2 * n_max],
-        sums[None, 2 * n_max + 1],
-        weights_arr,
-        smoothing,
-    )
-    refs = list(references)
-    num_refs = 1 if not refs or isinstance(refs[0], str) else max(len(r) for r in refs)
+    scores, precisions, bp = _scores_from_sums(sums[None], weights_arr, smoothing)
     return BleuReport(
         score=float(scores[0]),
         precisions=tuple(float(p) for p in precisions[0]),
@@ -280,8 +261,27 @@ def bleu(
         smoothing=smoothing,
         tokenization=tokenization,
         n_max=n_max,
-        num_refs=num_refs,
+        num_refs=max(map(len, references), default=1),
     )
+
+
+def _resample_scores(stats: Sequence[np.ndarray], samples: int, seed: int | None, smoothing: str) -> list[np.ndarray]:
+    """BLEU of every system in stats on every resample.
+
+    All resample indices come from one seeded draw.  Row k of the counts
+    matrix says how often each sentence was drawn into resample k, so
+    counts @ stats holds every resample's summed statistics.
+    """
+    n_sentences = len(stats[0])
+    indices = np.random.default_rng(seed).integers(0, n_sentences, size=(samples, n_sentences))
+    counts = np.empty((samples, n_sentences), np.int64)
+    for k, row in enumerate(indices):
+        counts[k] = np.bincount(row, minlength=n_sentences)
+    # An int64 product is integer arithmetic: exactly the sum of the drawn rows.
+    sums = counts @ np.hstack(stats)
+    n_max = (stats[0].shape[1] - 2) // 2
+    weights = np.full(n_max, 1.0 / n_max)
+    return [_scores_from_sums(part, weights, smoothing)[0] for part in np.hsplit(sums, len(stats))]
 
 
 def paired_bootstrap(
@@ -296,48 +296,14 @@ def paired_bootstrap(
     tokenization: str = "intl",
 ) -> SignificanceResult:
     """Paired bootstrap resampling: draw testsets with replacement, score
-    both systems on each, and call a winner at the given confidence level.
-
-    All resample indices derive from one seeded generator up front, so the
-    result is independent of how the scoring work is chunked or threaded.
-    """
+    both systems on each, and call a winner at the given confidence level."""
     if len(cand_a) != len(cand_b):
         raise ValueError(f"system A has {len(cand_a)} sentences but system B has {len(cand_b)}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    stats_a = sentence_stats(cand_a, references, n_max, tokenization)
-    stats_b = sentence_stats(cand_b, references, n_max, tokenization)
-    n_sentences = stats_a.shape[0]
-    weights = np.full(n_max, 1.0 / n_max)
-
-    rng = np.random.default_rng(seed)
-    indices = rng.integers(0, n_sentences, size=(samples, n_sentences))
-
-    def score_chunk(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        sums_a = stats_a[chunk].sum(axis=1)
-        sums_b = stats_b[chunk].sum(axis=1)
-        out = []
-        for sums in (sums_a, sums_b):
-            scores, _, _ = _scores_from_sums(
-                sums[:, :n_max],
-                sums[:, n_max : 2 * n_max],
-                sums[:, 2 * n_max],
-                sums[:, 2 * n_max + 1],
-                weights,
-                smoothing,
-            )
-            out.append(scores)
-        return out[0], out[1]
-
-    cap = thread_cap()
-    if cap > 1 and samples >= 64:
-        chunks = np.array_split(indices, cap)
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            parts = list(pool.map(score_chunk, chunks))
-        scores_a = np.concatenate([p[0] for p in parts])
-        scores_b = np.concatenate([p[1] for p in parts])
-    else:
-        scores_a, scores_b = score_chunk(indices)
+    references = _normalize_references(references, len(cand_a))
+    stats = [sentence_stats(cand, references, n_max, tokenization) for cand in (cand_a, cand_b)]
+    scores_a, scores_b = _resample_scores(stats, samples, seed, smoothing)
 
     wins_a = int(np.sum(scores_a > scores_b))
     wins_b = int(np.sum(scores_b > scores_a))

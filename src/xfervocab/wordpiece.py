@@ -32,7 +32,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -189,43 +189,35 @@ class VocabSpec:
             raise ValueError("refine_iterations must be at least 1")
 
 
-def _segment_unit(unit: str, index, max_len: int) -> list[str]:
-    """Greedy longest-match over unit + marker; escapes unreachable chars.
+def _segment_boundaries(marked: str, unsafe: list[bool], index: Container[str], max_len: int) -> list[tuple[int, int]]:
+    """(start, end) spans of the greedy longest match over a marked unit.
 
-    A token may also match word-finally without carrying the marker itself,
+    An unsafe or unmatched character spans one position, to be escaped.  A
+    token may also match word-finally without carrying the marker itself,
     in which case the marker fuses onto it ("me" matching at the end of
-    "budeme_" emits "me_").
+    "budeme_" spans "me_").
     """
-    marked = unit + WORD_MARKER
-    unsafe = _unsafe_mask(unit)
     n = len(marked)
-    out = []
+    spans = []
     i = 0
     while i < n:
         if unsafe[i]:
-            out.extend(_escape_char(marked[i]))
+            spans.append((i, i + 1))
             i += 1
             continue
         stop = i
         while stop < n and not unsafe[stop]:
             stop += 1
         limit = min(max_len + 1, stop - i)  # +1 allows marker fusion
-        match = None
+        consumed = 1
         for length in range(limit, 0, -1):
             cand = marked[i : i + length]
-            if cand in index:
-                match = cand
+            if cand in index or (i + length == n and length > 1 and cand[:-1] in index):
+                consumed = length
                 break
-            if i + length == n and length > 1 and cand[:-1] in index:
-                match = cand  # final token absorbs the marker
-                break
-        if match is None:
-            out.extend(_escape_char(marked[i]))
-            i += 1
-        else:
-            out.append(match)
-            i += len(match)
-    return out
+        spans.append((i, i + consumed))
+        i += consumed
+    return spans
 
 
 def apply_wordpiece(vocab: Vocabulary, sentence: str) -> list[str]:
@@ -237,7 +229,15 @@ def apply_wordpiece(vocab: Vocabulary, sentence: str) -> list[str]:
     max_len = vocab.max_token_length
     out = []
     for unit in pretokenize(sentence):
-        out.extend(_segment_unit(unit, index, max_len))
+        marked = unit + WORD_MARKER
+        unsafe = _unsafe_mask(unit)
+        for start, end in _segment_boundaries(marked, unsafe, index, max_len):
+            token = marked[start:end]
+            # Only a one-character span can be unsafe or unmatched.
+            if end - start > 1 or (not unsafe[start] and token in index):
+                out.append(token)
+            else:
+                out.extend(_escape_char(token))
     return out
 
 
@@ -281,31 +281,6 @@ def _count_units(corpora: Iterable[Iterable[str]], max_sentences: int) -> Counte
     for sentence in itertools.islice(sentences, max_sentences):
         counts.update(pretokenize(sentence))
     return counts
-
-
-def _segment_boundaries(marked: str, unsafe: list[bool], index: set, max_len: int) -> list[tuple[int, int]]:
-    """(start, end) spans of the greedy segmentation, escapes spanning one char."""
-    n = len(marked)
-    spans = []
-    i = 0
-    while i < n:
-        if unsafe[i]:
-            spans.append((i, i + 1))
-            i += 1
-            continue
-        stop = i
-        while stop < n and not unsafe[stop]:
-            stop += 1
-        limit = min(max_len + 1, stop - i)
-        consumed = 1
-        for length in range(limit, 0, -1):
-            cand = marked[i : i + length]
-            if cand in index or (i + length == n and length > 1 and cand[:-1] in index):
-                consumed = length
-                break
-        spans.append((i, i + consumed))
-        i += consumed
-    return spans
 
 
 class _CandidateBuilder:

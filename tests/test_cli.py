@@ -292,3 +292,11 @@ def test_truncated_embeddings_exit_1(texts, capsys, payload):
     ])
     assert code == 1
     assert f"{texts / 'emb.bin'}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_row", ["5", "", "5\tbest", "x\t1.0", "5\t1.0\t2"])
+def test_eval_stop_bad_curve_row_names_file_and_line(texts, capsys, bad_row):
+    curve = texts / "bad.tsv"
+    write(curve, ["step\tscore", "1\t10", bad_row, "3\t16"])
+    assert main(["eval", "stop", "--curve", str(curve)]) == 1
+    assert f"{curve}: line 3: expected step<TAB>score" in capsys.readouterr().err

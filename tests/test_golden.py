@@ -1,8 +1,9 @@
-"""Golden SHA-256 digests of learned vocabularies and transfer mappings.
+"""Golden SHA-256 digests of learned vocabularies, transfer mappings and
+evaluation reports.
 
-The digests pin the exact bytes the learners produce at small sizes, so any
-change to candidate counting, the threshold ladder or the tie-breaks shows
-up here.  A change that means to alter an output updates the digest and
+The digests pin the exact bytes the learners and the scorers produce at
+small sizes, so any change to candidate counting, the threshold ladder, the
+tie-breaks or BLEU and bootstrap scoring shows up here.  A change that means to alter an output updates the digest and
 says so in CHANGES.md.
 """
 
@@ -11,6 +12,8 @@ import hashlib
 import pytest
 
 from tests.conftest import LATIN, desk_parallel, desk_sentences
+from xfervocab.corpus import corrupt_word_order, make_pseudo_related
+from xfervocab.mteval import bleu, paired_bootstrap
 from xfervocab.sharedvocab import build_balanced_vocab, build_merged_vocab
 from xfervocab.transfer import transform_vocab
 from xfervocab.wordpiece import VocabSpec, learn_wordpiece
@@ -64,3 +67,33 @@ def test_transform_vocab_digest(parent, child):
     vocab, mapping = transform_vocab(parent_vocab, [child.sources, child.targets], variant="levenshtein", seed=5)
     assert sha(mapping.to_tsv()) == "cc672399466b2491f7789ff346a6673232d5d45f64f6c1293bfd30d5d2236bb4"
     assert sha(vocab_text(vocab)) == "ef0fcc5581d0e4be2940d69b8be207aa35030b69c2827cb61f55718e6c3196e8"
+
+
+@pytest.fixture(scope="module")
+def systems():
+    """References and two near-equal systems: a pseudo-related rewrite, and
+    the references with three sentences in every seven word-shuffled."""
+    pair = desk_parallel(47, n_sentences=400, n_types=150)
+    references = list(pair.targets)
+    pseudo = list(make_pseudo_related(pair, 0.9, seed=1).targets)
+    shuffled = corrupt_word_order(pair, "shuffle_target", seed=1).targets
+    corrupt = [shuffled[i] if i % 7 < 3 else ref for i, ref in enumerate(references)]
+    return pseudo, corrupt, references
+
+
+def test_bleu_digest(systems):
+    pseudo, corrupt, references = systems
+    assert sha(bleu(pseudo, references).to_tsv()) == "52a239fe085c0f1782bffb5eb152cd0078e47e473dea18866565e9f4d54a6380"
+    assert sha(bleu(corrupt, references).to_tsv()) == "80cb826b57c273b9a22cb1d924bccf8d52018744aafaada06c4dde8792dd46a2"
+
+
+@pytest.mark.parametrize(
+    "samples, n_max, smoothing, digest",
+    [
+        (1000, 4, "exponential", "775fc546dd42182a61aa3b926bca116c0919708694a7e6f5fe456c131fccbaa3"),
+        (300, 2, "none", "d8dd0b15890db55bb8bfd089ec72b9733dcd68ccea5912021ecface34826247a"),
+    ],
+)
+def test_paired_bootstrap_digest(systems, samples, n_max, smoothing, digest):
+    result = paired_bootstrap(*systems, samples=samples, seed=7, n_max=n_max, smoothing=smoothing)
+    assert sha(result.to_tsv()) == digest

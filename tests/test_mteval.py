@@ -5,10 +5,13 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from xfervocab.mteval import (
     LearningCurve,
+    _resample_scores,
+    _scores_from_sums,
     bleu,
     paired_bootstrap,
     sentence_stats,
@@ -135,6 +138,16 @@ def test_bleu_signature_records_settings():
     assert "smooth.exponential" in sig and "tok.intl" in sig and "numrefs.1" in sig
 
 
+def test_generator_references_score_like_a_list():
+    candidates = ["the cat sat", "on a mat"]
+    groups = [("the cat sat", "a cat sat"), ("on the mat", "on a mat")]
+    report = bleu(candidates, (group for group in groups))
+    assert report.num_refs == 2 and "numrefs.2" in report.signature()
+    assert report == bleu(candidates, groups)
+    one_shot = paired_bootstrap(candidates, candidates[::-1], (group for group in groups), samples=50, seed=1)
+    assert one_shot == paired_bootstrap(candidates, candidates[::-1], groups, samples=50, seed=1)
+
+
 def test_bootstrap_identical_systems_all_ties():
     refs = [f"sentence {i} with words" for i in range(60)]
     result = paired_bootstrap(refs, refs, refs, samples=1000, seed=3)
@@ -162,14 +175,44 @@ def test_bootstrap_swap_symmetry_and_determinism():
     assert (one.wins_a, one.wins_b, one.ties) == (again.wins_a, again.wins_b, again.ties)
 
 
-def test_bootstrap_thread_cap_does_not_change_results(monkeypatch):
-    refs = [f"gamma {i} words here" for i in range(50)]
-    cand = [s.replace("words", "word") for s in refs]
-    monkeypatch.delenv("XFERVOCAB_THREADS", raising=False)
-    base = paired_bootstrap(cand, refs, refs, samples=300, seed=2)
-    monkeypatch.setenv("XFERVOCAB_THREADS", "3")
-    threaded = paired_bootstrap(cand, refs, refs, samples=300, seed=2)
-    assert (base.wins_a, base.wins_b, base.ties) == (threaded.wins_a, threaded.wins_b, threaded.ties)
+def oracle_resample_scores(stats, samples, seed, smoothing):
+    """The gather-and-sum scoring the bootstrap used before: gather each
+    resample's rows from the one seeded draw, sum them, score the sums."""
+    n_sentences = len(stats[0])
+    indices = np.random.default_rng(seed).integers(0, n_sentences, size=(samples, n_sentences))
+    n_max = (stats[0].shape[1] - 2) // 2
+    weights = np.full(n_max, 1.0 / n_max)
+    return [_scores_from_sums(s[indices].sum(axis=1), weights, smoothing)[0] for s in stats]
+
+
+def near_equal_systems(multi_ref):
+    """Two systems that each lose different words, so either can win a resample."""
+    rng = random.Random(8)
+    refs = [" ".join(rng.choice("abcdefgh") * rng.randint(1, 3) for _ in range(rng.randint(3, 9))) for _ in range(80)]
+    sys_a = [" ".join(w for w in r.split() if w[0] not in "ab") or "x" for r in refs]
+    sys_b = [" ".join(w for w in r.split() if w[0] not in "cd") or "x" for r in refs]
+    if multi_ref:
+        refs = [(r, r.replace("a", "e"), r[: len(r) // 2]) for r in refs]
+    return sys_a, sys_b, refs
+
+
+@pytest.mark.parametrize("multi_ref", [False, True])
+@pytest.mark.parametrize("smoothing", ["none", "exponential"])
+@pytest.mark.parametrize("n_max", [2, 4])
+@pytest.mark.parametrize("samples", [1, 63, 300])
+def test_bootstrap_matches_gather_oracle(samples, n_max, smoothing, multi_ref):
+    sys_a, sys_b, refs = near_equal_systems(multi_ref)
+    stats = [sentence_stats(cand, refs, n_max) for cand in (sys_a, sys_b)]
+    for seed in (0, 1, 2, 3):
+        scores = _resample_scores(stats, samples, seed, smoothing)
+        expected = oracle_resample_scores(stats, samples, seed, smoothing)
+        assert all(np.array_equal(got, want) for got, want in zip(scores, expected))
+        wins_a = int(np.sum(expected[0] > expected[1]))
+        wins_b = int(np.sum(expected[1] > expected[0]))
+        result = paired_bootstrap(sys_a, sys_b, refs, samples, seed=seed, n_max=n_max, smoothing=smoothing)
+        assert (result.wins_a, result.wins_b, result.ties) == (wins_a, wins_b, samples - wins_a - wins_b)
+        if samples == 300:
+            assert min(wins_a, wins_b) > 0
 
 
 def test_bootstrap_length_mismatch():

@@ -1,8 +1,10 @@
-"""Wordpiece segmentation against the hand-worked fixtures, plus the learner
-contract: exact and tolerance-bounded sizes, determinism, escape totality,
-and the incremental threshold ladder against a recount-from-scratch oracle."""
+"""Wordpiece segmentation against the hand-worked fixtures and a
+token-emitting greedy oracle, plus the learner contract: exact and
+tolerance-bounded sizes, determinism, escape totality, and the incremental
+threshold ladder against a recount-from-scratch oracle."""
 
 import random
+import re
 import warnings
 from collections import defaultdict
 
@@ -18,6 +20,7 @@ from xfervocab.wordpiece import (
     Vocabulary,
     WordpieceLearner,
     _count_units,
+    _escape_char,
     _segment_boundaries,
     _unsafe_mask,
     apply_wordpiece,
@@ -89,6 +92,74 @@ def test_roundtrip_random_sentences():
         if not text:
             continue
         assert detokenize(apply_wordpiece(vocab, text)) == text
+
+
+def oracle_segment_unit(unit, index, max_len):
+    """Greedy longest match that emits tokens directly, escaping unsafe and
+    unreachable characters, with the marker fusing onto a word-final token."""
+    marked = unit + WORD_MARKER
+    unsafe = _unsafe_mask(unit)
+    n = len(marked)
+    out = []
+    i = 0
+    while i < n:
+        if unsafe[i]:
+            out.extend(_escape_char(marked[i]))
+            i += 1
+            continue
+        stop = i
+        while stop < n and not unsafe[stop]:
+            stop += 1
+        limit = min(max_len + 1, stop - i)  # +1 allows marker fusion
+        match = None
+        for length in range(limit, 0, -1):
+            cand = marked[i : i + length]
+            if cand in index:
+                match = cand
+                break
+            if i + length == n and length > 1 and cand[:-1] in index:
+                match = cand  # final token absorbs the marker
+                break
+        if match is None:
+            out.extend(_escape_char(marked[i]))
+            i += 1
+        else:
+            out.append(match)
+            i += len(match)
+    return out
+
+
+def oracle_apply(vocab, sentence):
+    index = set(vocab.tokens)
+    out = []
+    for unit in pretokenize(sentence):
+        out.extend(oracle_segment_unit(unit, index, vocab.max_token_length))
+    return out
+
+
+SEGMENT_ALPHABET = st.one_of(st.sampled_from("ab_\\\t 19.é"), st.characters(exclude_categories=("Cs",)))
+segment_vocabs = st.lists(
+    st.tuples(st.text(st.sampled_from("ab19.é "), min_size=1, max_size=4), st.booleans()), max_size=12
+).map(lambda pieces: Vocabulary(list(dict.fromkeys([*ESCAPE_TOKENS, *(p + WORD_MARKER * m for p, m in pieces)]))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vocab=segment_vocabs, text=st.text(SEGMENT_ALPHABET, max_size=30))
+def test_apply_matches_greedy_oracle_and_roundtrips(vocab, text):
+    assert apply_wordpiece(vocab, text) == oracle_apply(vocab, text)
+    single_spaced = re.sub(" +", " ", text)
+    assert detokenize(apply_wordpiece(vocab, single_spaced)) == single_spaced
+
+
+def test_apply_matches_greedy_oracle_on_learned_vocabularies(latin_corpus):
+    sentences = latin_corpus[:1000] + ["a_b \\ x\ty ψυχή 42 me_", "αβγ abc\tδ_ε", "__ \\\\ 0_9"]
+    learner = WordpieceLearner.from_corpora([latin_corpus[:3000]])
+    for target in (200, 600, 3000):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            vocab = learner.learn(VocabSpec(target_size=target))
+        for sentence in sentences:
+            assert apply_wordpiece(vocab, sentence) == oracle_apply(vocab, sentence)
 
 
 def test_detokenize_malformed_escape():
