@@ -4,20 +4,40 @@ Learning counts word types weighted by corpus frequency and repeatedly
 merges the most frequent adjacent symbol pair.  Ties are broken by the
 higher current corpus frequency of the left symbol, then by lexicographic
 pair order in which the bare end-of-word symbol sorts after every ordinary
-symbol, so learning is deterministic.  Application replays the merges by
-learned priority and renders continuation tokens with a trailing "@@".
+symbol, so learning is deterministic.
+
+Each merge is taken from a heap keyed by exactly that order, and heap
+entries go stale lazily: a popped entry is dropped if its pair was already
+merged or is no longer live, and pushed back with the pair's current key if
+that key has changed.  This picks the true minimum as long as every live
+pair keeps an entry no worse than its current key, so every change that
+improves a key pushes a fresh entry: a pair count that rises, and a rise in
+the count of the merged symbol, which improves every live pair with that
+symbol on the left.  Such pairs can predate the merge, because one string
+can be built by two merge paths: "a<" + "/w>" inside a word, then "a" plus
+the end-of-word marker.  Entries are pushed after each merge has rewritten
+all its words, when the counts it moves are final.
+
+Application replays the merges by learned priority and renders continuation
+tokens with a trailing "@@".  Each table memoizes the tokens of the words it
+has segmented, up to a fixed number of words.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter, defaultdict
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from .corpus import _read_lines
 from .errors import CorpusFormatError
 
 END_OF_WORD = "</w>"
 MERGE_FILE_HEADER = "#version: xfervocab-1"
+# Words whose tokens one MergeTable remembers; later new words are segmented
+# without being stored.
+_WORD_CACHE_SIZE = 1 << 16
 
 
 class MergeRule(NamedTuple):
@@ -31,18 +51,13 @@ class MergeTable:
     eow_marker = END_OF_WORD
 
     def __init__(self, rules: Sequence[MergeRule | tuple[str, str]]):
-        cleaned = []
-        seen = set()
-        for rule in rules:
-            rule = MergeRule(*rule)
-            if not rule.left or not rule.right:
-                raise ValueError(f"merge rule {rule} has an empty side")
-            if rule in seen:
-                raise ValueError(f"duplicate merge rule {rule}")
-            seen.add(rule)
-            cleaned.append(rule)
+        cleaned = [MergeRule(*rule) for rule in rules]
+        problem = _first_bad_rule(cleaned)
+        if problem is not None:
+            raise ValueError(problem[1])
         self.rules = cleaned
         self._ranks = {rule: i for i, rule in enumerate(cleaned)}
+        self._words: dict[str, tuple[str, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -63,7 +78,8 @@ class MergeTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "MergeTable":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        # CRLF line ends are accepted.
+        lines = [line.removesuffix("\r") for line in _read_lines(path)]
         if not lines or lines[0] != MERGE_FILE_HEADER:
             raise CorpusFormatError(f"{path}: missing merge file header {MERGE_FILE_HEADER!r}")
         rules = []
@@ -72,7 +88,24 @@ class MergeTable:
             if len(parts) != 2:
                 raise CorpusFormatError(f"{path}: line {i}: expected 'left right'")
             rules.append(MergeRule(parts[0], parts[1]))
+        problem = _first_bad_rule(rules)
+        if problem is not None:
+            index, message = problem
+            raise CorpusFormatError(f"{path}: line {index + 2}: {message}")
         return cls(rules)
+
+
+def _first_bad_rule(rules: list[MergeRule]) -> tuple[int, str] | None:
+    """The index of the first rule with an empty side or seen before, and
+    what is wrong with it; None when every rule is valid."""
+    seen = set()
+    for i, rule in enumerate(rules):
+        if not rule.left or not rule.right:
+            return i, f"merge rule {rule} has an empty side"
+        if rule in seen:
+            return i, f"duplicate merge rule {rule}"
+        seen.add(rule)
+    return None
 
 
 def _merge_word(symbols: list[str], left: str, right: str) -> list[str]:
@@ -106,14 +139,12 @@ def learn_bpe(corpora: Sequence[Iterable[str]], num_merges: int) -> MergeTable:
     """Learn num_merges merge rules jointly over the given corpora.
 
     Pair counts are maintained incrementally: only words containing the
-    merged pair are rewritten and their pair deltas applied.
+    merged pair are rewritten and their pair deltas applied.  Each merge is
+    the top of a lazily revalidated heap (see the module docstring).
     """
     if num_merges < 1:
         raise ValueError("num_merges must be at least 1")
-    word_freqs: Counter = Counter()
-    for sentences in corpora:
-        for sentence in sentences:
-            word_freqs.update(sentence.split())
+    word_freqs = Counter(word for sentences in corpora for sentence in sentences for word in sentence.split())
     if not word_freqs:
         raise ValueError("cannot learn BPE from an empty corpus")
 
@@ -129,23 +160,39 @@ def learn_bpe(corpora: Sequence[Iterable[str]], num_merges: int) -> MergeTable:
     for idx, (symbols, freq) in enumerate(zip(words, freqs)):
         for symbol in symbols:
             symbol_counts[symbol] += freq
-        for pair, n in _adjacent_pairs(symbols).items():
-            pair_counts[pair] += n * freq
+        for pair in zip(symbols, symbols[1:]):
+            pair_counts[pair] += freq
             occurrences[pair].add(idx)
+    # Pairs by their left symbol, for the pairs a merged symbol's rising count
+    # improves; a pair stays listed after its count falls to zero.
+    by_left: dict[str, set[tuple[str, str]]] = defaultdict(set)
+    for pair in pair_counts:
+        by_left[pair[0]].add(pair)
+
+    def key(pair):
+        return (-pair_counts[pair], -symbol_counts[pair[0]], _pair_key(pair), pair)
+
+    heap = [key(pair) for pair in pair_counts]
+    heapq.heapify(heap)
 
     rules = []
+    # A pair can re-emerge when a later merge rebuilds its left symbol;
+    # it must not be recorded twice.
     used = set()
-    for _ in range(num_merges):
-        # A pair can re-emerge when a later merge rebuilds its left symbol;
-        # it must not be recorded twice.
-        candidates = [p for p in pair_counts if p not in used]
-        if not candidates:
-            break
-        best = min(candidates, key=lambda p: (-pair_counts[p], -symbol_counts[p[0]], _pair_key(p)))
+    while heap and len(rules) < num_merges:
+        entry = heapq.heappop(heap)
+        best = entry[3]
+        if best in used or best not in pair_counts:
+            continue
+        current = key(best)
+        if entry != current:
+            heapq.heappush(heap, current)
+            continue
         used.add(best)
         left, right = best
         rules.append(MergeRule(left, right))
         merged = left + right
+        risen = set()
         for idx in sorted(occurrences[best]):
             old = words[idx]
             new = _merge_word(old, left, right)
@@ -160,7 +207,11 @@ def learn_bpe(corpora: Sequence[Iterable[str]], num_merges: int) -> MergeTable:
             new_pairs = _adjacent_pairs(new)
             for pair in old_pairs.keys() | new_pairs.keys():
                 delta = new_pairs.get(pair, 0) - old_pairs.get(pair, 0)
-                if delta:
+                if delta > 0:
+                    pair_counts[pair] += delta * freq
+                    by_left[pair[0]].add(pair)
+                    risen.add(pair)
+                elif delta < 0:
                     pair_counts[pair] += delta * freq
                     if pair_counts[pair] <= 0:
                         del pair_counts[pair]
@@ -171,11 +222,17 @@ def learn_bpe(corpora: Sequence[Iterable[str]], num_merges: int) -> MergeTable:
             words[idx] = new
         occurrences.pop(best, None)
         pair_counts.pop(best, None)
+        for pair in risen | by_left[merged]:
+            if pair in pair_counts and pair not in used:
+                heapq.heappush(heap, key(pair))
     return MergeTable(rules)
 
 
 def apply_bpe(table: MergeTable, word: str) -> list[str]:
     """Segment one word with learned merges, rendered with "@@" markers."""
+    cached = table._words.get(word)
+    if cached is not None:
+        return list(cached)
     if not word:
         raise ValueError("word must be non-empty")
     if any(c.isspace() for c in word):
@@ -195,7 +252,10 @@ def apply_bpe(table: MergeTable, word: str) -> list[str]:
         symbols = symbols[:-1]
     elif symbols[-1].endswith(END_OF_WORD):
         symbols = symbols[:-1] + [symbols[-1][: -len(END_OF_WORD)]]
-    return [s + "@@" for s in symbols[:-1]] + [symbols[-1]]
+    tokens = [s + "@@" for s in symbols[:-1]] + [symbols[-1]]
+    if len(table._words) < _WORD_CACHE_SIZE:
+        table._words[word] = tuple(tokens)
+    return tokens
 
 
 def segment_sentence(table: MergeTable, sentence: str) -> list[str]:

@@ -124,9 +124,15 @@ class LearningCurve:
             if step == "step":  # header
                 continue
             try:
-                points.append((int(step), float(score)))
+                point = (int(step), float(score))
             except ValueError:
                 raise CorpusFormatError(f"{path}: line {i}: expected step<TAB>score") from None
+            if points and point[0] <= points[-1][0]:
+                raise CorpusFormatError(
+                    f"{path}: line {i}: step {point[0]} does not follow step {points[-1][0]};"
+                    " learning curve steps must be strictly increasing"
+                )
+            points.append(point)
         return cls(tuple(points))
 
     def to_tsv(self) -> str:

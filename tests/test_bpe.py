@@ -4,7 +4,10 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import xfervocab.bpe as bpe
 from xfervocab.bpe import (
     END_OF_WORD,
     MergeRule,
@@ -98,6 +101,31 @@ def test_learn_matches_oracle_randomized():
         assert learn_bpe([[sentence]], n).rules == oracle_learn([[sentence]], n)
 
 
+# Fragments that spell one string several ways ("ab" + "c", "a" + "bc"), and
+# pieces of the end-of-word marker, which build one symbol by two merge
+# paths: "a<" + "/w>" inside a word, and "a" + "</w>" at its end.
+oracle_words = st.lists(
+    st.sampled_from(["a", "b", "c", "ab", "bc", "abc", "<", "/", "w", ">", "</w>", "a<", "/w>"]),
+    min_size=1,
+    max_size=4,
+).map("".join)
+oracle_corpora = st.lists(
+    st.lists(st.lists(oracle_words, min_size=1, max_size=6).map(" ".join), min_size=1, max_size=5),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(corpora=oracle_corpora, num_merges=st.integers(1, 60))
+# Merge 5, "a" + "</w>", raises the count of "a</w>", which merge 4 built as
+# "a<" + "/w>"; the left-symbol tie-break then prefers "a</w>" + "<".
+@example(corpora=[["a</w>a a</w>< a w>a< /"]], num_merges=6)
+def test_learn_matches_oracle_on_two_path_and_marker_alphabets(corpora, num_merges):
+    # Up to 60 merges is past exhaustion for most of these corpora.
+    assert learn_bpe(corpora, num_merges).rules == oracle_learn(corpora, num_merges)
+
+
 def test_learn_joint_over_multiple_corpora():
     joint = learn_bpe([["abab"], ["abab abab"]], 2)
     single = learn_bpe([["abab abab abab"]], 2)
@@ -126,6 +154,34 @@ def test_apply_is_lossless():
         assert rebuilt == word
 
 
+non_space_words = st.text(st.characters().filter(lambda c: not c.isspace()), min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(training=st.lists(non_space_words, min_size=1, max_size=12), words=st.lists(non_space_words, min_size=1, max_size=12))
+def test_apply_is_lossless_and_cached_results_are_fresh(training, words):
+    table = learn_bpe([[" ".join(training)]], 30)
+    for word in training + words:
+        tokens = apply_bpe(table, word)
+        rebuilt = "".join(t[:-2] for t in tokens[:-1]) + tokens[-1]
+        assert rebuilt == word
+        assert all(t.endswith("@@") for t in tokens[:-1])
+        expected = list(tokens)
+        tokens.append("mutated")
+        tokens[0] = ""
+        # The second call is served from the cache; a new table starts empty.
+        assert apply_bpe(table, word) == apply_bpe(MergeTable(table.rules), word) == expected
+
+
+def test_word_cache_stops_at_its_bound(monkeypatch):
+    monkeypatch.setattr(bpe, "_WORD_CACHE_SIZE", 2)
+    table = learn_bpe([["abc abd bcd cd"]], 6)
+    words = ["abc", "abd", "bcd", "cd", "abcd"]
+    first = [apply_bpe(table, w) for w in words]
+    assert len(table._words) == 2
+    assert [apply_bpe(table, w) for w in words] == first
+
+
 def test_rendered_output_never_contains_end_marker(latin_corpus):
     sample = latin_corpus[:80]
     table = learn_bpe([sample], 120)
@@ -146,6 +202,13 @@ def test_merge_file_roundtrip(tmp_path):
     TOY_TABLE.save(path)
     content = path.read_text(encoding="utf-8")
     assert content.startswith("#version: xfervocab-1\n")
+    assert MergeTable.load(path) == TOY_TABLE
+
+
+def test_merge_file_with_crlf_line_ends_loads(tmp_path):
+    path = tmp_path / "merges.txt"
+    TOY_TABLE.save(path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     assert MergeTable.load(path) == TOY_TABLE
 
 

@@ -300,3 +300,26 @@ def test_eval_stop_bad_curve_row_names_file_and_line(texts, capsys, bad_row):
     write(curve, ["step\tscore", "1\t10", bad_row, "3\t16"])
     assert main(["eval", "stop", "--curve", str(curve)]) == 1
     assert f"{curve}: line 3: expected step<TAB>score" in capsys.readouterr().err
+
+
+def test_eval_stop_out_of_order_steps_name_file_and_line(texts, capsys):
+    curve = texts / "order.tsv"
+    write(curve, ["2\t0.1", "1\t0.2"])
+    assert main(["eval", "stop", "--curve", str(curve)]) == 1
+    assert f"{curve}: line 2: step 1 does not follow step 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rules, message",
+    [
+        (b"a b\na \n", "line 3: merge rule MergeRule(left='a', right='') has an empty side"),
+        (b"a b\nb c\na b\n", "line 4: duplicate merge rule MergeRule(left='a', right='b')"),
+        (b"a b\nc \xff\n", "line 3: invalid UTF-8"),
+    ],
+)
+def test_apply_bpe_bad_merge_file_names_file_and_line(texts, capsys, rules, message):
+    table = texts / "merges.txt"
+    table.write_bytes(b"#version: xfervocab-1\n" + rules)
+    code = main(["apply-bpe", "--table", str(table), "--input", str(texts / "refs.txt"), "--out", str(texts / "o.txt")])
+    assert code == 1
+    assert f"{table}: {message}" in capsys.readouterr().err

@@ -1,17 +1,19 @@
-"""Golden SHA-256 digests of learned vocabularies, transfer mappings and
-evaluation reports.
+"""Golden SHA-256 digests of learned vocabularies, BPE merge tables and
+segmented text, transfer mappings and evaluation reports.
 
 The digests pin the exact bytes the learners and the scorers produce at
-small sizes, so any change to candidate counting, the threshold ladder, the
-tie-breaks or BLEU and bootstrap scoring shows up here.  A change that means to alter an output updates the digest and
-says so in CHANGES.md.
+small sizes, so any change to candidate counting, the threshold ladder, BPE
+merge selection and application, the tie-breaks or BLEU and bootstrap
+scoring shows up here.  A change that means to alter an output updates the
+digest and says so in CHANGES.md.
 """
 
 import hashlib
 
 import pytest
 
-from tests.conftest import LATIN, desk_parallel, desk_sentences
+from tests.conftest import CYRILLIC, LATIN, desk_parallel, desk_sentences
+from xfervocab.bpe import learn_bpe, segment_sentence
 from xfervocab.corpus import corrupt_word_order, make_pseudo_related
 from xfervocab.mteval import bleu, paired_bootstrap
 from xfervocab.sharedvocab import build_balanced_vocab, build_merged_vocab
@@ -67,6 +69,36 @@ def test_transform_vocab_digest(parent, child):
     vocab, mapping = transform_vocab(parent_vocab, [child.sources, child.targets], variant="levenshtein", seed=5)
     assert sha(mapping.to_tsv()) == "cc672399466b2491f7789ff346a6673232d5d45f64f6c1293bfd30d5d2236bb4"
     assert sha(vocab_text(vocab)) == "ef0fcc5581d0e4be2940d69b8be207aa35030b69c2827cb61f55718e6c3196e8"
+
+
+def joint_bpe_corpus():
+    return [desk_sentences(51, LATIN, 600, 200), desk_sentences(52, CYRILLIC, 600, 200)]
+
+
+@pytest.mark.parametrize(
+    "corpus, merges, digest",
+    [
+        ("joint", 150, "3d581f49535f75560eff6c810eafc3699926f1bdee177eb1b6ccdb8b414e4260"),
+        ("joint", 400, "8385084ebb14d162c0d35fadba7127999cd1e9d7329980ee1a50243d6b778889"),
+        # 34 merges exhaust this corpus; the table stops there.
+        ("tiny", 500, "38237ce4f7731a760da22c656b03a8375d2b9f27ebc673506e9063a960245350"),
+    ],
+)
+def test_learn_bpe_merge_file_digest(tmp_path, corpus, merges, digest):
+    if corpus == "joint":
+        corpora = joint_bpe_corpus()
+    else:
+        corpora = [desk_sentences(53, LATIN, 4, 3), desk_sentences(54, CYRILLIC, 4, 3)]
+    path = tmp_path / "merges.txt"
+    learn_bpe(corpora, merges).save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_segment_sentence_digest():
+    corpora = joint_bpe_corpus()
+    table = learn_bpe(corpora, 400)
+    text = "".join(" ".join(segment_sentence(table, s)) + "\n" for side in corpora for s in side)
+    assert sha(text) == "851ce3b6eb7f9e9fd7b5f059eb22be29a72167dc87b450a42da50ab8e2792858"
 
 
 @pytest.fixture(scope="module")
