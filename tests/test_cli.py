@@ -323,3 +323,156 @@ def test_apply_bpe_bad_merge_file_names_file_and_line(texts, capsys, rules, mess
     code = main(["apply-bpe", "--table", str(table), "--input", str(texts / "refs.txt"), "--out", str(texts / "o.txt")])
     assert code == 1
     assert f"{table}: {message}" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def desk(tmp_path_factory):
+    """Every input file the manifest characterization shapes read."""
+    from tests.conftest import desk_sentences
+
+    d = tmp_path_factory.mktemp("desk")
+    lt = desk_sentences(71, n_sentences=120, n_types=60)
+    cy = desk_sentences(72, "абвгдежзик", 120, 60)
+    write(d / "lt.txt", lt)
+    write(d / "cy.txt", cy)
+    write(d / "pair.tsv", [f"{a}\t{b}" for a, b in zip(lt, cy)])
+    write(d / "lt2.txt", desk_sentences(73, "qrstuvwxyz", 120, 60))
+    write(d / "cy2.txt", desk_sentences(74, "klmnopqrst", 120, 60))
+    write(d / "toy.vocab", [*"abcdefghijklmnopqrstuvwxyz", *"абвгдежзик", *"\\;0123456789", "_", ".", "ab_"])
+    write(d / "parent.vocab", ["a", "b", "c", "d"])
+    write(d / "child.vocab", ["b", "x", "a", "y"])
+    write(d / "emb.tsv", ["0.5\t1.0", "1.5\t2.0", "2.5\t3.0", "3.5\t4.0"])
+    write(d / "table.merges", ["#version: xfervocab-1", "a b", "ab c"])
+    write(d / "refs.txt", ["the cat sat on the mat", "a quick brown fox"])
+    write(d / "worse.txt", ["the cat sat", "a fox"])
+    write(d / "curve.tsv", ["step\tscore", "1\t10", "2\t15", "3\t16", "4\t16.01", "5\t16.02"])
+    return d
+
+
+CORPUS_LT = ["--source", "{d}/lt.txt", "--target", "{d}/cy.txt"]
+
+# (id, argv, inputs, outputs, seed, default manifest); file names are relative to the desk.
+MANIFEST_SHAPES = [
+    ("learn-bpe", ["learn-bpe", "--input", "{d}/lt.txt", "{d}/cy.txt", "--merges", "20", "--out", "{d}/o.merges"],
+     {"lt.txt", "cy.txt"}, {"o.merges"}, None, "o.merges.manifest.json"),
+    ("apply-bpe", ["apply-bpe", "--table", "{d}/table.merges", "--input", "{d}/lt.txt", "--out", "{d}/o.bpe"],
+     {"table.merges", "lt.txt"}, {"o.bpe"}, None, "o.bpe.manifest.json"),
+    ("learn-wp", ["learn-wp", "--input", "{d}/lt.txt", "{d}/cy.txt", "--target-size", "80", "--tolerance", "0.4",
+                  "--out", "{d}/o.vocab"],
+     {"lt.txt", "cy.txt"}, {"o.vocab"}, None, "o.vocab.manifest.json"),
+    ("apply-wp", ["apply-wp", "--vocab", "{d}/toy.vocab", "--input", "{d}/lt.txt", "--out", "{d}/o.wp"],
+     {"toy.vocab", "lt.txt"}, {"o.wp"}, None, "o.wp.manifest.json"),
+    ("transform-child", ["transform-vocab", "--parent-vocab", "{d}/toy.vocab", "--child", "{d}/lt2.txt",
+                         "{d}/cy2.txt", "--variant", "levenshtein", "--seed", "3", "--out-dir", "{d}/tc"],
+     {"toy.vocab", "lt2.txt", "cy2.txt"}, {"tc/vocabulary.txt", "tc/mapping.tsv"}, 3, "tc.manifest.json"),
+    ("transform-embeddings", ["transform-vocab", "--parent-vocab", "{d}/parent.vocab", "--child-vocab",
+                              "{d}/child.vocab", "--embeddings", "{d}/emb.tsv", "--out-dir", "{d}/te"],
+     {"parent.vocab", "child.vocab", "emb.tsv"},
+     {"te/vocabulary.txt", "te/embeddings.bin", "te/mapping.tsv", "te/unused_parent.tsv"}, None, "te.manifest.json"),
+    ("transform-child-vocab", ["transform-vocab", "--parent-vocab", "{d}/parent.vocab", "--child-vocab",
+                               "{d}/child.vocab", "--out-dir", "{d}/tv"],
+     {"parent.vocab", "child.vocab"}, {"tv/vocabulary.txt", "tv/mapping.tsv"}, None, "tv.manifest.json"),
+    ("merge-vocab-files", ["merge-vocab", "--parent-vocab", "{d}/parent.vocab", "--child-vocab", "{d}/child.vocab",
+                           "--out", "{d}/m1.vocab"],
+     {"parent.vocab", "child.vocab"}, {"m1.vocab"}, None, "m1.vocab.manifest.json"),
+    ("merge-vocab-corpora", ["merge-vocab", "--parent-source", "{d}/lt.txt", "--parent-target", "{d}/cy.txt",
+                             "--child-tsv", "{d}/pair.tsv", "--target-size", "90", "--tolerance", "0.2",
+                             "--out", "{d}/m2.vocab", "--report", "{d}/m2.tsv"],
+     {"lt.txt", "cy.txt", "pair.tsv"}, {"m2.vocab", "m2.tsv"}, None, "m2.vocab.manifest.json"),
+    ("balanced-vocab", ["balanced-vocab", "--parent-tsv", "{d}/pair.tsv", "--child-source", "{d}/lt2.txt",
+                        "--child-target", "{d}/cy2.txt", "--target-size", "90", "--tolerance", "0.2", "--seed", "2",
+                        "--out", "{d}/bal.vocab"],
+     {"pair.tsv", "lt2.txt", "cy2.txt"}, {"bal.vocab"}, 2, "bal.vocab.manifest.json"),
+    ("diag-rate", ["diag", "rate", "--vocab", "{d}/toy.vocab", "--input", "{d}/lt.txt", "{d}/cy.txt",
+                   "--out", "{d}/rate.tsv"],
+     {"toy.vocab", "lt.txt", "cy.txt"}, {"rate.tsv"}, None, "rate.tsv.manifest.json"),
+    ("diag-usage", ["--manifest", "{d}/usage.json", "diag", "usage", "--vocab", "{d}/toy.vocab", "--input",
+                    "{d}/lt.txt", "--char-range", "0x61-0x7a"],
+     {"toy.vocab", "lt.txt"}, set(), None, "usage.json"),
+    ("diag-overlap", ["diag", "overlap", "--vocab", "{d}/toy.vocab", "--corpus", "A={d}/lt.txt",
+                      "--corpus", "B={d}/cy.txt", "--min-count", "1", "--parent", "A", "--child", "B",
+                      "--out", "{d}/ov.tsv"],
+     {"toy.vocab", "lt.txt", "cy.txt"}, {"ov.tsv"}, None, "ov.tsv.manifest.json"),
+    ("diag-filter-impact", ["diag", "filter-impact", "--vocab", "{d}/toy.vocab", "--tsv", "{d}/pair.tsv",
+                            "--threshold", "20", "--out", "{d}/fi.tsv"],
+     {"toy.vocab", "pair.tsv"}, {"fi.tsv"}, None, "fi.tsv.manifest.json"),
+    ("corpus-filter", ["corpus", "filter", *CORPUS_LT, "--min-words", "5", "--max-subwords", "40",
+                       "--vocab", "{d}/toy.vocab", "--out-source", "{d}/fs.txt", "--out-target", "{d}/ft.txt",
+                       "--report", "{d}/fr.tsv"],
+     {"lt.txt", "cy.txt", "toy.vocab"}, {"fs.txt", "ft.txt", "fr.tsv"}, None, "fs.txt.manifest.json"),
+    ("corpus-sample-size", ["corpus", "sample", "--tsv", "{d}/pair.tsv", "--size", "7", "--seed", "2",
+                            "--out-tsv", "{d}/down.tsv"],
+     {"pair.tsv"}, {"down.tsv"}, 2, "down.tsv.manifest.json"),
+    ("corpus-sample-per-side", ["corpus", "sample", "--a-source", "{d}/lt.txt", "--a-target", "{d}/cy.txt",
+                                "--b-tsv", "{d}/pair.tsv", "--per-side", "5", "--seed", "1",
+                                "--out-source", "{d}/ss.txt", "--out-target", "{d}/st.txt"],
+     {"lt.txt", "cy.txt", "pair.tsv"}, {"ss.txt", "st.txt"}, 1, "ss.txt.manifest.json"),
+    ("corpus-mix", ["corpus", "mix", "--authentic-tsv", "{d}/pair.tsv", "--synthetic-source", "{d}/lt2.txt",
+                    "--synthetic-target", "{d}/cy2.txt", "--factor", "2", "--seed", "3", "--out-tsv", "{d}/mix.tsv"],
+     {"pair.tsv", "lt2.txt", "cy2.txt"}, {"mix.tsv"}, 3, "mix.tsv.manifest.json"),
+    ("corpus-pseudo", ["corpus", "pseudo", *CORPUS_LT, "--keep-percent", "0.5", "--seed", "13",
+                       "--out-tsv", "{d}/ps.tsv"],
+     {"lt.txt", "cy.txt"}, {"ps.tsv"}, 13, "ps.tsv.manifest.json"),
+    ("corpus-corrupt", ["corpus", "corrupt", "--tsv", "{d}/pair.tsv", "--mode", "sort_target", "--seed", "0",
+                        "--out-source", "{d}/cs.txt", "--out-target", "{d}/ct.txt"],
+     {"pair.tsv"}, {"cs.txt", "ct.txt"}, 0, "cs.txt.manifest.json"),
+    ("eval-bleu", ["eval", "bleu", "--candidates", "{d}/worse.txt", "--references", "{d}/refs.txt",
+                   "--out", "{d}/bleu.tsv"],
+     {"worse.txt", "refs.txt"}, {"bleu.tsv"}, None, "bleu.tsv.manifest.json"),
+    ("eval-bootstrap", ["eval", "bootstrap", "--candidates-a", "{d}/refs.txt", "--candidates-b", "{d}/worse.txt",
+                        "--references", "{d}/refs.txt", "--samples", "50", "--seed", "4", "--out", "{d}/sig.tsv"],
+     {"refs.txt", "worse.txt"}, {"sig.tsv"}, 4, "sig.tsv.manifest.json"),
+    ("eval-stop", ["eval", "stop", "--curve", "{d}/curve.tsv", "--out", "{d}/stop.tsv"],
+     {"curve.tsv"}, {"stop.tsv"}, None, "stop.tsv.manifest.json"),
+    ("eval-token-analysis", ["eval", "token-analysis", "--child", "{d}/worse.txt", "--baseline", "{d}/refs.txt",
+                             "--references", "{d}/refs.txt"],
+     {"worse.txt", "refs.txt"}, set(), None, None),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, inputs, outputs, seed, manifest_name", [case[1:] for case in MANIFEST_SHAPES],
+    ids=[case[0] for case in MANIFEST_SHAPES],
+)
+def test_manifest_records_each_command_shape(desk, argv, inputs, outputs, seed, manifest_name):
+    def files():
+        return {p for p in desk.rglob("*") if p.is_file()}
+
+    before = files()
+    assert main([arg.format(d=desk) for arg in argv]) == 0
+    written = files() - before
+    if manifest_name is None:
+        assert written == set()
+        return
+    manifest_path = desk / manifest_name
+    assert written == {desk / name for name in outputs} | {manifest_path}
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    assert set(manifest["inputs"]) == {str(desk / name) for name in inputs}
+    assert set(manifest["outputs"]) == {str(desk / name) for name in outputs}
+    assert manifest["seed"] == seed
+    assert manifest["argv"] == [arg.format(d=desk) for arg in argv]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["corpus", "pseudo", "--source", "{d}/lt.txt", "--keep-percent", "0", "--seed", "1",
+          "--out-tsv", "{d}/e1.tsv"], "missing corpus input: give --source/--target or --tsv"),
+        (["balanced-vocab", "--parent-tsv", "{d}/pair.tsv", "--child-target", "{d}/cy.txt",
+          "--target-size", "50", "--seed", "1", "--out", "{d}/e2.vocab"],
+         "missing corpus input: give --child-source/--child-target or --child-tsv"),
+        (["diag", "overlap", "--vocab", "{d}/toy.vocab", "--corpus", "A{d}/lt.txt"],
+         "--corpus expects LANG=FILE, got 'A{d}/lt.txt'"),
+        (["corpus", "filter", *CORPUS_LT, "--max-subwords", "5", "--out-tsv", "{d}/e3.tsv"],
+         "--max-subwords needs --vocab"),
+        (["merge-vocab", "--parent-tsv", "{d}/pair.tsv", "--child-tsv", "{d}/pair.tsv", "--out", "{d}/e4.vocab"],
+         "corpus mode needs --target-size"),
+        (["corpus", "sample", *CORPUS_LT, "--seed", "1", "--out-tsv", "{d}/e5.tsv"],
+         "give --per-side (two corpora) or --size (downscale one)"),
+        (["transform-vocab", "--parent-vocab", "{d}/parent.vocab", "--out-dir", "{d}/e6"],
+         "give --child corpus files or --child-vocab"),
+    ],
+)
+def test_cli_error_paths_exit_1(desk, capsys, argv, message):
+    assert main([arg.format(d=desk) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"xfervocab: error: {message.format(d=desk)}\n"
