@@ -30,8 +30,8 @@ from collections import Counter, defaultdict
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .corpus import _read_lines
 from .errors import CorpusFormatError
+from .textio import read_lines
 
 END_OF_WORD = "</w>"
 MERGE_FILE_HEADER = "#version: xfervocab-1"
@@ -79,7 +79,7 @@ class MergeTable:
     @classmethod
     def load(cls, path: str | Path) -> "MergeTable":
         # CRLF line ends are accepted.
-        lines = [line.removesuffix("\r") for line in _read_lines(path)]
+        lines = [line.removesuffix("\r") for line in read_lines(path)]
         if not lines or lines[0] != MERGE_FILE_HEADER:
             raise CorpusFormatError(f"{path}: missing merge file header {MERGE_FILE_HEADER!r}")
         rules = []
@@ -96,12 +96,15 @@ class MergeTable:
 
 
 def _first_bad_rule(rules: list[MergeRule]) -> tuple[int, str] | None:
-    """The index of the first rule with an empty side or seen before, and
-    what is wrong with it; None when every rule is valid."""
+    """The index of the first rule with an empty side, whitespace in a side
+    (no word it could apply to), or seen before, and what is wrong with it;
+    None when every rule is valid."""
     seen = set()
     for i, rule in enumerate(rules):
         if not rule.left or not rule.right:
             return i, f"merge rule {rule} has an empty side"
+        if any(c.isspace() for c in rule.left + rule.right):
+            return i, f"merge rule {rule} has whitespace in a side"
         if rule in seen:
             return i, f"duplicate merge rule {rule}"
         seen.add(rule)

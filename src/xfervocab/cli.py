@@ -1,9 +1,16 @@
 """Batch command-line driver.
 
-Every subcommand reads declared inputs, writes declared outputs, and emits
-a JSON run manifest recording the exact argument vector, the SHA-256 digest
-of every input and output, the seed, and the tool version.  Re-running the
-argv recorded in a manifest reproduces the artifacts byte for byte.
+`build_parser` declares each file flag once, by its type: `_In` for a file
+the command reads, `_Out` for one it writes.  `main` writes a JSON run
+manifest with the exact argument vector, the seed, the tool version, and
+the SHA-256 digest of every declared file the argv names, `--config`
+included: inputs hashed before the command runs, outputs after it returns,
+plus the files `transform-vocab` writes into `--out-dir`.  Re-running the
+recorded argv reproduces the artifacts byte for byte.
+
+A named output is always written: `merge-vocab --report` beside
+`--parent-vocab/--child-vocab`, and `--out-tsv` beside
+`--out-source/--out-target`, exit 1 naming the flag.
 
 Exit codes: 0 success, 1 operation error, 2 usage error.
 """
@@ -14,6 +21,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 from . import __version__
@@ -33,7 +41,6 @@ from .corpus import (
     subsample,
     write_parallel,
     write_parallel_tsv,
-    _read_lines,
 )
 from .diagnostics import (
     length_filter_impact,
@@ -51,6 +58,7 @@ from .mteval import (
     token_overlap_analysis,
 )
 from .sharedvocab import build_balanced_vocab, build_merged_vocab, merge_vocabs
+from .textio import read_lines
 from .transfer import (
     VARIANTS,
     emit_transfer_bundle,
@@ -61,12 +69,16 @@ from .transfer import (
 from .wordpiece import Vocabulary, VocabSpec, apply_wordpiece, learn_wordpiece
 
 
-def _sha256(path: Path) -> str:
+def _sha256(path: str | Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
     return "sha256:" + digest.hexdigest()
+
+
+def _digests(paths) -> dict[str, str]:
+    return {str(path): _sha256(path) for path in paths}
 
 
 def _write_lines(path: str, lines) -> None:
@@ -86,7 +98,7 @@ def _load_config(path: str) -> dict:
     """Simple key=value format; '#' starts a comment, keys use flag names.
     Values parse as int, then float, then plain string."""
     values: dict[str, object] = {}
-    for i, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for i, raw in enumerate(read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -97,41 +109,33 @@ def _load_config(path: str) -> dict:
     return values
 
 
-class _Manifest:
-    """Collects inputs/outputs during a run; written as JSON at the end."""
-
-    def __init__(self, argv: list[str]):
-        self.argv = argv
-        self.inputs: dict[str, str] = {}
-        self.outputs: dict[str, str] = {}
-        self.seed: int | None = None
-
-    def add_input(self, path) -> None:
-        if path:
-            self.inputs[str(path)] = _sha256(Path(path))
-
-    def add_output(self, path) -> None:
-        if path:
-            self.outputs[str(path)] = _sha256(Path(path))
-
-    def write(self, path) -> None:
-        payload = {
-            "tool": "xfervocab",
-            "version": __version__,
-            "argv": self.argv,
-            "seed": self.seed,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-        }
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+class _In(str):
+    """Type of a flag that names a file the command reads."""
 
 
-def _corpus_in_args(parser, prefix="", required=True):
+class _Out(str):
+    """Type of a flag that names a file the command writes."""
+
+
+def _lang_file(item: str):
+    """`LANG=FILE` as (LANG, FILE); an item without a file stays as given."""
+    lang, _, path = item.partition("=")
+    return (lang, _In(path)) if path else item
+
+
+def _named(value, kind) -> list:
+    """The nonempty `kind` values in a parsed value, lists and pairs included."""
+    if isinstance(value, (list, tuple)):
+        return [path for item in value for path in _named(item, kind)]
+    return [value] if isinstance(value, kind) and value else []
+
+
+def _corpus_in_args(parser, prefix=""):
     group = parser.add_argument_group(f"{prefix or 'corpus'} input")
     p = f"--{prefix}-" if prefix else "--"
-    group.add_argument(f"{p}source", help="source-side file, one sentence per line")
-    group.add_argument(f"{p}target", help="target-side file, one sentence per line")
-    group.add_argument(f"{p}tsv", help="two-column TSV instead of two files")
+    group.add_argument(f"{p}source", type=_In, help="source-side file, one sentence per line")
+    group.add_argument(f"{p}target", type=_In, help="target-side file, one sentence per line")
+    group.add_argument(f"{p}tsv", type=_In, help="two-column TSV instead of two files")
 
 
 def _read_corpus(args, prefix="") -> ParallelCorpus:
@@ -142,37 +146,16 @@ def _read_corpus(args, prefix="") -> ParallelCorpus:
     if tsv:
         return load_parallel_tsv(tsv)
     if not source or not target:
-        raise XfervocabError(
-            f"missing corpus input: give --{prefix + '-' if prefix else ''}source/"
-            f"--{prefix + '-' if prefix else ''}target or --{prefix + '-' if prefix else ''}tsv"
-        )
+        flag = f"--{prefix}-" if prefix else "--"
+        raise XfervocabError(f"missing corpus input: give {flag}source/{flag}target or {flag}tsv")
     return load_parallel(source, target)
-
-
-def _corpus_inputs_of(args, prefix="") -> list[str]:
-    pre = f"{prefix}_" if prefix else ""
-    if getattr(args, f"{pre}tsv"):
-        return [getattr(args, f"{pre}tsv")]
-    return [getattr(args, f"{pre}source"), getattr(args, f"{pre}target")]
 
 
 def _corpus_out_args(parser):
     group = parser.add_argument_group("corpus output")
-    group.add_argument("--out-source", help="output source-side file")
-    group.add_argument("--out-target", help="output target-side file")
-    group.add_argument("--out-tsv", help="output two-column TSV instead")
-
-
-def _write_corpus(args, corpus: ParallelCorpus, manifest: _Manifest) -> None:
-    if args.out_tsv:
-        write_parallel_tsv(corpus, args.out_tsv)
-        manifest.add_output(args.out_tsv)
-    elif args.out_source and args.out_target:
-        write_parallel(corpus, args.out_source, args.out_target)
-        manifest.add_output(args.out_source)
-        manifest.add_output(args.out_target)
-    else:
-        raise XfervocabError("missing corpus output: give --out-source/--out-target or --out-tsv")
+    group.add_argument("--out-source", type=_Out, help="output source-side file")
+    group.add_argument("--out-target", type=_Out, help="output target-side file")
+    group.add_argument("--out-tsv", type=_Out, help="output two-column TSV instead")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,50 +163,50 @@ def build_parser() -> argparse.ArgumentParser:
         prog="xfervocab",
         description="Deterministic subword-vocabulary engineering and MT evaluation toolkit.",
     )
-    parser.add_argument("--config", help="key = value file providing flag defaults")
+    parser.add_argument("--config", type=_In, help="key = value file providing flag defaults")
     parser.add_argument("--manifest", help="run manifest path (default: first output + .manifest.json)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("learn-bpe", help="learn a BPE merge table")
-    p.add_argument("--input", nargs="+", required=True, help="training text files")
+    p.add_argument("--input", type=_In, nargs="+", required=True, help="training text files")
     p.add_argument("--merges", type=int, required=True)
-    p.add_argument("--out", required=True, help="merge table file")
+    p.add_argument("--out", type=_Out, required=True, help="merge table file")
 
     p = sub.add_parser("apply-bpe", help="segment text with a merge table")
-    p.add_argument("--table", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--table", type=_In, required=True)
+    p.add_argument("--input", type=_In, required=True)
+    p.add_argument("--out", type=_Out, required=True)
 
     p = sub.add_parser("learn-wp", help="learn a wordpiece vocabulary")
-    p.add_argument("--input", nargs="+", required=True, help="training text files")
+    p.add_argument("--input", type=_In, nargs="+", required=True, help="training text files")
     p.add_argument("--target-size", type=int, required=True)
     p.add_argument("--tolerance", type=float, default=0.01)
     p.add_argument("--max-train-sentences", type=int, default=20_000_000)
-    p.add_argument("--out", required=True, help="vocabulary file")
+    p.add_argument("--out", type=_Out, required=True, help="vocabulary file")
 
     p = sub.add_parser("apply-wp", help="segment text with a wordpiece vocabulary")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--vocab", type=_In, required=True)
+    p.add_argument("--input", type=_In, required=True)
+    p.add_argument("--out", type=_Out, required=True)
 
     p = sub.add_parser("transform-vocab", help="rewrite parent slots with child subwords")
-    p.add_argument("--parent-vocab", required=True)
-    p.add_argument("--child", nargs="*", default=[], help="child corpus text files")
-    p.add_argument("--child-vocab", help="explicit child vocabulary instead of a corpus")
+    p.add_argument("--parent-vocab", type=_In, required=True)
+    p.add_argument("--child", type=_In, nargs="*", default=[], help="child corpus text files")
+    p.add_argument("--child-vocab", type=_In, help="explicit child vocabulary instead of a corpus")
     p.add_argument("--variant", choices=VARIANTS, default="frequency")
     p.add_argument("--seed", type=int)
-    p.add_argument("--embeddings", help="parent embedding matrix (.tsv or binary)")
+    p.add_argument("--embeddings", type=_In, help="parent embedding matrix (.tsv or binary)")
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("merge-vocab", help="merged shared vocabulary")
-    p.add_argument("--parent-vocab", help="merge two existing vocabulary files")
-    p.add_argument("--child-vocab")
+    p.add_argument("--parent-vocab", type=_In, help="merge two existing vocabulary files")
+    p.add_argument("--child-vocab", type=_In)
     _corpus_in_args(p, "parent")
     _corpus_in_args(p, "child")
     p.add_argument("--target-size", type=int, help="search per-side sizes for this merged size")
     p.add_argument("--tolerance", type=float, default=0.01)
-    p.add_argument("--out", required=True)
-    p.add_argument("--report", help="build report TSV")
+    p.add_argument("--out", type=_Out, required=True)
+    p.add_argument("--report", type=_Out, help="build report TSV")
 
     p = sub.add_parser("balanced-vocab", help="balanced shared vocabulary")
     _corpus_in_args(p, "parent")
@@ -231,37 +214,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-size", type=int, required=True)
     p.add_argument("--tolerance", type=float, default=0.01)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_Out, required=True)
 
     diag = sub.add_parser("diag", help="vocabulary and corpus diagnostics").add_subparsers(
         dest="diag_command", required=True
     )
     p = diag.add_parser("rate", help="segmentation rate")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--input", nargs="+", required=True)
-    p.add_argument("--out", help="TSV output")
+    p.add_argument("--vocab", type=_In, required=True)
+    p.add_argument("--input", type=_In, nargs="+", required=True)
+    p.add_argument("--out", type=_Out, help="TSV output")
     p = diag.add_parser("usage", help="fraction of vocabulary observed")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--input", nargs="+", required=True)
+    p.add_argument("--vocab", type=_In, required=True)
+    p.add_argument("--input", type=_In, nargs="+", required=True)
     p.add_argument(
         "--char-range",
         action="append",
         default=[],
         help="restrict to tokens with a char in an inclusive range, e.g. 0x0400-0x04FF",
     )
-    p.add_argument("--out", help="TSV output")
+    p.add_argument("--out", type=_Out, help="TSV output")
     p = diag.add_parser("overlap", help="per-language vocabulary overlap breakdown")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--corpus", action="append", required=True, metavar="LANG=FILE")
+    p.add_argument("--vocab", type=_In, required=True)
+    p.add_argument("--corpus", type=_lang_file, action="append", required=True, metavar="LANG=FILE")
     p.add_argument("--parent", action="append", default=[], help="parent-side language label")
     p.add_argument("--child", action="append", default=[], help="child-side language label")
     p.add_argument("--min-count", type=int, default=10)
-    p.add_argument("--out", help="TSV output")
+    p.add_argument("--out", type=_Out, help="TSV output")
     p = diag.add_parser("filter-impact", help="share of pairs dropped by a subword-length filter")
-    p.add_argument("--vocab", required=True)
+    p.add_argument("--vocab", type=_In, required=True)
     _corpus_in_args(p)
     p.add_argument("--threshold", type=int, default=100)
-    p.add_argument("--out", help="TSV output")
+    p.add_argument("--out", type=_Out, help="TSV output")
 
     corpus = sub.add_parser("corpus", help="corpus operations").add_subparsers(
         dest="corpus_command", required=True
@@ -272,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-words", type=int, default=0)
     p.add_argument("--max-words", type=float, default=float("inf"))
     p.add_argument("--max-subwords", type=int, help="also filter by wordpiece length")
-    p.add_argument("--vocab", help="vocabulary for --max-subwords")
-    p.add_argument("--report", help="filter report TSV")
+    p.add_argument("--vocab", type=_In, help="vocabulary for --max-subwords")
+    p.add_argument("--report", type=_Out, help="filter report TSV")
     p = corpus.add_parser("sample", help="equal sample from two corpora, or downscale one")
     _corpus_in_args(p, "a")
     _corpus_in_args(p, "b")
@@ -303,116 +286,96 @@ def build_parser() -> argparse.ArgumentParser:
         dest="eval_command", required=True
     )
     p = ev.add_parser("bleu", help="corpus BLEU")
-    p.add_argument("--candidates", required=True)
-    p.add_argument("--references", required=True)
+    p.add_argument("--candidates", type=_In, required=True)
+    p.add_argument("--references", type=_In, required=True)
     p.add_argument("--n-max", type=int, default=4)
     p.add_argument("--smoothing", choices=("none", "exponential"), default="exponential")
     p.add_argument("--tokenize", choices=("none", "intl"), default="intl")
-    p.add_argument("--out", help="TSV output")
+    p.add_argument("--out", type=_Out, help="TSV output")
     p = ev.add_parser("bootstrap", help="paired bootstrap significance test")
-    p.add_argument("--candidates-a", required=True)
-    p.add_argument("--candidates-b", required=True)
-    p.add_argument("--references", required=True)
+    p.add_argument("--candidates-a", type=_In, required=True)
+    p.add_argument("--candidates-b", type=_In, required=True)
+    p.add_argument("--references", type=_In, required=True)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--tokenize", choices=("none", "intl"), default="intl")
-    p.add_argument("--out", help="TSV output")
+    p.add_argument("--out", type=_Out, help="TSV output")
     p = ev.add_parser("stop", help="learning-curve stopping criterion")
-    p.add_argument("--curve", required=True, help="TSV with step<TAB>score rows")
+    p.add_argument("--curve", type=_In, required=True, help="TSV with step<TAB>score rows")
     p.add_argument("--window-frac", type=float, default=0.5)
     p.add_argument("--delta-frac", type=float, default=0.005)
     p.add_argument("--min-evals", type=int, default=4)
     p.add_argument("--relative-to", choices=("global", "prewindow"), default="global")
-    p.add_argument("--out", help="TSV output")
+    p.add_argument("--out", type=_Out, help="TSV output")
     p = ev.add_parser("token-analysis", help="child output token overlap classes")
-    p.add_argument("--child", required=True)
-    p.add_argument("--baseline", required=True)
-    p.add_argument("--references", required=True)
-    p.add_argument("--out", help="TSV output")
+    p.add_argument("--child", type=_In, required=True)
+    p.add_argument("--baseline", type=_In, required=True)
+    p.add_argument("--references", type=_In, required=True)
+    p.add_argument("--out", type=_Out, help="TSV output")
 
     return parser
 
 
-def _cmd_learn_bpe(args, manifest):
-    corpora = [_read_lines(path) for path in args.input]
-    for path in args.input:
-        manifest.add_input(path)
+def _cmd_learn_bpe(args):
+    corpora = [read_lines(path) for path in args.input]
     table = learn_bpe(corpora, args.merges)
     table.save(args.out)
-    manifest.add_output(args.out)
     print(f"learned {len(table)} merges -> {args.out}")
 
 
-def _cmd_apply_bpe(args, manifest):
+def _cmd_apply_bpe(args):
     table = MergeTable.load(args.table)
-    manifest.add_input(args.table)
-    manifest.add_input(args.input)
-    lines = [" ".join(segment_sentence(table, line)) for line in _read_lines(args.input)]
+    lines = [" ".join(segment_sentence(table, line)) for line in read_lines(args.input)]
     _write_lines(args.out, lines)
-    manifest.add_output(args.out)
 
 
-def _cmd_learn_wp(args, manifest):
-    corpora = [_read_lines(path) for path in args.input]
-    for path in args.input:
-        manifest.add_input(path)
+def _cmd_learn_wp(args):
+    corpora = [read_lines(path) for path in args.input]
     spec = VocabSpec(args.target_size, args.tolerance, args.max_train_sentences)
     vocab = learn_wordpiece(corpora, spec)
     vocab.save(args.out)
-    manifest.add_output(args.out)
     print(f"learned {len(vocab)} tokens (within_tolerance={vocab.within_tolerance}) -> {args.out}")
 
 
-def _cmd_apply_wp(args, manifest):
+def _cmd_apply_wp(args):
     vocab = Vocabulary.load(args.vocab)
-    manifest.add_input(args.vocab)
-    manifest.add_input(args.input)
-    lines = [" ".join(apply_wordpiece(vocab, line)) for line in _read_lines(args.input)]
+    lines = [" ".join(apply_wordpiece(vocab, line)) for line in read_lines(args.input)]
     _write_lines(args.out, lines)
-    manifest.add_output(args.out)
 
 
-def _cmd_transform_vocab(args, manifest):
+def _cmd_transform_vocab(args) -> list[Path]:
     parent = Vocabulary.load(args.parent_vocab)
-    manifest.add_input(args.parent_vocab)
     if args.child_vocab:
         child = Vocabulary.load(args.child_vocab)
-        manifest.add_input(args.child_vocab)
         mapping = map_vocabularies(parent, child, args.variant, args.seed)
         vocab = Vocabulary(mapping.output_tokens())
     elif args.child:
-        for path in args.child:
-            manifest.add_input(path)
-        corpora = [_read_lines(path) for path in args.child]
+        corpora = [read_lines(path) for path in args.child]
         vocab, mapping = transform_vocab(parent, corpora, args.variant, args.seed)
     else:
         raise XfervocabError("give --child corpus files or --child-vocab")
 
     out_dir = Path(args.out_dir)
     if args.embeddings:
-        manifest.add_input(args.embeddings)
         bundle = emit_transfer_bundle(mapping, load_embeddings(args.embeddings), out_dir)
-        for path in (bundle.vocabulary_path, bundle.embeddings_path, bundle.mapping_path, bundle.unused_parent_path):
-            manifest.add_output(path)
+        written = list(astuple(bundle))
     else:
         out_dir.mkdir(parents=True, exist_ok=True)
-        vocab_path = out_dir / "vocabulary.txt"
-        vocab.save(vocab_path)
-        mapping_path = out_dir / "mapping.tsv"
-        mapping_path.write_text(mapping.to_tsv(), encoding="utf-8")
-        manifest.add_output(vocab_path)
-        manifest.add_output(mapping_path)
+        written = [out_dir / "vocabulary.txt", out_dir / "mapping.tsv"]
+        vocab.save(written[0])
+        written[1].write_text(mapping.to_tsv(), encoding="utf-8")
     shared = sum(1 for e in mapping.entries if e.shared)
     print(f"{args.variant}: {shared}/{len(mapping.entries)} slots shared -> {args.out_dir}")
+    return written
 
 
-def _cmd_merge_vocab(args, manifest):
+def _cmd_merge_vocab(args):
     if args.parent_vocab and args.child_vocab:
+        if args.report:
+            raise XfervocabError("--report needs corpus mode; merging two vocabulary files writes no report")
         parent = Vocabulary.load(args.parent_vocab)
         child = Vocabulary.load(args.child_vocab)
-        manifest.add_input(args.parent_vocab)
-        manifest.add_input(args.child_vocab)
         merged = merge_vocabs(parent, child)
         report = None
     else:
@@ -420,52 +383,40 @@ def _cmd_merge_vocab(args, manifest):
             raise XfervocabError("corpus mode needs --target-size")
         parent_corpus = _read_corpus(args, "parent")
         child_corpus = _read_corpus(args, "child")
-        for path in _corpus_inputs_of(args, "parent") + _corpus_inputs_of(args, "child"):
-            manifest.add_input(path)
         merged, report = build_merged_vocab(parent_corpus, child_corpus, args.target_size, args.tolerance)
     merged.save(args.out)
-    manifest.add_output(args.out)
     if report is not None:
         print(
             f"merged size {report.final_size} in {report.iterations} iterations "
             f"(within_tolerance={report.within_tolerance})"
         )
-        _write_report(args.report, manifest, report.to_tsv())
+        _write_report(args.report, report.to_tsv())
     else:
         print(f"merged {len(merged)} tokens -> {args.out}")
 
 
-def _cmd_balanced_vocab(args, manifest):
+def _cmd_balanced_vocab(args):
     parent_corpus = _read_corpus(args, "parent")
     child_corpus = _read_corpus(args, "child")
-    for path in _corpus_inputs_of(args, "parent") + _corpus_inputs_of(args, "child"):
-        manifest.add_input(path)
     vocab = build_balanced_vocab(parent_corpus, child_corpus, args.target_size, args.tolerance, args.seed)
     vocab.save(args.out)
-    manifest.add_output(args.out)
     print(f"balanced vocabulary: {len(vocab)} tokens -> {args.out}")
 
 
-def _write_report(path: str | None, manifest, tsv: str) -> None:
+def _write_report(path: str | None, tsv: str) -> None:
     if path:
         Path(path).write_text(tsv, encoding="utf-8")
-        manifest.add_output(path)
 
 
-def _cmd_diag(args, manifest):
+def _cmd_diag(args):
     vocab = Vocabulary.load(args.vocab)
-    manifest.add_input(args.vocab)
     if args.diag_command == "rate":
-        sentences = [s for path in args.input for s in _read_lines(path)]
-        for path in args.input:
-            manifest.add_input(path)
+        sentences = [s for path in args.input for s in read_lines(path)]
         rate = segmentation_rate(vocab, sentences)
         print(f"segmentation_rate\t{rate:.4f}")
-        _write_report(args.out, manifest, f"segmentation_rate\n{rate!r}\n")
+        _write_report(args.out, f"segmentation_rate\n{rate!r}\n")
     elif args.diag_command == "usage":
-        sentences = [s for path in args.input for s in _read_lines(path)]
-        for path in args.input:
-            manifest.add_input(path)
+        sentences = [s for path in args.input for s in read_lines(path)]
         predicate = None
         if args.char_range:
             ranges = []
@@ -475,15 +426,14 @@ def _cmd_diag(args, manifest):
             predicate = unicode_range_predicate(ranges)
         usage = vocab_usage(vocab, sentences, predicate)
         print(f"vocab_usage\t{usage:.4f}")
-        _write_report(args.out, manifest, f"vocab_usage\n{usage!r}\n")
+        _write_report(args.out, f"vocab_usage\n{usage!r}\n")
     elif args.diag_command == "overlap":
         corpora = {}
         for item in args.corpus:
-            lang, _, path = item.partition("=")
-            if not path:
+            if isinstance(item, str):
                 raise XfervocabError(f"--corpus expects LANG=FILE, got {item!r}")
-            corpora[lang] = _read_lines(path)
-            manifest.add_input(path)
+            lang, path = item
+            corpora[lang] = read_lines(path)
         breakdown = overlap_breakdown(vocab, corpora, args.min_count, args.parent, args.child)
         langs = sorted(corpora)
         width = max(16, max(len(lang) for lang in langs) + 2)
@@ -501,102 +451,91 @@ def _cmd_diag(args, manifest):
             row(["reused parent"] + [""] * (len(langs) - 1), breakdown.reused_parent)
         if breakdown.unused_by_child is not None:
             row(["unused by child"] + [""] * (len(langs) - 1), breakdown.unused_by_child)
-        _write_report(args.out, manifest, breakdown.to_tsv())
+        _write_report(args.out, breakdown.to_tsv())
     elif args.diag_command == "filter-impact":
         corpus = _read_corpus(args)
-        for path in _corpus_inputs_of(args):
-            manifest.add_input(path)
         report = length_filter_impact(vocab, corpus, args.threshold)
         print(f"kept {report.kept}\tdropped {report.dropped}\tdropped_fraction {report.dropped_fraction:.4f}")
-        _write_report(args.out, manifest, report.to_tsv())
+        _write_report(args.out, report.to_tsv())
 
 
-def _cmd_corpus(args, manifest):
+def _cmd_corpus(args):
+    if args.out_tsv and (args.out_source or args.out_target):
+        raise XfervocabError("--out-tsv cannot be combined with --out-source/--out-target")
+    if not args.out_tsv and not (args.out_source and args.out_target):
+        raise XfervocabError("missing corpus output: give --out-source/--out-target or --out-tsv")
     if args.corpus_command == "sample":
         if args.size is not None:
             corpus = _read_corpus(args)
-            for path in _corpus_inputs_of(args):
-                manifest.add_input(path)
             out = subsample(corpus, args.size, args.seed)
         elif args.per_side is not None:
             a = _read_corpus(args, "a")
             b = _read_corpus(args, "b")
-            for path in _corpus_inputs_of(args, "a") + _corpus_inputs_of(args, "b"):
-                manifest.add_input(path)
             out = sample_equal(a, b, args.per_side, args.seed)
         else:
             raise XfervocabError("give --per-side (two corpora) or --size (downscale one)")
     elif args.corpus_command == "mix":
         authentic = _read_corpus(args, "authentic")
         synthetic = _read_corpus(args, "synthetic")
-        for path in _corpus_inputs_of(args, "authentic") + _corpus_inputs_of(args, "synthetic"):
-            manifest.add_input(path)
         out = mix_with_oversample(authentic, synthetic, args.factor, args.seed)
     else:
         corpus = _read_corpus(args)
-        for path in _corpus_inputs_of(args):
-            manifest.add_input(path)
         if args.corpus_command == "filter":
             out, report = filter_by_word_length(corpus, args.min_words, args.max_words)
             if args.max_subwords is not None:
                 if not args.vocab:
                     raise XfervocabError("--max-subwords needs --vocab")
                 vocab = Vocabulary.load(args.vocab)
-                manifest.add_input(args.vocab)
                 out, sub_report = filter_by_subword_length(out, vocab, args.max_subwords)
                 report = FilterReport.from_counts(sub_report.kept, report.dropped + sub_report.dropped)
-            _write_report(args.report, manifest, report.to_tsv())
+            _write_report(args.report, report.to_tsv())
             print(f"kept {report.kept}\tdropped {report.dropped}\tdropped_fraction {report.dropped_fraction:.4f}")
         elif args.corpus_command == "pseudo":
             out = make_pseudo_related(corpus, args.keep_percent, args.seed)
         elif args.corpus_command == "corrupt":
             out = corrupt_word_order(corpus, args.mode, args.seed)
-    _write_corpus(args, out, manifest)
+    if args.out_tsv:
+        write_parallel_tsv(out, args.out_tsv)
+    else:
+        write_parallel(out, args.out_source, args.out_target)
 
 
-def _cmd_eval(args, manifest):
+def _cmd_eval(args):
     if args.eval_command == "bleu":
-        candidates = _read_lines(args.candidates)
-        references = _read_lines(args.references)
-        manifest.add_input(args.candidates)
-        manifest.add_input(args.references)
+        candidates = read_lines(args.candidates)
+        references = read_lines(args.references)
         report = bleu(candidates, references, args.n_max, args.smoothing, args.tokenize)
         print(f"{report.score:.2f}")
         print(report.signature())
-        _write_report(args.out, manifest, report.to_tsv())
+        _write_report(args.out, report.to_tsv())
     elif args.eval_command == "bootstrap":
-        cand_a = _read_lines(args.candidates_a)
-        cand_b = _read_lines(args.candidates_b)
-        references = _read_lines(args.references)
-        for path in (args.candidates_a, args.candidates_b, args.references):
-            manifest.add_input(path)
+        cand_a = read_lines(args.candidates_a)
+        cand_b = read_lines(args.candidates_b)
+        references = read_lines(args.references)
         result = paired_bootstrap(
             cand_a, cand_b, references, args.samples, args.alpha, args.seed, tokenization=args.tokenize
         )
         print(
             f"wins_a {result.wins_a}\twins_b {result.wins_b}\tties {result.ties}\tbetter {result.better}"
         )
-        _write_report(args.out, manifest, result.to_tsv())
+        _write_report(args.out, result.to_tsv())
     elif args.eval_command == "stop":
         curve = LearningCurve.from_tsv(args.curve)
-        manifest.add_input(args.curve)
         stop, best_step = should_stop(
             curve, args.window_frac, args.delta_frac, args.min_evals, args.relative_to
         )
         print(f"stop {str(stop).lower()}\tbest_step {best_step}")
-        _write_report(args.out, manifest, f"stop\tbest_step\n{str(stop).lower()}\t{best_step}\n")
+        _write_report(args.out, f"stop\tbest_step\n{str(stop).lower()}\t{best_step}\n")
     elif args.eval_command == "token-analysis":
-        child = [line.split() for line in _read_lines(args.child)]
-        baseline = [line.split() for line in _read_lines(args.baseline)]
-        references = [line.split() for line in _read_lines(args.references)]
-        for path in (args.child, args.baseline, args.references):
-            manifest.add_input(path)
+        child = [line.split() for line in read_lines(args.child)]
+        baseline = [line.split() for line in read_lines(args.baseline)]
+        references = [line.split() for line in read_lines(args.references)]
         overlap = token_overlap_analysis(child, baseline, references)
         print(
             f"baseline_and_reference {overlap.baseline_and_reference}\tbaseline_only {overlap.baseline_only}"
             f"\treference_only {overlap.reference_only}\tneither {overlap.neither}"
         )
-        _write_report(args.out, manifest, overlap.to_tsv())
+        _write_report(args.out, overlap.to_tsv())
 
 
 _HANDLERS = {
@@ -635,20 +574,25 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
 
-    config_probe = argparse.ArgumentParser(add_help=False)
-    config_probe.add_argument("--config")
-    probed, _ = config_probe.parse_known_args(argv)
-    if probed.config:
-        _set_defaults_everywhere(parser, _load_config(probed.config))
-
-    args = parser.parse_args(argv)
-    manifest = _Manifest(argv)
-    manifest.seed = getattr(args, "seed", None)
+    probed, _ = parser.parse_known_args(argv)
     try:
-        _HANDLERS[args.command](args, manifest)
+        if probed.config:
+            _set_defaults_everywhere(parser, _load_config(probed.config))
+        args = parser.parse_args(argv)
+        values = list(vars(args).values())
+        inputs = _digests(_named(values, _In))
+        written = _HANDLERS[args.command](args) or []
+        payload = {
+            "tool": "xfervocab",
+            "version": __version__,
+            "argv": argv,
+            "seed": getattr(args, "seed", None),
+            "inputs": inputs,
+            "outputs": _digests(_named(values, _Out) + written),
+        }
         target = _manifest_target(args)
         if target is not None:
-            manifest.write(target)
+            target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         return 0
     except (XfervocabError, OSError, ValueError) as exc:
         print(f"xfervocab: error: {exc}", file=sys.stderr)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .errors import AlignmentError, CorpusDecodeError, CorpusFormatError, SampleSizeError
+from .errors import AlignmentError, CorpusFormatError, SampleSizeError
+from .textio import read_lines
 from .wordpiece import Vocabulary, apply_wordpiece
 
 _WORD_RE = re.compile(r"\S+")
@@ -73,24 +74,6 @@ class FilterReport:
         return f"kept\tdropped\tdropped_fraction\n{self.kept}\t{self.dropped}\t{self.dropped_fraction!r}\n"
 
 
-def _read_lines(path: str | Path) -> list[str]:
-    """The lines of a UTF-8 file, split on "\\n" only; a bad byte is reported
-    with the file and the number of its line."""
-    raw = Path(path).read_bytes()
-    try:
-        lines = raw.decode("utf-8").split("\n")
-    except UnicodeDecodeError:
-        for i, chunk in enumerate(raw.split(b"\n"), start=1):
-            try:
-                chunk.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CorpusDecodeError(f"{path}: line {i}: invalid UTF-8 ({exc.reason})") from exc
-        raise
-    if lines and lines[-1] == "":
-        lines.pop()
-    return lines
-
-
 def load_parallel(
     source_path: str | Path,
     target_path: str | Path,
@@ -98,8 +81,8 @@ def load_parallel(
     target_lang: str = "tgt",
 ) -> ParallelCorpus:
     """Zip two one-sentence-per-line files into a parallel corpus."""
-    sources = _read_lines(source_path)
-    targets = _read_lines(target_path)
+    sources = read_lines(source_path)
+    targets = read_lines(target_path)
     if len(sources) != len(targets):
         raise AlignmentError(
             f"{source_path} has {len(sources)} lines but {target_path} has {len(targets)}"
@@ -110,7 +93,7 @@ def load_parallel(
 def load_parallel_tsv(path: str | Path, source_lang="src", target_lang="tgt") -> ParallelCorpus:
     """Load a two-column TSV; a row without exactly one tab is rejected."""
     sources, targets = [], []
-    for i, line in enumerate(_read_lines(path), start=1):
+    for i, line in enumerate(read_lines(path), start=1):
         columns = line.split("\t")
         if len(columns) != 2:
             raise CorpusFormatError(f"{path}: line {i}: expected 2 tab-separated columns, got {len(columns)}")

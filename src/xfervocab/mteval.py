@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import _read_lines
 from .errors import CorpusFormatError
+from .textio import read_lines
 
 TOKENIZATIONS = ("none", "intl")
 SMOOTHINGS = ("none", "exponential")
@@ -119,7 +119,7 @@ class LearningCurve:
     @classmethod
     def from_tsv(cls, path: str | Path) -> "LearningCurve":
         points = []
-        for i, line in enumerate(_read_lines(path), start=1):
+        for i, line in enumerate(read_lines(path), start=1):
             step, _, score = line.partition("\t")
             if step == "step":  # header
                 continue

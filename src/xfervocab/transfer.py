@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import EmbeddingShapeError
+from .textio import read_lines
 from .wordpiece import Vocabulary, VocabSpec, WordpieceLearner, apply_wordpiece
 
 VARIANTS = ("frequency", "everything_random", "unmatched_random", "levenshtein")
@@ -233,8 +234,16 @@ def save_embeddings_tsv(matrix: np.ndarray, path: str | Path) -> None:
 
 def load_embeddings_tsv(path: str | Path) -> np.ndarray:
     rows = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        rows.append([float(x) for x in line.split("\t")])
+    for i, line in enumerate(read_lines(path), start=1):
+        row = []
+        for cell in line.split("\t"):
+            try:
+                row.append(float(cell))
+            except ValueError:
+                raise EmbeddingShapeError(f"{path}: line {i}: not a number: {cell!r}") from None
+        if rows and len(row) != len(rows[0]):
+            raise EmbeddingShapeError(f"{path}: line {i}: expected {len(rows[0])} values, got {len(row)}")
+        rows.append(row)
     return np.array(rows, dtype=np.float32)
 
 

@@ -37,6 +37,7 @@ from typing import Container, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import EscapeDecodeError
+from .textio import read_lines
 
 # End-of-unit marker appended to every word-level unit before matching.
 WORD_MARKER = "_"
@@ -133,10 +134,8 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        return cls(lines)
+        # CRLF line ends are accepted.
+        return cls([line.removesuffix("\r") for line in read_lines(path)])
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text("\n".join(self._tokens) + "\n", encoding="utf-8")

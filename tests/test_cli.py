@@ -315,6 +315,7 @@ def test_eval_stop_out_of_order_steps_name_file_and_line(texts, capsys):
         (b"a b\na \n", "line 3: merge rule MergeRule(left='a', right='') has an empty side"),
         (b"a b\nb c\na b\n", "line 4: duplicate merge rule MergeRule(left='a', right='b')"),
         (b"a b\nc \xff\n", "line 3: invalid UTF-8"),
+        (b"a b\na\tb c\n", "line 3: merge rule MergeRule(left='a\\tb', right='c') has whitespace in a side"),
     ],
 )
 def test_apply_bpe_bad_merge_file_names_file_and_line(texts, capsys, rules, message):
@@ -476,3 +477,78 @@ def test_manifest_records_each_command_shape(desk, argv, inputs, outputs, seed, 
 def test_cli_error_paths_exit_1(desk, capsys, argv, message):
     assert main([arg.format(d=desk) for arg in argv]) == 1
     assert capsys.readouterr().err == f"xfervocab: error: {message.format(d=desk)}\n"
+
+
+def test_config_file_digest_is_recorded(texts):
+    config = texts / "run.conf"
+    config.write_text("smoothing = none\n", encoding="utf-8")
+    assert main([
+        "--config", str(config),
+        "eval", "bleu", "--candidates", str(texts / "cand.txt"), "--references", str(texts / "refs.txt"),
+        "--out", str(texts / "bleu.tsv"),
+    ]) == 0
+    manifest = json.loads((texts / "bleu.tsv.manifest.json").read_text(encoding="utf-8"))
+    assert set(manifest["inputs"]) == {str(config), str(texts / "cand.txt"), str(texts / "refs.txt")}
+
+
+def test_merge_vocab_files_with_report_exits_1(texts, capsys):
+    write(texts / "pv.txt", ["a", "b"])
+    write(texts / "cv.txt", ["b", "c"])
+    code = main([
+        "merge-vocab", "--parent-vocab", str(texts / "pv.txt"), "--child-vocab", str(texts / "cv.txt"),
+        "--out", str(texts / "merged.txt"), "--report", str(texts / "r.tsv"),
+    ])
+    assert code == 1
+    assert "--report" in capsys.readouterr().err
+    assert not (texts / "merged.txt").exists() and not (texts / "r.tsv").exists()
+
+
+def test_corpus_out_tsv_beside_out_source_exits_1(texts, capsys):
+    write(texts / "s.txt", ["a b c"])
+    write(texts / "t.txt", ["x y z"])
+    code = main([
+        "corpus", "pseudo", "--source", str(texts / "s.txt"), "--target", str(texts / "t.txt"),
+        "--keep-percent", "0.5", "--seed", "1", "--out-tsv", str(texts / "o.tsv"),
+        "--out-source", str(texts / "os.txt"), "--out-target", str(texts / "ot.txt"),
+    ])
+    assert code == 1
+    assert "--out-tsv" in capsys.readouterr().err
+    assert not any((texts / name).exists() for name in ("o.tsv", "os.txt", "ot.txt"))
+
+
+def test_vocabulary_bad_byte_names_file_and_line(texts, capsys):
+    vocab = texts / "bad.vocab"
+    vocab.write_bytes(b"a\nb\nc\xff\n")
+    code = main(["apply-wp", "--vocab", str(vocab), "--input", str(texts / "refs.txt"), "--out", str(texts / "o.txt")])
+    assert code == 1
+    assert f"{vocab}: line 3: invalid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["0.5\t1.0", "1.5", "2.5\t3.0"], "line 2: expected 2 values, got 1"),
+        (["0.5\t1.0", "1.5\t2.0", "x\t3.0"], "line 3: not a number: 'x'"),
+    ],
+)
+def test_embeddings_tsv_bad_row_names_file_and_line(texts, capsys, rows, message):
+    write(texts / "parent.vocab", ["a", "b", "c"])
+    write(texts / "child.vocab", ["b", "x", "c"])
+    write(texts / "emb.tsv", rows)
+    code = main([
+        "transform-vocab", "--parent-vocab", str(texts / "parent.vocab"), "--child-vocab", str(texts / "child.vocab"),
+        "--embeddings", str(texts / "emb.tsv"), "--out-dir", str(texts / "bundle"),
+    ])
+    assert code == 1
+    assert f"{texts / 'emb.tsv'}: {message}" in capsys.readouterr().err
+
+
+def test_config_bad_byte_names_file_and_line(texts, capsys):
+    config = texts / "run.conf"
+    config.write_bytes(b"smoothing = none\ntokenize = \xffnone\n")
+    code = main([
+        "--config", str(config),
+        "eval", "bleu", "--candidates", str(texts / "cand.txt"), "--references", str(texts / "refs.txt"),
+    ])
+    assert code == 1
+    assert f"{config}: line 2: invalid UTF-8" in capsys.readouterr().err

@@ -199,6 +199,8 @@ def test_vocabulary_file_roundtrip(tmp_path):
     loaded = Vocabulary.load(path)
     assert loaded.tokens == vocab.tokens
     assert loaded.index("hello_") == vocab.index("hello_")
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert Vocabulary.load(path).tokens == vocab.tokens
 
 
 def test_vocab_spec_validation():
