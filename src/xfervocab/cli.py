@@ -12,6 +12,11 @@ A named output is always written: `merge-vocab --report` beside
 `--parent-vocab/--child-vocab`, and `--out-tsv` beside
 `--out-source/--out-target`, exit 1 naming the flag.
 
+The handlers of learn-wp, transform-vocab, merge-vocab, balanced-vocab and
+eval load the numpy modules they call on first use (`_load`); no other
+command imports numpy.  A `--config` key sets its flag's default where the
+flag exists; a key that no command has exits 1 naming the file and line.
+
 Exit codes: 0 success, 1 operation error, 2 usage error.
 """
 
@@ -19,12 +24,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import sys
 from dataclasses import astuple
 from pathlib import Path
 
-from . import __version__
+from . import _EXPORTS, __version__
 from .bpe import MergeTable, learn_bpe, segment_sentence
 from .corpus import (
     CORRUPTION_MODES,
@@ -50,23 +56,16 @@ from .diagnostics import (
     vocab_usage,
 )
 from .errors import XfervocabError
-from .mteval import (
-    LearningCurve,
-    bleu,
-    paired_bootstrap,
-    should_stop,
-    token_overlap_analysis,
-)
-from .sharedvocab import build_balanced_vocab, build_merged_vocab, merge_vocabs
 from .textio import read_lines
-from .transfer import (
-    VARIANTS,
-    emit_transfer_bundle,
-    load_embeddings,
-    map_vocabularies,
-    transform_vocab,
-)
-from .wordpiece import Vocabulary, VocabSpec, apply_wordpiece, learn_wordpiece
+from .wordpiece import VARIANTS, Vocabulary, VocabSpec, apply_wordpiece
+
+
+def _load(module: str) -> None:
+    """Make the package's names from `module`, which imports numpy, globals
+    here as an import above would; a name already set (a wrapper, say) stays."""
+    library = importlib.import_module(f".{module}", __package__)
+    for name in _EXPORTS[module]:
+        globals().setdefault(name, getattr(library, name))
 
 
 def _sha256(path: str | Path) -> str:
@@ -85,19 +84,10 @@ def _write_lines(path: str, lines) -> None:
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
-def _coerce(value: str):
-    for converter in (int, float):
-        try:
-            return converter(value)
-        except ValueError:
-            continue
-    return value
-
-
-def _load_config(path: str) -> dict:
+def _load_config(path: str, flags: set[str]) -> dict[str, str]:
     """Simple key=value format; '#' starts a comment, keys use flag names.
-    Values parse as int, then float, then plain string."""
-    values: dict[str, object] = {}
+    Values stay strings, which argparse converts with each flag's type."""
+    values: dict[str, str] = {}
     for i, raw in enumerate(read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -105,7 +95,10 @@ def _load_config(path: str) -> dict:
         if "=" not in line:
             raise XfervocabError(f"{path}: line {i}: expected key = value")
         key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = _coerce(value.strip())
+        key = key.strip().replace("-", "_")
+        if key not in flags:
+            raise XfervocabError(f"{path}: line {i}: no command has a --{key.replace('_', '-')} flag")
+        values[key] = value.strip()
     return values
 
 
@@ -331,6 +324,7 @@ def _cmd_apply_bpe(args):
 
 
 def _cmd_learn_wp(args):
+    _load("wordpiece_learner")
     corpora = [read_lines(path) for path in args.input]
     spec = VocabSpec(args.target_size, args.tolerance, args.max_train_sentences)
     vocab = learn_wordpiece(corpora, spec)
@@ -345,6 +339,7 @@ def _cmd_apply_wp(args):
 
 
 def _cmd_transform_vocab(args) -> list[Path]:
+    _load("transfer")
     parent = Vocabulary.load(args.parent_vocab)
     if args.child_vocab:
         child = Vocabulary.load(args.child_vocab)
@@ -371,6 +366,7 @@ def _cmd_transform_vocab(args) -> list[Path]:
 
 
 def _cmd_merge_vocab(args):
+    _load("sharedvocab")
     if args.parent_vocab and args.child_vocab:
         if args.report:
             raise XfervocabError("--report needs corpus mode; merging two vocabulary files writes no report")
@@ -396,6 +392,7 @@ def _cmd_merge_vocab(args):
 
 
 def _cmd_balanced_vocab(args):
+    _load("sharedvocab")
     parent_corpus = _read_corpus(args, "parent")
     child_corpus = _read_corpus(args, "child")
     vocab = build_balanced_vocab(parent_corpus, child_corpus, args.target_size, args.tolerance, args.seed)
@@ -501,6 +498,7 @@ def _cmd_corpus(args):
 
 
 def _cmd_eval(args):
+    _load("mteval")
     if args.eval_command == "bleu":
         candidates = read_lines(args.candidates)
         references = read_lines(args.references)
@@ -562,12 +560,16 @@ def _manifest_target(args) -> Path | None:
     return None
 
 
-def _set_defaults_everywhere(parser: argparse.ArgumentParser, values: dict) -> None:
-    parser.set_defaults(**values)
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                _set_defaults_everywhere(sub, values)
+def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
+    """Make each `--config` value the default of its flag, on each parser that has that flag."""
+    parsers = [parser]
+    for each in parsers:  # extended while iterated: walks every subparser
+        for action in each._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    values = _load_config(path, {a.dest for each in parsers for a in each._actions if a.option_strings})
+    for each in parsers:
+        each.set_defaults(**{a.dest: values[a.dest] for a in each._actions if a.dest in values})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -577,7 +579,7 @@ def main(argv: list[str] | None = None) -> int:
     probed, _ = parser.parse_known_args(argv)
     try:
         if probed.config:
-            _set_defaults_everywhere(parser, _load_config(probed.config))
+            _apply_config(parser, probed.config)
         args = parser.parse_args(argv)
         values = list(vars(args).values())
         inputs = _digests(_named(values, _In))

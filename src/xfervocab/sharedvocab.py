@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corpus import ParallelCorpus, sample_equal
-from .wordpiece import Vocabulary, VocabSpec, WordpieceLearner
+from .wordpiece import Vocabulary, VocabSpec
+from .wordpiece_learner import WordpieceLearner
 
 
 @dataclass(frozen=True)

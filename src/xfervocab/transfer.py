@@ -19,9 +19,8 @@ import numpy as np
 
 from .errors import EmbeddingShapeError
 from .textio import read_lines
-from .wordpiece import Vocabulary, VocabSpec, WordpieceLearner, apply_wordpiece
-
-VARIANTS = ("frequency", "everything_random", "unmatched_random", "levenshtein")
+from .wordpiece import VARIANTS, Vocabulary, VocabSpec, apply_wordpiece
+from .wordpiece_learner import WordpieceLearner
 
 
 @dataclass(frozen=True)

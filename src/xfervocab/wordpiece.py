@@ -1,24 +1,11 @@
-"""Wordpiece vocabularies: size-targeted learning, greedy segmentation, escapes.
+"""Wordpiece vocabularies: greedy segmentation, escapes, exact detokenization.
 
 Segmentation follows the greedy longest-match scheme with a trailing
 underscore marking the end of every word-level unit.  Characters that have
 no path through the vocabulary are escaped as a backslash, the decimal
 digits of their code point, and a semicolon, each emitted as its own token,
-so any Unicode text is representable.  The learner builds candidate units
-greedily from observed word types, sweeps a minimum-frequency threshold
-from high to low to rank them, and cuts the ranking at the requested
-target, warning when the corpus cannot support a size within tolerance.
-
-The threshold ladder is incremental but yields exactly what recounting from
-scratch at every pass of every threshold yields.  The first pass starts
-from the base alphabet at every threshold, so its counts are computed once;
-they are also the threshold-1 build.  Its candidates (every substring of a
-safe run, plus the base) get fixed ids, sorted by length then token, and
-counts and prefix discounts are array sums over those ids.  A refinement
-pass that reproduces its token set is a fixed point and ends the threshold.
-Moving to a new token set re-segments only the units that contain a token
-whose membership changed.  No per-threshold state is kept, and the
-counting state is dropped once the ranking exists.
+so any Unicode text is representable.  The learner is in `wordpiece_learner`,
+which needs numpy; its public names still import from here.
 """
 
 from __future__ import annotations
@@ -27,14 +14,10 @@ import functools
 import itertools
 import re
 import unicodedata
-import warnings
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Container, Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .errors import EscapeDecodeError
 from .textio import read_lines
@@ -46,7 +29,15 @@ WORD_MARKER = "_"
 # only characters an escape sequence can emit.
 ESCAPE_TOKENS = ("\\", ";", "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", WORD_MARKER)
 
+# Assignment variants of `transfer.map_vocabularies`, here for a parser without numpy.
+VARIANTS = ("frequency", "everything_random", "unmatched_random", "levenshtein")
+
+# Units whose tokens one Vocabulary remembers; later new units are not stored.
+_UNIT_CACHE_SIZE = 1 << 16
+
 _ESCAPE_RE = re.compile(r"\\(\d+);")
+# Maximal runs of letters/digits ([^\W_] is exactly categories L, N) or of the rest.
+_RUN_RE = re.compile(r"[^\W_]+|[\W_]+")
 
 
 @functools.lru_cache(maxsize=None)
@@ -61,20 +52,9 @@ def pretokenize(text: str) -> list[str]:
     re-inserts it.  This keeps punctuation attached to no word, so a word
     like "doma." becomes the two units "doma" and ".".
     """
-    if not text:
-        return []
-    units = []
-    start = 0
-    prev_alnum = _is_alnum(text[0])
-    for pos in range(1, len(text)):
-        cur_alnum = _is_alnum(text[pos])
-        if cur_alnum != prev_alnum:
-            unit = text[start:pos]
-            if unit != " " or start == 0:
-                units.append(unit)
-            start = pos
-            prev_alnum = cur_alnum
-    units.append(text[start:])
+    units = _RUN_RE.findall(text)
+    if len(units) > 2:
+        units[1:-1] = [unit for unit in units[1:-1] if unit != " "]
     return units
 
 
@@ -115,6 +95,7 @@ class Vocabulary:
         self._index = {tok: i for i, tok in enumerate(tokens)}
         self._max_len = max((len(t) for t in tokens), default=0)
         self.within_tolerance = within_tolerance
+        self._units: dict[str, tuple[str, ...]] = {}
 
     @classmethod
     def with_ascii_fallback(cls, tokens: Iterable[str]) -> "Vocabulary":
@@ -224,19 +205,24 @@ def apply_wordpiece(vocab: Vocabulary, sentence: str) -> list[str]:
     for tok in ESCAPE_TOKENS:
         if tok not in vocab:
             raise ValueError(f"vocabulary lacks escape token {tok!r}; cannot segment arbitrary text")
-    index = vocab._index
-    max_len = vocab.max_token_length
     out = []
     for unit in pretokenize(sentence):
-        marked = unit + WORD_MARKER
-        unsafe = _unsafe_mask(unit)
-        for start, end in _segment_boundaries(marked, unsafe, index, max_len):
-            token = marked[start:end]
-            # Only a one-character span can be unsafe or unmatched.
-            if end - start > 1 or (not unsafe[start] and token in index):
-                out.append(token)
-            else:
-                out.extend(_escape_char(token))
+        tokens = vocab._units.get(unit)
+        if tokens is None:
+            marked = unit + WORD_MARKER
+            unsafe = _unsafe_mask(unit)
+            rendered = []
+            for start, end in _segment_boundaries(marked, unsafe, vocab._index, vocab._max_len):
+                token = marked[start:end]
+                # Only a one-character span can be unsafe or unmatched.
+                if end - start > 1 or (not unsafe[start] and token in vocab._index):
+                    rendered.append(token)
+                else:
+                    rendered.extend(_escape_char(token))
+            tokens = tuple(rendered)
+            if len(vocab._units) < _UNIT_CACHE_SIZE:
+                vocab._units[unit] = tokens
+        out.extend(tokens)
     return out
 
 
@@ -282,260 +268,8 @@ def _count_units(corpora: Iterable[Iterable[str]], max_sentences: int) -> Counte
     return counts
 
 
-class _CandidateBuilder:
-    """Candidate counts over a fixed universe, updated as the token set moves.
-
-    A unit contributes its frequency to every substring that starts at one
-    of its segment starts and ends within that start's safe run: a chain of
-    prefixes ending at the whole run suffix.  Every segment start under any
-    token set is also a start of the base segmentation, so the substrings
-    counted there form a fixed universe.  Each gets an id in (-length,
-    token) order, with its immediate prefix as its parent.  A count is then
-    the subtree sum over the run suffixes of the active starts, and the
-    prefix discount is one carry pushed to the parent, one length block at a
-    time.  Moving to a new token set re-segments only the units that
-    contain a changed token.
-    """
-
-    def __init__(self, unit_counts: Counter, base: list[str]):
-        self._units = sorted(unit_counts)
-        self._freqs = [unit_counts[unit] for unit in self._units]
-        self._index = set(base)  # the current token set, for _segment_boundaries
-        # Segment starts of the threshold-1 (base) segmentation, the only
-        # positions any later segmentation can start at, and the ends of
-        # their safe runs.
-        universe = set(base)
-        starts, stops = array("i"), array("i")
-        self._unit_offsets = array("i", [0])
-        for unit in self._units:
-            marked = unit + WORD_MARKER
-            unsafe = _unsafe_mask(unit)
-            for start, _end in _segment_boundaries(marked, unsafe, self._index, 1):
-                if unsafe[start]:
-                    continue
-                stop = start
-                while stop < len(marked) and not unsafe[stop]:
-                    stop += 1
-                starts.append(start)
-                stops.append(stop)
-                universe.update(marked[start:end] for end in range(start + 1, stop + 1))
-            self._unit_offsets.append(len(starts))
-        self._starts = starts
-        self._active = bytearray(b"\x01") * len(starts)
-
-        # Each temporary goes before the next is built: what the learner
-        # holds at its peak adds to the peak of the step that calls it.
-        lexical = sorted(universe)
-        del universe
-        lengths = np.fromiter(map(len, lexical), np.int32, len(lexical))
-        order = np.argsort(-lengths, kind="stable")
-        self.tokens = [lexical[i] for i in order.tolist()]
-        del lexical
-        self.lex_rank = order.astype(np.int32)
-        lengths = lengths[order]
-        cuts = np.flatnonzero(np.diff(lengths)) + 1
-        bounds = [0, *cuts.tolist(), len(lengths)]
-        # (first, last) id of each length block, longest first, length >= 2.
-        self._blocks = [(a, b) for a, b in zip(bounds, bounds[1:]) if lengths[a] >= 2]
-        self._lengths = lengths
-        id_of = {tok: i for i, tok in enumerate(self.tokens)}
-        self._parent = np.fromiter(
-            (id_of[tok[:-1]] if len(tok) > 1 else -1 for tok in self.tokens), np.int32, len(self.tokens)
-        )
-        # Id of the run suffix of each start: the deepest candidate it counts.
-        self._suffix = array("i")
-        for u, unit in enumerate(self._units):
-            marked = unit + WORD_MARKER
-            for j in range(self._unit_offsets[u], self._unit_offsets[u + 1]):
-                self._suffix.append(id_of[marked[starts[j] : stops[j]]])
-        self.base_ids = [id_of[tok] for tok in base]
-        del id_of
-
-        # Summed frequency of the active starts whose run suffix each id is.
-        self._suffix_counts = np.zeros(len(self.tokens), np.int64)
-        weights = np.repeat(np.asarray(self._freqs, np.int64), np.diff(self._unit_offsets))
-        np.add.at(self._suffix_counts, np.frombuffer(self._suffix, np.int32), weights)
-        self._current = np.zeros(len(self.tokens), bool)  # selected ids in the token set
-
-    def counts(self) -> np.ndarray:
-        """Candidate counts under the current segmentation."""
-        counts = self._suffix_counts.copy()
-        for first, last in self._blocks:
-            np.add.at(counts, self._parent[first:last], counts[first:last])
-        return counts
-
-    def select(self, counts: np.ndarray, min_count: int | None) -> tuple[np.ndarray, np.ndarray]:
-        """Candidates of length >= 2 whose count, discounted by the selected
-        candidates they prefix, reaches min_count (all of them when None),
-        and the discounted counts."""
-        carry = np.zeros_like(counts)
-        adjusted = np.zeros_like(counts)
-        selected = np.zeros(len(counts), bool)
-        for first, last in self._blocks:
-            block = slice(first, last)
-            np.subtract(counts[block], carry[block], out=adjusted[block])
-            if min_count is None:
-                selected[block] = True
-                pushed = counts[block]
-            else:
-                np.greater_equal(adjusted[block], min_count, out=selected[block])
-                pushed = carry[block] + adjusted[block] * selected[block]
-            np.add.at(carry, self._parent[block], pushed)
-        return selected, adjusted
-
-    def move_to(self, selected: np.ndarray) -> None:
-        """Re-segment the units that contain a token whose membership in the
-        current set (base tokens plus selected) changes."""
-        changed = np.flatnonzero(selected != self._current)
-        if not len(changed):
-            return
-        for i in changed.tolist():
-            if selected[i]:
-                self._index.add(self.tokens[i])
-            else:
-                self._index.discard(self.tokens[i])
-        self._current = selected
-        longest = int(np.argmax(selected))  # ids run longest first
-        max_len = int(self._lengths[longest]) if selected[longest] else 1
-        # A unit holds a changed token iff some run suffix of it descends
-        # from one; mark descendants shortest block first.
-        reach = np.zeros(len(self.tokens), bool)
-        reach[changed] = True
-        for first, last in reversed(self._blocks):
-            reach[first:last] |= reach[self._parent[first:last]]
-        hits = reach[np.frombuffer(self._suffix, np.int32)]
-        touched = np.logical_or.reduceat(hits, np.frombuffer(self._unit_offsets, np.int32)[:-1])
-        ids, weights = [], []
-        for u in np.flatnonzero(touched).tolist():
-            unit = self._units[u]
-            unsafe = _unsafe_mask(unit)
-            now = {start for start, _end in _segment_boundaries(unit + WORD_MARKER, unsafe, self._index, max_len)}
-            for j in range(self._unit_offsets[u], self._unit_offsets[u + 1]):
-                active = self._starts[j] in now
-                if active != self._active[j]:
-                    self._active[j] = active
-                    ids.append(self._suffix[j])
-                    weights.append(self._freqs[u] if active else -self._freqs[u])
-        if ids:
-            np.add.at(self._suffix_counts, ids, weights)
-
-
-class WordpieceLearner:
-    """Reusable learner bound to one unit-frequency table.
-
-    Candidate units survive at descending minimum-frequency thresholds; a
-    unit is ranked by the highest threshold at which it first survives, then
-    by its discounted count there.  The resulting ranking is the same for
-    every target size, so vocabularies of different sizes cut from it are
-    nested, and any target up to the inventory size is hit exactly.
-    """
-
-    def __init__(self, unit_counts: Counter, refine_iterations: int = 4):
-        if not unit_counts:
-            raise ValueError("cannot learn a vocabulary from an empty corpus")
-        chars = set()
-        for unit in unit_counts:
-            chars.update(unit)
-        chars -= {"\\", WORD_MARKER}
-        self._base = sorted(chars.union(ESCAPE_TOKENS))
-        self._unit_counts: Counter | None = unit_counts
-        self._refine_iterations = refine_iterations
-        self._max_count = max(unit_counts.values())
-        self._ranking: list[str] | None = None
-        # Threshold-1 counts, aligned with the ranking and with the base.
-        self._ranked_raw: np.ndarray | None = None
-        self._base_raw: list[int] = []
-
-    @classmethod
-    def from_corpora(
-        cls,
-        corpora: Sequence[Iterable[str]],
-        max_train_sentences: int = 20_000_000,
-        refine_iterations: int = 4,
-    ) -> "WordpieceLearner":
-        if not corpora:
-            raise ValueError("cannot learn a vocabulary from an empty corpus")
-        counts = _count_units(corpora, max_train_sentences)
-        return cls(counts, refine_iterations)
-
-    @property
-    def base_tokens(self) -> list[str]:
-        return list(self._base)
-
-    def _thresholds(self) -> list[int]:
-        ladder = []
-        level = self._max_count
-        while level >= 2:
-            ladder.append(level)
-            level //= 2
-        ladder.append(1)
-        return ladder
-
-    def _canonical_ranking(self) -> list[str]:
-        if self._ranking is not None:
-            return self._ranking
-        builder = _CandidateBuilder(self._unit_counts, self._base)
-        # Pass 1 starts from the base at every threshold, so its counts are
-        # shared; selecting everything from them is the threshold-1 build.
-        first_counts = builder.counts()
-        everything, raw = builder.select(first_counts, None)
-        raw[builder.base_ids] = first_counts[builder.base_ids]
-        ranked = np.zeros(len(raw), bool)
-        ranked[builder.base_ids] = True
-        levels = []
-        for threshold in self._thresholds():
-            if threshold <= 1:
-                selected, adjusted = everything, raw
-            else:
-                selected, adjusted = builder.select(first_counts, threshold)
-                previous = np.zeros_like(selected)
-                for _ in range(self._refine_iterations - 1):
-                    if np.array_equal(selected, previous):
-                        break  # a fixed point: further passes repeat it
-                    builder.move_to(selected)
-                    previous = selected
-                    selected, adjusted = builder.select(builder.counts(), threshold)
-            new = np.flatnonzero(selected & ~ranked)
-            new = new[np.lexsort((builder.lex_rank[new], -adjusted[new]))]
-            ranked[new] = True
-            levels.append(new)
-        order = np.concatenate(levels)
-        self._ranking = [builder.tokens[i] for i in order.tolist()]
-        self._ranked_raw = raw[order]
-        self._base_raw = raw[builder.base_ids].tolist()
-        self._unit_counts = None  # no counting state outlives the ranking
-        return self._ranking
-
-    def learn(self, spec: VocabSpec) -> Vocabulary:
-        ranking = self._canonical_ranking()
-        base = self._base
-        target = spec.target_size
-        if target < len(base):
-            raise ValueError(f"target_size {target} is below the alphabet size {len(base)}")
-        wanted = target - len(base)
-        selected = ranking[:wanted]
-        size = len(base) + len(selected)
-        within = abs(size - target) <= spec.tolerance * target
-        if not within:
-            warnings.warn(
-                f"vocabulary size {size} misses target {target} beyond tolerance "
-                f"{spec.tolerance:.2%}; returning the closest achieved size",
-                stacklevel=3,
-            )
-        raw = self._ranked_raw[:wanted].tolist() + self._base_raw
-        ordered = sorted(zip((-count for count in raw), selected + base))
-        return Vocabulary([tok for _count, tok in ordered], within_tolerance=within)
-
-
-def learn_wordpiece(corpora: Sequence[Iterable[str]], spec: VocabSpec) -> Vocabulary:
-    """Learn a wordpiece vocabulary of roughly spec.target_size tokens.
-
-    Multiple corpora are treated as one concatenated stream; counting stops
-    after spec.max_train_sentences sentences.  The result always contains
-    every observed character and the full escape alphabet, and its
-    within_tolerance flag records whether the size contract was met.
-    """
-    learner = WordpieceLearner.from_corpora(
-        corpora, spec.max_train_sentences, spec.refine_iterations
-    )
-    return learner.learn(spec)
+def __getattr__(name: str):
+    if name in ("_CandidateBuilder", "WordpieceLearner", "learn_wordpiece"):  # loads numpy on first use
+        from . import wordpiece_learner
+        return getattr(wordpiece_learner, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -552,3 +552,39 @@ def test_config_bad_byte_names_file_and_line(texts, capsys):
     ])
     assert code == 1
     assert f"{config}: line 2: invalid UTF-8" in capsys.readouterr().err
+
+
+def test_config_value_is_converted_by_the_flag_type(texts, capsys, monkeypatch):
+    # A path that looks like a number stays a path, and is hashed as an output.
+    monkeypatch.chdir(texts)
+    config = texts / "run.conf"
+    config.write_text("out = 2024\n", encoding="utf-8")
+    assert main([
+        "--config", str(config),
+        "eval", "bleu", "--candidates", str(texts / "cand.txt"), "--references", str(texts / "refs.txt"),
+    ]) == 0
+    assert (texts / "2024").read_text(encoding="utf-8").startswith("score\t")
+    manifest = json.loads((texts / "2024.manifest.json").read_text(encoding="utf-8"))
+    assert set(manifest["outputs"]) == {"2024"}
+
+
+def test_config_key_reaches_only_commands_with_that_flag(texts):
+    config = texts / "run.conf"
+    config.write_text("seed = 5\n", encoding="utf-8")
+    assert main([
+        "--config", str(config),
+        "learn-bpe", "--input", str(texts / "train.txt"), "--merges", "2", "--out", str(texts / "t.merges"),
+    ]) == 0
+    manifest = json.loads((texts / "t.merges.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["seed"] is None
+
+
+def test_config_unknown_key_names_file_and_line(texts, capsys):
+    config = texts / "run.conf"
+    config.write_text("smoothing = none\n\nsmothing = none\n", encoding="utf-8")
+    code = main([
+        "--config", str(config),
+        "eval", "bleu", "--candidates", str(texts / "cand.txt"), "--references", str(texts / "refs.txt"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"xfervocab: error: {config}: line 3: no command has a --smothing flag\n"

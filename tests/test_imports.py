@@ -1,0 +1,122 @@
+"""The package surface: every exported name still resolves, the learner keeps
+its old import path, the steps that never compute with numpy start without
+it, and every demo runs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import xfervocab
+import xfervocab.wordpiece as wordpiece
+import xfervocab.wordpiece_learner as wordpiece_learner
+from tests.conftest import desk_parallel
+from xfervocab.bpe import learn_bpe
+from xfervocab.corpus import write_parallel
+from xfervocab.wordpiece import Vocabulary
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Every name the package exported when its `__init__` imported each module.
+EXPORTED = """
+MergeRule MergeTable apply_bpe enumerate_substrings learn_bpe segment_sentence FilterReport ParallelCorpus
+corrupt_word_order filter_by_subword_length filter_by_word_length load_parallel load_parallel_tsv make_pseudo_related
+mix_with_oversample sample_equal subsample write_parallel write_parallel_tsv OverlapBreakdown length_filter_impact
+overlap_breakdown segmentation_rate unicode_range_predicate vocab_usage AlignmentError CorpusDecodeError
+CorpusFormatError EmbeddingShapeError EscapeDecodeError SampleSizeError XfervocabError BleuReport LearningCurve
+SignificanceResult TokenOverlap bleu paired_bootstrap should_stop token_overlap_analysis MergedBuildReport
+build_balanced_vocab build_merged_vocab merge_vocabs VocabMapping emit_transfer_bundle load_embeddings
+map_vocabularies save_embeddings_binary save_embeddings_tsv transform_vocab Vocabulary VocabSpec WordpieceLearner
+apply_wordpiece detokenize learn_wordpiece
+""".split()
+
+
+def run_python(args, cwd=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+def test_every_old_export_resolves():
+    assert sorted(EXPORTED) == xfervocab.__all__
+    for name in EXPORTED:
+        module = xfervocab._MODULE_OF[name]
+        assert getattr(xfervocab, name) is getattr(sys.modules[f"xfervocab.{module}"], name)
+    with pytest.raises(AttributeError):
+        xfervocab.no_such_name
+
+
+def test_learner_keeps_its_wordpiece_import_path():
+    for name in ("_CandidateBuilder", "WordpieceLearner", "learn_wordpiece"):
+        assert getattr(wordpiece, name) is getattr(wordpiece_learner, name)
+    with pytest.raises(AttributeError):
+        wordpiece.no_such_name
+
+
+def test_import_leaves_numpy_unimported():
+    result = run_python(["-c", "import xfervocab, xfervocab.cli, sys; assert 'numpy' not in sys.modules"])
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.fixture(scope="module")
+def step_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("steps")
+    corpus = desk_parallel(3, n_sentences=60, n_types=40)
+    write_parallel(corpus, root / "a.src", root / "a.tgt")
+    learn_bpe([list(corpus.sources)], 30).save(root / "t.merges")
+    Vocabulary.with_ascii_fallback(["the", "ing_", "er"]).save(root / "v.txt")
+    return root
+
+
+NUMPY_FREE_STEPS = {
+    "apply-wp": "apply-wp --vocab {d}/v.txt --input {d}/a.src --out {d}/a.wp",
+    "apply-bpe": "apply-bpe --table {d}/t.merges --input {d}/a.src --out {d}/a.bpe",
+    "corpus filter": (
+        "corpus filter --source {d}/a.src --target {d}/a.tgt --max-words 20 --max-subwords 40 --vocab {d}/v.txt "
+        "--out-tsv {d}/f.tsv"
+    ),
+    "diag rate": "diag rate --vocab {d}/v.txt --input {d}/a.src --out {d}/rate.tsv",
+    "corpus pseudo": (
+        "corpus pseudo --source {d}/a.src --target {d}/a.tgt --keep-percent 0.5 --seed 1 --out-tsv {d}/p.tsv"
+    ),
+}
+
+
+@pytest.mark.parametrize("step", NUMPY_FREE_STEPS)
+def test_step_runs_without_numpy(step_inputs, step):
+    script = (
+        "import sys; from xfervocab.cli import main; "
+        "code = main(sys.argv[1:]); print('numpy' in sys.modules); sys.exit(code)"
+    )
+    result = run_python(["-c", script, *NUMPY_FREE_STEPS[step].format(d=step_inputs).split()])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda path: path.name)
+def test_demo_exits_0(demo, tmp_path):
+    result = run_python([str(demo)], cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+
+
+def test_handlers_call_the_names_set_on_the_cli_module(monkeypatch, tmp_path):
+    # Wrapping a library function as an attribute of `xfervocab.cli`, as a
+    # tracer does, reaches the handler, whether or not it has loaded yet.
+    import xfervocab.cli as cli
+    import xfervocab.mteval as mteval
+
+    calls = []
+
+    def wrapped_bleu(*args, **kwargs):
+        calls.append(args[0])
+        return mteval.bleu(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "bleu", wrapped_bleu, raising=False)
+    (tmp_path / "c.txt").write_text("a b c\n", encoding="utf-8")
+    files = ["--candidates", str(tmp_path / "c.txt"), "--references", str(tmp_path / "c.txt")]
+    assert cli.main(["eval", "bleu", *files]) == 0
+    assert calls == [["a b c"]]

@@ -9,9 +9,10 @@ import warnings
 from collections import defaultdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import xfervocab.wordpiece as wordpiece
 from xfervocab.errors import EscapeDecodeError
 from xfervocab.wordpiece import (
     ESCAPE_TOKENS,
@@ -21,6 +22,7 @@ from xfervocab.wordpiece import (
     WordpieceLearner,
     _count_units,
     _escape_char,
+    _is_alnum,
     _segment_boundaries,
     _unsafe_mask,
     apply_wordpiece,
@@ -174,6 +176,69 @@ def test_pretokenize_splits_punctuation_and_keeps_double_spaces():
     assert pretokenize("a b") == ["a", "b"]
     assert pretokenize("a  b") == ["a", "  ", "b"]
     assert pretokenize(" a") == [" ", "a"]
+
+
+def oracle_pretokenize(text):
+    """The per-character loop pretokenize replaced: a one-space run is kept
+    only at the start or end of the text."""
+    if not text:
+        return []
+    units = []
+    start = 0
+    prev_alnum = _is_alnum(text[0])
+    for pos in range(1, len(text)):
+        cur_alnum = _is_alnum(text[pos])
+        if cur_alnum != prev_alnum:
+            unit = text[start:pos]
+            if unit != " " or start == 0:
+                units.append(unit)
+            start = pos
+            prev_alnum = cur_alnum
+    units.append(text[start:])
+    return units
+
+
+PRETOKENIZE_PIECES = st.one_of(
+    st.characters(exclude_categories=("Cs",)),
+    st.sampled_from([" ", "  ", "\t", "\r\n", "_", "\\", "\u0301", "e\u0301", "7", "٣", "a", "."]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(PRETOKENIZE_PIECES, max_size=20).map("".join))
+@example("a ")
+@example(" a ")
+@example(" ")
+@example("a b c")
+@example("a_ b\\ c")
+def test_pretokenize_matches_character_loop(text):
+    assert pretokenize(text) == oracle_pretokenize(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vocab=segment_vocabs, texts=st.lists(st.text(SEGMENT_ALPHABET, max_size=30), max_size=6))
+def test_apply_through_warm_cache_matches_fresh_vocabulary_and_oracle(vocab, texts):
+    for text in texts + texts:  # the second round reads only remembered units
+        assert apply_wordpiece(vocab, text) == apply_wordpiece(Vocabulary(vocab.tokens), text)
+        assert apply_wordpiece(vocab, text) == oracle_apply(vocab, text)
+
+
+def test_mutating_a_result_leaves_later_results_unchanged(czech_vocab):
+    first = apply_wordpiece(czech_vocab, SENTENCE)
+    first.append("x")
+    first[0] = "y"
+    assert apply_wordpiece(czech_vocab, SENTENCE) == CZECH_TOKENS
+
+
+def test_unit_cache_stops_growing_at_its_bound(monkeypatch):
+    monkeypatch.setattr(wordpiece, "_UNIT_CACHE_SIZE", 5)
+    vocab = Vocabulary.with_ascii_fallback(["ab", "ba_"])
+    units = ["".join(random.Random(i).choices("ab", k=6)) for i in range(40)]
+    for unit in units:
+        assert apply_wordpiece(vocab, unit) == oracle_apply(vocab, unit)
+    assert len(vocab._units) == 5
+    assert apply_wordpiece(vocab, " ".join(units)) == oracle_apply(vocab, " ".join(units))
+    assert len(vocab._units) == 5
 
 
 def test_vocabulary_validation():
