@@ -569,7 +569,15 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
                 parsers.extend(action.choices.values())
     values = _load_config(path, {a.dest for each in parsers for a in each._actions if a.option_strings})
     for each in parsers:
-        each.set_defaults(**{a.dest: values[a.dest] for a in each._actions if a.dest in values})
+        each.set_defaults(**{a.dest: _config_default(a, values[a.dest]) for a in each._actions if a.dest in values})
+
+
+def _config_default(action: argparse.Action, value: str):
+    """A list flag's value is its whitespace-separated items, each converted by
+    the flag's type; argparse converts a single string itself."""
+    if action.nargs in ("+", "*") or isinstance(action, argparse._AppendAction):
+        return [action.type(item) if action.type else item for item in value.split()]
+    return value
 
 
 def main(argv: list[str] | None = None) -> int:

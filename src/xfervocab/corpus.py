@@ -161,8 +161,8 @@ def sample_equal(a: ParallelCorpus, b: ParallelCorpus, per_side: int, seed: int)
             f"per_side {per_side} exceeds the smaller corpus size {min(len(a), len(b))}"
         )
     rng = random.Random(seed)
-    picked_a = [a.pairs[i] for i in rng.sample(range(len(a)), per_side)]
-    picked_b = [b.pairs[i] for i in rng.sample(range(len(b)), per_side)]
+    picked_a = [(a.sources[i], a.targets[i]) for i in rng.sample(range(len(a)), per_side)]
+    picked_b = [(b.sources[i], b.targets[i]) for i in rng.sample(range(len(b)), per_side)]
     source_lang = a.source_lang if a.source_lang == b.source_lang else "mixed"
     target_lang = a.target_lang if a.target_lang == b.target_lang else "mixed"
     return ParallelCorpus.from_pairs(picked_a + picked_b, source_lang, target_lang)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .corpus import ParallelCorpus, sample_equal
 from .wordpiece import Vocabulary, VocabSpec
-from .wordpiece_learner import WordpieceLearner
+from .wordpiece_learner import WordpieceLearner, learn_wordpiece
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,4 @@ def build_balanced_vocab(
     per_side = min(len(parent_corpus), len(child_corpus))
     mixed = sample_equal(parent_corpus, child_corpus, per_side, seed)
     spec = VocabSpec(target_size=target_size, tolerance=tolerance)
-    return learn_from_mixed(mixed, spec)
-
-
-def learn_from_mixed(mixed: ParallelCorpus, spec: VocabSpec) -> Vocabulary:
-    return WordpieceLearner.from_corpora([mixed.sources, mixed.targets]).learn(spec)
+    return learn_wordpiece([mixed.sources, mixed.targets], spec)

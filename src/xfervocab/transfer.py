@@ -20,7 +20,7 @@ import numpy as np
 from .errors import EmbeddingShapeError
 from .textio import read_lines
 from .wordpiece import VARIANTS, Vocabulary, VocabSpec, apply_wordpiece
-from .wordpiece_learner import WordpieceLearner
+from .wordpiece_learner import learn_wordpiece
 
 
 @dataclass(frozen=True)
@@ -52,31 +52,25 @@ class VocabMapping:
 
 
 def _levenshtein_matrix(parent_tokens: Sequence[str], child_tokens: Sequence[str]) -> np.ndarray:
-    """Pairwise edit distances, computed with a DP vectorized over all pairs."""
-    n_p, n_c = len(parent_tokens), len(child_tokens)
-    len_p = np.array([len(t) for t in parent_tokens], dtype=np.int64)
-    len_c = np.array([len(t) for t in child_tokens], dtype=np.int64)
+    """Pairwise edit distances, computed with a DP vectorized over all pairs.
+
+    Characters compare as code points, zero-padded to the longest token; the
+    padding is never read, because each parent's row is captured at its own
+    length and each child's column at its own length.  The layers hold the
+    narrowest unsigned integer that fits every cell (at most max_p + max_c).
+    """
+    len_p = np.array([len(t) for t in parent_tokens])
+    len_c = np.array([len(t) for t in child_tokens])
     max_p, max_c = int(len_p.max()), int(len_c.max())
+    dtype = np.min_scalar_type(max_p + max_c)
+    enc_p = np.array([[ord(ch) for ch in t.ljust(max_p, "\0")] for t in parent_tokens])
+    enc_c = np.array([[ord(ch) for ch in t.ljust(max_c, "\0")] for t in child_tokens])
 
-    codes = {}
-
-    def encode(tokens, width):
-        arr = np.zeros((len(tokens), width), dtype=np.int32)
-        for i, tok in enumerate(tokens):
-            for j, ch in enumerate(tok):
-                arr[i, j] = codes.setdefault(ch, len(codes) + 1)
-        return arr
-
-    enc_p = encode(parent_tokens, max_p)
-    enc_c = encode(child_tokens, max_c)
-
-    result = np.zeros((n_p, n_c), dtype=np.int64)
+    n_p, n_c = len(parent_tokens), len(child_tokens)
+    result = np.zeros((n_p, n_c), dtype=dtype)
     # prev[j] holds dp row (i) for all pairs at once, shape (max_c + 1, n_p, n_c)
-    prev = np.broadcast_to(np.arange(max_c + 1, dtype=np.int64)[:, None, None], (max_c + 1, n_p, n_c)).copy()
+    prev = np.broadcast_to(np.arange(max_c + 1, dtype=dtype)[:, None, None], (max_c + 1, n_p, n_c)).copy()
     cols = np.arange(n_c)
-    done_rows = len_p == 0
-    if done_rows.any():
-        result[done_rows] = prev[len_c, :, cols].T[done_rows]
     for i in range(1, max_p + 1):
         cur = np.empty_like(prev)
         cur[0] = i
@@ -86,8 +80,7 @@ def _levenshtein_matrix(parent_tokens: Sequence[str], child_tokens: Sequence[str
             cur[j] = np.minimum(np.minimum(prev[j] + 1, cur[j - 1] + 1), sub)
         prev = cur
         at_end = len_p == i
-        if at_end.any():
-            result[at_end] = prev[len_c, :, cols].T[at_end]
+        result[at_end] = prev[len_c, :, cols].T[at_end]
     return result
 
 
@@ -140,21 +133,19 @@ def map_vocabularies(
             if free_slots and remaining:
                 free_parents = [parent_tokens[slot] for slot in free_slots]
                 distances = _levenshtein_matrix(free_parents, remaining)
-                slot_open = np.ones(len(free_slots), dtype=bool)
-                child_open = np.ones(len(remaining), dtype=bool)
+                # Ascending distance, ties in slot order then child order.
+                order = np.argsort(distances, axis=None, kind="stable").tolist()
+                taken = [False] * len(remaining)
                 open_count = min(len(free_slots), len(remaining))
-                for dist in np.unique(distances):
-                    hits = np.argwhere(
-                        (distances == dist) & slot_open[:, None] & child_open[None, :]
-                    )
-                    for si, ci in hits:  # row-major: slot order, then child order
-                        if slot_open[si] and child_open[ci]:
-                            assignment[free_slots[si]] = remaining[ci]
-                            slot_open[si] = False
-                            child_open[ci] = False
-                            open_count -= 1
-                    if open_count == 0:
-                        break
+                for flat in order:
+                    si, ci = divmod(flat, len(remaining))
+                    slot = free_slots[si]
+                    if assignment[slot] is None and not taken[ci]:
+                        assignment[slot] = remaining[ci]
+                        taken[ci] = True
+                        open_count -= 1
+                        if open_count == 0:
+                            break
 
     entries = []
     for slot, token in enumerate(assignment):
@@ -181,7 +172,7 @@ def transform_vocab(
     """
     sentences = [list(part) for part in child_corpus]
     spec = VocabSpec(target_size=len(parent), tolerance=tolerance)
-    child = WordpieceLearner.from_corpora(sentences).learn(spec)
+    child = learn_wordpiece(sentences, spec)
     mapping = map_vocabularies(parent, child, variant, seed)
 
     observed: set[str] = set()

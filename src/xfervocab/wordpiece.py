@@ -10,10 +10,8 @@ which needs numpy; its public names still import from here.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
-import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,13 +34,10 @@ VARIANTS = ("frequency", "everything_random", "unmatched_random", "levenshtein")
 _UNIT_CACHE_SIZE = 1 << 16
 
 _ESCAPE_RE = re.compile(r"\\(\d+);")
-# Maximal runs of letters/digits ([^\W_] is exactly categories L, N) or of the rest.
-_RUN_RE = re.compile(r"[^\W_]+|[\W_]+")
-
-
-@functools.lru_cache(maxsize=None)
-def _is_alnum(ch: str) -> bool:
-    return unicodedata.category(ch)[0] in ("L", "N")
+# A letter or digit: [^\W_] is exactly Unicode categories L and N.
+_ALNUM_RE = re.compile(r"[^\W_]")
+# Maximal runs of letters/digits or of the rest.
+_RUN_RE = re.compile(_ALNUM_RE.pattern + r"+|[\W_]+")
 
 
 def pretokenize(text: str) -> list[str]:
@@ -237,7 +232,7 @@ def detokenize(tokens: Sequence[str]) -> str:
     units = [_decode_escapes(part) for part in parts]
     pieces = []
     for i, unit in enumerate(units):
-        if i > 0 and unit and units[i - 1] and _is_alnum(units[i - 1][0]) and _is_alnum(unit[0]):
+        if i > 0 and _ALNUM_RE.match(units[i - 1]) and _ALNUM_RE.match(unit):
             pieces.append(" ")
         pieces.append(unit)
     return "".join(pieces)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from xfervocab.cli import main
+from xfervocab.cli import _apply_config, build_parser, main
 
 
 def write(path, lines):
@@ -588,3 +588,57 @@ def test_config_unknown_key_names_file_and_line(texts, capsys):
     ])
     assert code == 1
     assert capsys.readouterr().err == f"xfervocab: error: {config}: line 3: no command has a --smothing flag\n"
+
+
+def test_config_list_flag_takes_whitespace_separated_items(texts, capsys):
+    # `char_range` is an append flag: each item is one range, as if repeated.
+    write(texts / "toy.vocab", ["the_", "cat_", "sat_", "on_", "mat_", *"abcdefghijklmnopqrstuvwxyz", *"\\;0123456789", "_"])
+    config = texts / "run.conf"
+    config.write_text("char_range = 0x61-0x62 0x74-0x74\n", encoding="utf-8")
+    usage = ["diag", "usage", "--vocab", str(texts / "toy.vocab"), "--input", str(texts / "refs.txt")]
+    assert main(["--config", str(config), *usage, "--out", str(texts / "conf.tsv")]) == 0
+    assert main([*usage, "--char-range", "0x61-0x62", "--char-range", "0x74-0x74", "--out", str(texts / "flags.tsv")]) == 0
+    assert main([*usage, "--char-range", "0x61-0x62", "--out", str(texts / "one.tsv")]) == 0
+    conf = (texts / "conf.tsv").read_text(encoding="utf-8")
+    assert conf == (texts / "flags.tsv").read_text(encoding="utf-8")
+    assert conf != (texts / "one.tsv").read_text(encoding="utf-8")
+
+
+def test_config_file_list_is_read_and_hashed_per_file(texts):
+    write(texts / "parent.vocab", ["a", "b", "c", "d", *"\\;0123456789", "_"])
+    write(texts / "c1.txt", ["a b a b", "b a"])
+    write(texts / "c2.txt", ["c d c", "d d"])
+    config = texts / "run.conf"
+    config.write_text(f"child = {texts / 'c1.txt'} {texts / 'c2.txt'}\n", encoding="utf-8")
+    transform = ["transform-vocab", "--parent-vocab", str(texts / "parent.vocab")]
+    assert main(["--config", str(config), *transform, "--out-dir", str(texts / "conf")]) == 0
+    assert main([*transform, "--child", str(texts / "c1.txt"), str(texts / "c2.txt"), "--out-dir", str(texts / "flags")]) == 0
+    for name in ("vocabulary.txt", "mapping.tsv"):
+        assert (texts / "conf" / name).read_bytes() == (texts / "flags" / name).read_bytes()
+    manifest = json.loads((texts / "conf.manifest.json").read_text(encoding="utf-8"))
+    assert {str(texts / "c1.txt"), str(texts / "c2.txt")} <= set(manifest["inputs"])
+
+
+def test_config_labels_reach_diag_overlap(texts, capsys):
+    write(texts / "ov.vocab", ["aa_", "bb_", *"ab", *"\\;0123456789", "_"])
+    write(texts / "la.txt", ["aa aa"])
+    write(texts / "lb.txt", ["bb bb"])
+    config = texts / "run.conf"
+    config.write_text("parent = plt\nchild = hy\n", encoding="utf-8")
+    overlap = ["diag", "overlap", "--vocab", str(texts / "ov.vocab"), "--min-count", "1",
+               "--corpus", f"plt={texts / 'la.txt'}", "--corpus", f"hy={texts / 'lb.txt'}"]
+    assert main(["--config", str(config), *overlap, "--out", str(texts / "conf.tsv")]) == 0
+    assert main([*overlap, "--parent", "plt", "--child", "hy", "--out", str(texts / "flags.tsv")]) == 0
+    conf = (texts / "conf.tsv").read_text(encoding="utf-8")
+    assert conf == (texts / "flags.tsv").read_text(encoding="utf-8")
+    assert "unused_by_child" in conf
+
+
+def test_config_items_of_a_repeatable_flag_come_first(texts):
+    config = texts / "run.conf"
+    config.write_text("parent = a b\n", encoding="utf-8")
+    parser = build_parser()
+    _apply_config(parser, str(config))
+    args = parser.parse_args(["diag", "overlap", "--vocab", "v", "--corpus", "a=f", "--parent", "c"])
+    assert args.parent == ["a", "b", "c"]
+    assert parser.parse_args(["diag", "overlap", "--vocab", "v", "--corpus", "a=f"]).parent == ["a", "b"]

@@ -5,9 +5,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xfervocab.errors import EmbeddingShapeError
 from xfervocab.transfer import (
+    MappingEntry,
+    VocabMapping,
     _levenshtein_matrix,
     emit_transfer_bundle,
     load_embeddings,
@@ -83,6 +87,112 @@ def test_levenshtein_matrix_matches_brute_force():
         for i, ta in enumerate(a):
             for j, tb in enumerate(b):
                 assert matrix[i, j] == brute_levenshtein(ta, tb)
+
+
+def oracle_levenshtein_matrix(parent_tokens, child_tokens):
+    """The int64 DP over per-call character codes that `_levenshtein_matrix` replaced."""
+    n_p, n_c = len(parent_tokens), len(child_tokens)
+    len_p = np.array([len(t) for t in parent_tokens], dtype=np.int64)
+    len_c = np.array([len(t) for t in child_tokens], dtype=np.int64)
+    max_p, max_c = int(len_p.max()), int(len_c.max())
+    codes = {}
+
+    def encode(tokens, width):
+        arr = np.zeros((len(tokens), width), dtype=np.int32)
+        for i, tok in enumerate(tokens):
+            for j, ch in enumerate(tok):
+                arr[i, j] = codes.setdefault(ch, len(codes) + 1)
+        return arr
+
+    enc_p = encode(parent_tokens, max_p)
+    enc_c = encode(child_tokens, max_c)
+    result = np.zeros((n_p, n_c), dtype=np.int64)
+    prev = np.broadcast_to(np.arange(max_c + 1, dtype=np.int64)[:, None, None], (max_c + 1, n_p, n_c)).copy()
+    cols = np.arange(n_c)
+    for i in range(1, max_p + 1):
+        cur = np.empty_like(prev)
+        cur[0] = i
+        chars_p = enc_p[:, i - 1][:, None]
+        for j in range(1, max_c + 1):
+            sub = prev[j - 1] + (chars_p != enc_c[:, j - 1][None, :])
+            cur[j] = np.minimum(np.minimum(prev[j] + 1, cur[j - 1] + 1), sub)
+        prev = cur
+        at_end = len_p == i
+        if at_end.any():
+            result[at_end] = prev[len_c, :, cols].T[at_end]
+    return result
+
+
+def oracle_levenshtein_mapping(parent, child):
+    """The levenshtein variant before the sorted walk: for each distinct
+    distance in ascending order, one row-major pass over the open cells."""
+    parent_tokens = parent.tokens
+    child_tokens = child.tokens[: len(parent_tokens)]
+    parent_set, child_set = set(parent_tokens), set(child_tokens)
+    assignment = [tok if tok in child_set else None for tok in parent_tokens]
+    free_slots = [slot for slot, tok in enumerate(assignment) if tok is None]
+    remaining = [tok for tok in child_tokens if tok not in parent_set]
+    if free_slots and remaining:
+        distances = oracle_levenshtein_matrix([parent_tokens[s] for s in free_slots], remaining)
+        slot_open = np.ones(len(free_slots), dtype=bool)
+        child_open = np.ones(len(remaining), dtype=bool)
+        open_count = min(len(free_slots), len(remaining))
+        for dist in np.unique(distances):
+            hits = np.argwhere((distances == dist) & slot_open[:, None] & child_open[None, :])
+            for si, ci in hits:
+                if slot_open[si] and child_open[ci]:
+                    assignment[free_slots[si]] = remaining[ci]
+                    slot_open[si] = False
+                    child_open[ci] = False
+                    open_count -= 1
+            if open_count == 0:
+                break
+    entries = []
+    for slot, token in enumerate(assignment):
+        parent_token = parent_tokens[slot]
+        if token is None:
+            entries.append(MappingEntry(slot, parent_token, parent_token, False, True))
+        else:
+            entries.append(MappingEntry(slot, parent_token, token, token == parent_token))
+    return VocabMapping(tuple(entries), "levenshtein")
+
+
+# Spaces, a Latin-1 letter and two astral code points; small, so ties and
+# shared tokens are common.
+LEV_TOKENS = st.text(st.sampled_from("ab c\u00e9\U0001F600\U00010348"), min_size=1, max_size=14)
+LEV_VOCABS = st.lists(LEV_TOKENS, min_size=1, max_size=24, unique=True).map(Vocabulary)
+LONG = "ab" * 130  # 260 characters: distances above 255 need uint16
+
+
+@settings(max_examples=300, deadline=None)
+@given(parent=LEV_VOCABS, child=LEV_VOCABS)
+@example(parent=Vocabulary([LONG, "a", "b"]), child=Vocabulary(["c", "b", LONG[:-1] + " "]))
+@example(parent=Vocabulary(["a \U0001F600", "b"]), child=Vocabulary(["\U0001F600", "a", "bb", "c", "é"]))
+def test_levenshtein_mapping_matches_per_distance_oracle(parent, child):
+    mapping = map_vocabularies(parent, child, "levenshtein")
+    oracle = oracle_levenshtein_mapping(parent, child)
+    assert mapping.to_tsv() == oracle.to_tsv()
+    assert [e.filled_from_parent for e in mapping.entries] == [e.filled_from_parent for e in oracle.entries]
+    matrix = _levenshtein_matrix(parent.tokens, child.tokens)
+    assert np.array_equal(matrix, oracle_levenshtein_matrix(parent.tokens, child.tokens))
+
+
+def test_levenshtein_matrix_widens_for_long_tokens():
+    matrix = _levenshtein_matrix([LONG, "a"], ["c", LONG + "a"])
+    assert matrix.dtype == np.uint16
+    assert matrix.tolist() == [[260, 1], [1, 260]]
+    assert _levenshtein_matrix(["abc"], ["abd", "x"]).dtype == np.uint8
+
+
+def test_levenshtein_all_ties_assign_in_slot_then_child_order():
+    # Every free parent is at distance 2 from every new child token; the
+    # last slot keeps its parent token because the child runs out.
+    parent = Vocabulary(["ab", "cd", "zz", "ef", "gh", "ij"])
+    child = Vocabulary(["wx", "zz", "yw", "vu", "ts"])
+    mapping = map_vocabularies(parent, child, "levenshtein")
+    assert mapping.output_tokens() == ["wx", "yw", "zz", "vu", "ts", "ij"]
+    assert [e.filled_from_parent for e in mapping.entries] == [False] * 5 + [True]
+    assert mapping.to_tsv() == oracle_levenshtein_mapping(parent, child).to_tsv()
 
 
 def test_levenshtein_zero_distance_equals_frequency_shared_set():

@@ -5,6 +5,7 @@ threshold ladder against a recount-from-scratch oracle."""
 
 import random
 import re
+import unicodedata
 import warnings
 from collections import defaultdict
 
@@ -22,7 +23,7 @@ from xfervocab.wordpiece import (
     WordpieceLearner,
     _count_units,
     _escape_char,
-    _is_alnum,
+    _ALNUM_RE,
     _segment_boundaries,
     _unsafe_mask,
     apply_wordpiece,
@@ -176,6 +177,16 @@ def test_pretokenize_splits_punctuation_and_keeps_double_spaces():
     assert pretokenize("a b") == ["a", "b"]
     assert pretokenize("a  b") == ["a", "  ", "b"]
     assert pretokenize(" a") == [" ", "a"]
+
+
+def _is_alnum(ch):
+    """The letter-or-digit predicate the tokenizer used before the regex class."""
+    return unicodedata.category(ch)[0] in ("L", "N")
+
+
+def test_alnum_class_is_unicode_letters_and_digits():
+    differ = [cp for cp in range(0x110000) if bool(_ALNUM_RE.match(chr(cp))) != _is_alnum(chr(cp))]
+    assert differ == []
 
 
 def oracle_pretokenize(text):
