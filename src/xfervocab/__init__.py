@@ -25,10 +25,8 @@ _EXPORTS = {
         "AlignmentError", "CorpusDecodeError", "CorpusFormatError", "EmbeddingShapeError", "EscapeDecodeError",
         "SampleSizeError", "XfervocabError",
     ),
-    "mteval": (
-        "BleuReport", "LearningCurve", "SignificanceResult", "TokenOverlap", "bleu", "paired_bootstrap",
-        "should_stop", "token_overlap_analysis",
-    ),
+    "evallite": ("LearningCurve", "TokenOverlap", "should_stop", "token_overlap_analysis"),
+    "mteval": ("BleuReport", "SignificanceResult", "bleu", "paired_bootstrap"),
     "sharedvocab": ("MergedBuildReport", "build_balanced_vocab", "build_merged_vocab", "merge_vocabs"),
     "transfer": (
         "VocabMapping", "emit_transfer_bundle", "load_embeddings", "map_vocabularies", "save_embeddings_binary",

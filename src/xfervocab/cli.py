@@ -12,10 +12,11 @@ A named output is always written: `merge-vocab --report` beside
 `--parent-vocab/--child-vocab`, and `--out-tsv` beside
 `--out-source/--out-target`, exit 1 naming the flag.
 
-The handlers of learn-wp, transform-vocab, merge-vocab, balanced-vocab and
-eval load the numpy modules they call on first use (`_load`); no other
-command imports numpy.  A `--config` key sets its flag's default where the
-flag exists; a key that no command has exits 1 naming the file and line.
+The handlers of learn-wp, transform-vocab, merge-vocab, balanced-vocab,
+eval bleu and eval bootstrap load the numpy modules they call on first use
+(`_load`); no other command imports numpy.  A `--config` key sets its
+flag's default where the flag exists; a key that no command has exits 1
+naming the file and line.
 
 Exit codes: 0 success, 1 operation error, 2 usage error.
 """
@@ -56,6 +57,7 @@ from .diagnostics import (
     vocab_usage,
 )
 from .errors import XfervocabError
+from .evallite import RELATIVE_TO, SMOOTHINGS, TOKENIZATIONS, LearningCurve, should_stop, token_overlap_analysis
 from .textio import read_lines
 from .wordpiece import VARIANTS, Vocabulary, VocabSpec, apply_wordpiece
 
@@ -282,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", type=_In, required=True)
     p.add_argument("--references", type=_In, required=True)
     p.add_argument("--n-max", type=int, default=4)
-    p.add_argument("--smoothing", choices=("none", "exponential"), default="exponential")
-    p.add_argument("--tokenize", choices=("none", "intl"), default="intl")
+    p.add_argument("--smoothing", choices=SMOOTHINGS, default="exponential")
+    p.add_argument("--tokenize", choices=TOKENIZATIONS, default="intl")
     p.add_argument("--out", type=_Out, help="TSV output")
     p = ev.add_parser("bootstrap", help="paired bootstrap significance test")
     p.add_argument("--candidates-a", type=_In, required=True)
@@ -292,14 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tokenize", choices=("none", "intl"), default="intl")
+    p.add_argument("--tokenize", choices=TOKENIZATIONS, default="intl")
     p.add_argument("--out", type=_Out, help="TSV output")
     p = ev.add_parser("stop", help="learning-curve stopping criterion")
     p.add_argument("--curve", type=_In, required=True, help="TSV with step<TAB>score rows")
     p.add_argument("--window-frac", type=float, default=0.5)
     p.add_argument("--delta-frac", type=float, default=0.005)
     p.add_argument("--min-evals", type=int, default=4)
-    p.add_argument("--relative-to", choices=("global", "prewindow"), default="global")
+    p.add_argument("--relative-to", choices=RELATIVE_TO, default="global")
     p.add_argument("--out", type=_Out, help="TSV output")
     p = ev.add_parser("token-analysis", help="child output token overlap classes")
     p.add_argument("--child", type=_In, required=True)
@@ -498,7 +500,8 @@ def _cmd_corpus(args):
 
 
 def _cmd_eval(args):
-    _load("mteval")
+    if args.eval_command in ("bleu", "bootstrap"):
+        _load("mteval")
     if args.eval_command == "bleu":
         candidates = read_lines(args.candidates)
         references = read_lines(args.references)

@@ -1,5 +1,5 @@
-"""MT evaluation statistics: corpus BLEU, paired bootstrap resampling,
-the learning-curve stopping criterion, and output token analysis.
+"""MT evaluation statistics: corpus BLEU and paired bootstrap resampling.
+The stopping criterion and token analysis live, without numpy, in `evallite`.
 
 BLEU accumulates clipped n-gram matches at the document level and applies
 the brevity penalty exp(1 - L_ref/L_sys) when the output is not longer
@@ -10,20 +10,15 @@ international tokenization that pads punctuation not surrounded by digits.
 
 from __future__ import annotations
 
-import math
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import CorpusFormatError
-from .textio import read_lines
-
-TOKENIZATIONS = ("none", "intl")
-SMOOTHINGS = ("none", "exponential")
+from .evallite import SMOOTHINGS, TOKENIZATIONS
+from .evallite import LearningCurve, TokenOverlap, should_stop, token_overlap_analysis  # noqa: F401 (re-exported)
 
 _PUNCT_NORMALIZATION = {
     "‘": "'", "’": "'", "‚": "'", "“": '"', "”": '"',
@@ -104,43 +99,6 @@ class SignificanceResult:
         )
 
 
-@dataclass(frozen=True)
-class LearningCurve:
-    points: tuple[tuple[int, float], ...]
-
-    def __post_init__(self):
-        steps = [step for step, _ in self.points]
-        if any(b <= a for a, b in zip(steps, steps[1:])):
-            raise ValueError("learning curve steps must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    @classmethod
-    def from_tsv(cls, path: str | Path) -> "LearningCurve":
-        points = []
-        for i, line in enumerate(read_lines(path), start=1):
-            step, _, score = line.partition("\t")
-            if step == "step":  # header
-                continue
-            try:
-                point = (int(step), float(score))
-            except ValueError:
-                raise CorpusFormatError(f"{path}: line {i}: expected step<TAB>score") from None
-            if points and point[0] <= points[-1][0]:
-                raise CorpusFormatError(
-                    f"{path}: line {i}: step {point[0]} does not follow step {points[-1][0]};"
-                    " learning curve steps must be strictly increasing"
-                )
-            points.append(point)
-        return cls(tuple(points))
-
-    def to_tsv(self) -> str:
-        lines = ["step\tscore"]
-        lines += [f"{step}\t{score!r}" for step, score in self.points]
-        return "\n".join(lines) + "\n"
-
-
 def _normalize_references(references, n_sentences: int) -> list[list[str]]:
     refs = list(references)
     if refs and isinstance(refs[0], str):
@@ -154,45 +112,40 @@ def _normalize_references(references, n_sentences: int) -> list[list[str]]:
     return per_sentence
 
 
-def _ngram_counts(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_counts(tokens: list[str], n_max: int) -> Counter:
+    """Every n-gram of orders 1..n_max in one table; a gram's length is its order."""
+    return Counter(tuple(tokens[i : i + n]) for n in range(1, n_max + 1) for i in range(len(tokens) - n + 1))
 
 
-def sentence_stats(
-    candidates: Sequence[str],
-    references,
-    n_max: int = 4,
-    tokenization: str = "intl",
-) -> np.ndarray:
+def _corpora_stats(corpora: Sequence[Sequence[str]], references, n_max: int, tokenization: str) -> np.ndarray:
+    """sentence_stats of each corpus, stacked; each reference is tokenized and counted once for all."""
+    refs = _normalize_references(references, len(corpora[0]))
+    if not refs:
+        raise ValueError("cannot score an empty corpus")
+    stats = np.zeros((len(corpora), len(refs), 2 * n_max + 2), dtype=np.int64)
+    for i, ref_group in enumerate(refs):
+        ref_tokens = [_tokenize(r, tokenization) for r in ref_group]
+        clip: Counter = Counter()  # each gram's highest count in one reference
+        for tokens in ref_tokens:
+            clip |= _ngram_counts(tokens, n_max)
+        for corpus_stats, candidates in zip(stats, corpora):
+            tokens = _tokenize(candidates[i], tokenization)
+            sys_len = len(tokens)
+            row = [0] * n_max + [max(sys_len - n, 0) for n in range(n_max)]
+            for gram, matches in (_ngram_counts(tokens, n_max) & clip).items():
+                row[len(gram) - 1] += matches
+            ref_len = min((len(r) for r in ref_tokens), key=lambda L: (abs(L - sys_len), L))
+            corpus_stats[i] = row + [sys_len, ref_len]
+    return stats
+
+
+def sentence_stats(candidates: Sequence[str], references, n_max: int = 4, tokenization: str = "intl") -> np.ndarray:
     """Per-sentence sufficient statistics for corpus BLEU.
 
     Columns: matches_1..n, totals_1..n, sys_len, ref_len.  ref_len uses the
     reference closest in length to the candidate (ties prefer the shorter).
     """
-    if len(candidates) == 0:
-        raise ValueError("cannot score an empty corpus")
-    refs = _normalize_references(references, len(candidates))
-    stats = np.zeros((len(candidates), 2 * n_max + 2), dtype=np.int64)
-    for i, (cand, ref_group) in enumerate(zip(candidates, refs)):
-        cand_tokens = _tokenize(cand, tokenization)
-        ref_tokens = [_tokenize(r, tokenization) for r in ref_group]
-        sys_len = len(cand_tokens)
-        ref_len = min((len(r) for r in ref_tokens), key=lambda L: (abs(L - sys_len), L))
-        for n in range(1, n_max + 1):
-            cand_ngrams = _ngram_counts(cand_tokens, n)
-            matches = 0
-            if cand_ngrams:
-                clip: Counter = Counter()
-                for r in ref_tokens:
-                    for gram, count in _ngram_counts(r, n).items():
-                        if count > clip[gram]:
-                            clip[gram] = count
-                matches = sum(min(count, clip[gram]) for gram, count in cand_ngrams.items())
-            stats[i, n - 1] = matches
-            stats[i, n_max + n - 1] = sum(cand_ngrams.values())
-        stats[i, 2 * n_max] = sys_len
-        stats[i, 2 * n_max + 1] = ref_len
-    return stats
+    return _corpora_stats([candidates], references, n_max, tokenization)[0]
 
 
 def _scores_from_sums(
@@ -307,8 +260,9 @@ def paired_bootstrap(
         raise ValueError(f"system A has {len(cand_a)} sentences but system B has {len(cand_b)}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    references = _normalize_references(references, len(cand_a))
-    stats = [sentence_stats(cand, references, n_max, tokenization) for cand in (cand_a, cand_b)]
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must be in (0, 1)")
+    stats = _corpora_stats([cand_a, cand_b], references, n_max, tokenization)
     scores_a, scores_b = _resample_scores(stats, samples, seed, smoothing)
 
     wins_a = int(np.sum(scores_a > scores_b))
@@ -321,85 +275,3 @@ def paired_bootstrap(
     else:
         better = "none"
     return SignificanceResult(wins_a, wins_b, ties, samples, better, alpha)
-
-
-def should_stop(
-    curve: LearningCurve | Sequence[tuple[int, float]],
-    window_frac: float = 0.5,
-    delta_frac: float = 0.005,
-    min_evals: int = 4,
-    relative_to: str = "global",
-) -> tuple[bool, int]:
-    """Stop when the best score inside the most recent window improves on the
-    best outside it by no more than delta_frac of the maximal reached score.
-
-    Returns (stop, best_step) where best_step is the step of the global
-    maximum.  relative_to selects the delta denominator: "global" (the
-    maximum anywhere) or "prewindow" (the maximum before the window).
-    """
-    points = list(curve.points if isinstance(curve, LearningCurve) else curve)
-    if not points:
-        raise ValueError("cannot evaluate an empty learning curve")
-    if relative_to not in ("global", "prewindow"):
-        raise ValueError("relative_to must be 'global' or 'prewindow'")
-    scores = [score for _, score in points]
-    best_index = max(range(len(scores)), key=lambda i: (scores[i], -i))
-    best_step = points[best_index][0]
-
-    t = len(points)
-    window = math.ceil(window_frac * t)
-    if t < min_evals or window >= t:
-        return False, best_step
-    inside = max(scores[t - window :])
-    outside = max(scores[: t - window])
-    denominator = max(scores) if relative_to == "global" else outside
-    return inside - outside <= delta_frac * denominator, best_step
-
-
-@dataclass(frozen=True)
-class TokenOverlap:
-    """Child output tokens classed by their confirmation source."""
-
-    baseline_and_reference: int
-    baseline_only: int
-    reference_only: int
-    neither: int
-
-    @property
-    def total(self) -> int:
-        return self.baseline_and_reference + self.baseline_only + self.reference_only + self.neither
-
-    def to_tsv(self) -> str:
-        return (
-            "baseline_and_reference\tbaseline_only\treference_only\tneither\ttotal\n"
-            f"{self.baseline_and_reference}\t{self.baseline_only}\t{self.reference_only}\t"
-            f"{self.neither}\t{self.total}\n"
-        )
-
-
-def token_overlap_analysis(
-    child_out: Sequence[Sequence[str]],
-    baseline_out: Sequence[Sequence[str]],
-    reference: Sequence[Sequence[str]],
-) -> TokenOverlap:
-    """Classify every child output token by whether the baseline output and
-    the reference confirm it, with per-sentence clipped multiset matching."""
-    if not (len(child_out) == len(baseline_out) == len(reference)):
-        raise ValueError(
-            f"sentence counts differ: child {len(child_out)}, baseline {len(baseline_out)}, "
-            f"reference {len(reference)}"
-        )
-    both = base_only = ref_only = neither = 0
-    for child, base, ref in zip(child_out, baseline_out, reference):
-        child_counts = Counter(child)
-        base_counts = Counter(base)
-        ref_counts = Counter(ref)
-        for token, count in child_counts.items():
-            in_base = min(count, base_counts[token])
-            in_ref = min(count, ref_counts[token])
-            overlap = min(in_base, in_ref)
-            both += overlap
-            base_only += in_base - overlap
-            ref_only += in_ref - overlap
-            neither += count - max(in_base, in_ref)
-    return TokenOverlap(both, base_only, ref_only, neither)

@@ -472,6 +472,10 @@ def test_manifest_records_each_command_shape(desk, argv, inputs, outputs, seed, 
          "give --per-side (two corpora) or --size (downscale one)"),
         (["transform-vocab", "--parent-vocab", "{d}/parent.vocab", "--out-dir", "{d}/e6"],
          "give --child corpus files or --child-vocab"),
+        (["eval", "stop", "--curve", "{d}/curve.tsv", "--window-frac", "0"], "window_frac must be in (0, 1]"),
+        (["eval", "bootstrap", "--candidates-a", "{d}/worse.txt", "--candidates-b", "{d}/refs.txt",
+          "--references", "{d}/refs.txt", "--samples", "50", "--seed", "4", "--alpha", "1"],
+         "alpha must be in (0, 1)"),
     ],
 )
 def test_cli_error_paths_exit_1(desk, capsys, argv, message):

@@ -1,6 +1,6 @@
-"""The package surface: every exported name still resolves, the learner keeps
-its old import path, the steps that never compute with numpy start without
-it, and every demo runs."""
+"""The package surface: every exported name still resolves, the learner and
+the numpy-free evaluation names keep their old import paths, the steps that
+never compute with numpy start without it, and every demo runs."""
 
 import os
 import subprocess
@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import xfervocab
+import xfervocab.evallite as evallite
+import xfervocab.mteval as mteval
 import xfervocab.wordpiece as wordpiece
 import xfervocab.wordpiece_learner as wordpiece_learner
 from tests.conftest import desk_parallel
@@ -57,6 +59,11 @@ def test_learner_keeps_its_wordpiece_import_path():
         wordpiece.no_such_name
 
 
+def test_evaluation_names_keep_their_mteval_import_path():
+    for name in (*xfervocab._EXPORTS["evallite"], "SMOOTHINGS", "TOKENIZATIONS"):
+        assert getattr(mteval, name) is getattr(evallite, name)
+
+
 def test_import_leaves_numpy_unimported():
     result = run_python(["-c", "import xfervocab, xfervocab.cli, sys; assert 'numpy' not in sys.modules"])
     assert result.returncode == 0, result.stderr
@@ -69,6 +76,7 @@ def step_inputs(tmp_path_factory):
     write_parallel(corpus, root / "a.src", root / "a.tgt")
     learn_bpe([list(corpus.sources)], 30).save(root / "t.merges")
     Vocabulary.with_ascii_fallback(["the", "ing_", "er"]).save(root / "v.txt")
+    (root / "curve.tsv").write_text("step\tscore\n1\t10\n2\t15\n3\t16\n4\t16.01\n", encoding="utf-8")
     return root
 
 
@@ -82,6 +90,10 @@ NUMPY_FREE_STEPS = {
     "diag rate": "diag rate --vocab {d}/v.txt --input {d}/a.src --out {d}/rate.tsv",
     "corpus pseudo": (
         "corpus pseudo --source {d}/a.src --target {d}/a.tgt --keep-percent 0.5 --seed 1 --out-tsv {d}/p.tsv"
+    ),
+    "eval stop": "eval stop --curve {d}/curve.tsv --out {d}/stop.tsv",
+    "eval token-analysis": (
+        "eval token-analysis --child {d}/a.src --baseline {d}/a.tgt --references {d}/a.src --out {d}/overlap.tsv"
     ),
 }
 

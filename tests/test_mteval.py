@@ -1,5 +1,6 @@
 """Evaluation statistics: hand-computed BLEU fixtures, an independent
-formula-level oracle, bootstrap behavior, and the stopping criterion."""
+formula-level oracle, the per-order statistics oracle, bootstrap behavior,
+and the stopping criterion."""
 
 import math
 import random
@@ -7,11 +8,18 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import xfervocab.mteval as mteval
 from xfervocab.mteval import (
+    TOKENIZATIONS,
     LearningCurve,
+    _corpora_stats,
+    _normalize_references,
     _resample_scores,
     _scores_from_sums,
+    _tokenize,
     bleu,
     paired_bootstrap,
     sentence_stats,
@@ -226,6 +234,90 @@ def test_sentence_stats_columns():
     assert stats.tolist() == [[2, 1, 3, 2, 3, 3]]
 
 
+def oracle_ngram_counts(tokens, n):
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def oracle_sentence_stats(candidates, references, n_max=4, tokenization="intl"):
+    """The per-order statistics loop sentence_stats used before one n-gram
+    table per sentence: a Counter per order and per reference, clipped with
+    a hand-written max."""
+    if len(candidates) == 0:
+        raise ValueError("cannot score an empty corpus")
+    refs = _normalize_references(references, len(candidates))
+    stats = np.zeros((len(candidates), 2 * n_max + 2), dtype=np.int64)
+    for i, (cand, ref_group) in enumerate(zip(candidates, refs)):
+        cand_tokens = _tokenize(cand, tokenization)
+        ref_tokens = [_tokenize(r, tokenization) for r in ref_group]
+        sys_len = len(cand_tokens)
+        ref_len = min((len(r) for r in ref_tokens), key=lambda L: (abs(L - sys_len), L))
+        for n in range(1, n_max + 1):
+            cand_ngrams = oracle_ngram_counts(cand_tokens, n)
+            matches = 0
+            if cand_ngrams:
+                clip: Counter = Counter()
+                for r in ref_tokens:
+                    for gram, count in oracle_ngram_counts(r, n).items():
+                        if count > clip[gram]:
+                            clip[gram] = count
+                matches = sum(min(count, clip[gram]) for gram, count in cand_ngrams.items())
+            stats[i, n - 1] = matches
+            stats[i, n_max + n - 1] = sum(cand_ngrams.values())
+        stats[i, 2 * n_max] = sys_len
+        stats[i, 2 * n_max + 1] = ref_len
+    return stats
+
+
+# Few distinct words, so grams repeat and clipping bites; punctuation and a
+# digit-comma-digit word make the two tokenizations differ.
+SENTENCES = st.lists(st.sampled_from(["a", "b", "ab", "a,", "b!", "1,5", "«a»"]), max_size=9).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(SENTENCES, SENTENCES, st.lists(SENTENCES, min_size=1, max_size=3)), min_size=1, max_size=6
+    ),
+    n_max=st.integers(1, 5),
+    tokenization=st.sampled_from(TOKENIZATIONS),
+)
+def test_sentence_stats_matches_per_order_oracle(rows, n_max, tokenization):
+    cand_a, cand_b, references = (list(column) for column in zip(*rows))
+    expected = [oracle_sentence_stats(cand, references, n_max, tokenization) for cand in (cand_a, cand_b)]
+    got = sentence_stats(cand_a, references, n_max, tokenization)
+    assert got.dtype == expected[0].dtype and np.array_equal(got, expected[0])
+    both = _corpora_stats([cand_a, cand_b], references, n_max, tokenization)
+    assert all(np.array_equal(g, e) for g, e in zip(both, expected, strict=True))
+
+
+def test_bootstrap_tokenizes_each_reference_once(monkeypatch):
+    tokenized = []
+
+    def counting_tokenize(text):
+        tokenized.append(text)
+        return tokenize_intl(text)
+
+    monkeypatch.setattr(mteval, "tokenize_intl", counting_tokenize)
+    refs = [f"reference number {i}, with words." for i in range(7)]
+    paired_bootstrap(refs, [r.replace("words", "birds") for r in refs], refs, samples=20, seed=0)
+    # Two candidates and one reference per sentence, not a reference per system.
+    assert len(tokenized) == 3 * len(refs)
+
+
+def test_empty_reference_group_raises():
+    with pytest.raises(ValueError):
+        sentence_stats(["a b"], [["a b"], []])
+    with pytest.raises(ValueError):
+        paired_bootstrap(["a", "b"], ["a", "b"], [["a"], []], samples=5, seed=0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, float("nan")])
+def test_bootstrap_alpha_outside_open_unit_interval_raises(alpha):
+    refs = [f"sentence number {i} about things" for i in range(10)]
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+        paired_bootstrap(refs, [""] * len(refs), refs, samples=50, alpha=alpha, seed=3)
+
+
 def test_should_stop_hand_curve():
     scores = [10, 15, 16, 16.01, 16.02, 16.03]
     curve = LearningCurve(tuple((i + 1, s) for i, s in enumerate(scores)))
@@ -261,6 +353,14 @@ def test_should_stop_prewindow_denominator():
     assert should_stop(curve, relative_to="prewindow")[0] is True
     with pytest.raises(ValueError):
         should_stop(curve, relative_to="elsewhere")
+
+
+@pytest.mark.parametrize("window_frac", [0.0, -0.5, 1.5, float("nan")])
+def test_should_stop_window_frac_outside_half_open_unit_interval_raises(window_frac):
+    points = [(i, float(i)) for i in range(1, 9)]
+    with pytest.raises(ValueError, match=r"window_frac must be in \(0, 1\]"):
+        should_stop(points, window_frac=window_frac)
+    assert should_stop(points, window_frac=1.0) == (False, 8)
 
 
 def test_should_stop_empty_curve():
