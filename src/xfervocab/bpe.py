@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CorpusFormatError
-from .textio import read_lines
+from .textio import read_lines, write_lines
 
 END_OF_WORD = "</w>"
 MERGE_FILE_HEADER = "#version: xfervocab-1"
@@ -47,8 +47,6 @@ class MergeRule(NamedTuple):
 
 class MergeTable:
     """Ordered BPE merge rules; order is both learning order and priority."""
-
-    eow_marker = END_OF_WORD
 
     def __init__(self, rules: Sequence[MergeRule | tuple[str, str]]):
         cleaned = [MergeRule(*rule) for rule in rules]
@@ -69,12 +67,7 @@ class MergeTable:
         return isinstance(other, MergeTable) and self.rules == other.rules
 
     def save(self, path: str | Path) -> None:
-        lines = [MERGE_FILE_HEADER]
-        for left, right in self.rules:
-            if " " in left or " " in right:
-                raise ValueError(f"rule ({left!r}, {right!r}) contains a space")
-            lines.append(f"{left} {right}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(path, [MERGE_FILE_HEADER] + [f"{left} {right}" for left, right in self.rules])
 
     @classmethod
     def load(cls, path: str | Path) -> "MergeTable":

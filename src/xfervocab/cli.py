@@ -58,7 +58,7 @@ from .diagnostics import (
 )
 from .errors import XfervocabError
 from .evallite import RELATIVE_TO, SMOOTHINGS, TOKENIZATIONS, LearningCurve, should_stop, token_overlap_analysis
-from .textio import read_lines
+from .textio import read_lines, render_tsv, write_lines, write_text
 from .wordpiece import VARIANTS, Vocabulary, VocabSpec, apply_wordpiece
 
 
@@ -80,10 +80,6 @@ def _sha256(path: str | Path) -> str:
 
 def _digests(paths) -> dict[str, str]:
     return {str(path): _sha256(path) for path in paths}
-
-
-def _write_lines(path: str, lines) -> None:
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 def _load_config(path: str, flags: set[str]) -> dict[str, str]:
@@ -322,7 +318,7 @@ def _cmd_learn_bpe(args):
 def _cmd_apply_bpe(args):
     table = MergeTable.load(args.table)
     lines = [" ".join(segment_sentence(table, line)) for line in read_lines(args.input)]
-    _write_lines(args.out, lines)
+    write_lines(args.out, lines)
 
 
 def _cmd_learn_wp(args):
@@ -337,7 +333,7 @@ def _cmd_learn_wp(args):
 def _cmd_apply_wp(args):
     vocab = Vocabulary.load(args.vocab)
     lines = [" ".join(apply_wordpiece(vocab, line)) for line in read_lines(args.input)]
-    _write_lines(args.out, lines)
+    write_lines(args.out, lines)
 
 
 def _cmd_transform_vocab(args) -> list[Path]:
@@ -346,25 +342,17 @@ def _cmd_transform_vocab(args) -> list[Path]:
     if args.child_vocab:
         child = Vocabulary.load(args.child_vocab)
         mapping = map_vocabularies(parent, child, args.variant, args.seed)
-        vocab = Vocabulary(mapping.output_tokens())
     elif args.child:
         corpora = [read_lines(path) for path in args.child]
-        vocab, mapping = transform_vocab(parent, corpora, args.variant, args.seed)
+        _, mapping = transform_vocab(parent, corpora, args.variant, args.seed)
     else:
         raise XfervocabError("give --child corpus files or --child-vocab")
 
-    out_dir = Path(args.out_dir)
-    if args.embeddings:
-        bundle = emit_transfer_bundle(mapping, load_embeddings(args.embeddings), out_dir)
-        written = list(astuple(bundle))
-    else:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        written = [out_dir / "vocabulary.txt", out_dir / "mapping.tsv"]
-        vocab.save(written[0])
-        written[1].write_text(mapping.to_tsv(), encoding="utf-8")
+    embeddings = load_embeddings(args.embeddings) if args.embeddings else None
+    bundle = emit_transfer_bundle(mapping, embeddings, args.out_dir)
     shared = sum(1 for e in mapping.entries if e.shared)
     print(f"{args.variant}: {shared}/{len(mapping.entries)} slots shared -> {args.out_dir}")
-    return written
+    return [path for path in astuple(bundle) if path is not None]
 
 
 def _cmd_merge_vocab(args):
@@ -404,7 +392,7 @@ def _cmd_balanced_vocab(args):
 
 def _write_report(path: str | None, tsv: str) -> None:
     if path:
-        Path(path).write_text(tsv, encoding="utf-8")
+        write_text(path, tsv)
 
 
 def _cmd_diag(args):
@@ -413,7 +401,7 @@ def _cmd_diag(args):
         sentences = [s for path in args.input for s in read_lines(path)]
         rate = segmentation_rate(vocab, sentences)
         print(f"segmentation_rate\t{rate:.4f}")
-        _write_report(args.out, f"segmentation_rate\n{rate!r}\n")
+        _write_report(args.out, render_tsv([("segmentation_rate",), (rate,)]))
     elif args.diag_command == "usage":
         sentences = [s for path in args.input for s in read_lines(path)]
         predicate = None
@@ -425,7 +413,7 @@ def _cmd_diag(args):
             predicate = unicode_range_predicate(ranges)
         usage = vocab_usage(vocab, sentences, predicate)
         print(f"vocab_usage\t{usage:.4f}")
-        _write_report(args.out, f"vocab_usage\n{usage!r}\n")
+        _write_report(args.out, render_tsv([("vocab_usage",), (usage,)]))
     elif args.diag_command == "overlap":
         corpora = {}
         for item in args.corpus:
@@ -526,7 +514,7 @@ def _cmd_eval(args):
             curve, args.window_frac, args.delta_frac, args.min_evals, args.relative_to
         )
         print(f"stop {str(stop).lower()}\tbest_step {best_step}")
-        _write_report(args.out, f"stop\tbest_step\n{str(stop).lower()}\t{best_step}\n")
+        _write_report(args.out, render_tsv([("stop", "best_step"), (stop, best_step)]))
     elif args.eval_command == "token-analysis":
         child = [line.split() for line in read_lines(args.child)]
         baseline = [line.split() for line in read_lines(args.baseline)]

@@ -10,12 +10,12 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Iterator
 
 from .errors import AlignmentError, CorpusFormatError, SampleSizeError
-from .textio import read_lines
+from .textio import read_lines, render_tsv, write_lines, write_text
 from .wordpiece import Vocabulary, apply_wordpiece
 
 _WORD_RE = re.compile(r"\S+")
@@ -71,7 +71,7 @@ class FilterReport:
         return cls(kept, dropped, dropped / total if total else 0.0)
 
     def to_tsv(self) -> str:
-        return f"kept\tdropped\tdropped_fraction\n{self.kept}\t{self.dropped}\t{self.dropped_fraction!r}\n"
+        return render_tsv([("kept", "dropped", "dropped_fraction"), astuple(self)])
 
 
 def load_parallel(
@@ -103,18 +103,12 @@ def load_parallel_tsv(path: str | Path, source_lang="src", target_lang="tgt") ->
 
 
 def write_parallel(corpus: ParallelCorpus, source_path: str | Path, target_path: str | Path) -> None:
-    for path, side in ((source_path, corpus.sources), (target_path, corpus.targets)):
-        text = "".join(line + "\n" for line in side)
-        Path(path).write_text(text, encoding="utf-8")
+    write_lines(source_path, corpus.sources)
+    write_lines(target_path, corpus.targets)
 
 
 def write_parallel_tsv(corpus: ParallelCorpus, path: str | Path) -> None:
-    rows = []
-    for src, tgt in corpus:
-        if "\t" in src or "\t" in tgt:
-            raise CorpusFormatError("sentence contains a tab; cannot serialize as TSV")
-        rows.append(f"{src}\t{tgt}\n")
-    Path(path).write_text("".join(rows), encoding="utf-8")
+    write_text(path, render_tsv(corpus))
 
 
 def _word_count(sentence: str) -> int:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .corpus import FilterReport, ParallelCorpus, filter_by_subword_length
+from .textio import render_tsv
 from .wordpiece import Vocabulary, apply_wordpiece
 
 
@@ -80,18 +81,16 @@ class OverlapBreakdown:
     languages: tuple[str, ...] = field(default=())
 
     def to_tsv(self) -> str:
-        lines = ["languages\ttokens\tpercent"]
-        total = self.vocabulary_size
-        for subset in sorted(self.classes, key=lambda s: (len(s), sorted(s))):
-            langs = "+".join(sorted(subset))
-            count = self.classes[subset]
-            lines.append(f"{langs}\t{count}\t{100.0 * count / total:.2f}")
-        lines.append(f"never_observed\t{self.never_observed}\t{100.0 * self.never_observed / total:.2f}")
+        subsets = sorted(self.classes, key=lambda s: (len(s), sorted(s)))
+        counts = [("+".join(sorted(subset)), self.classes[subset]) for subset in subsets]
+        counts.append(("never_observed", self.never_observed))
         if self.reused_parent is not None:
-            lines.append(f"reused_parent\t{self.reused_parent}\t{100.0 * self.reused_parent / total:.2f}")
+            counts.append(("reused_parent", self.reused_parent))
         if self.unused_by_child is not None:
-            lines.append(f"unused_by_child\t{self.unused_by_child}\t{100.0 * self.unused_by_child / total:.2f}")
-        return "\n".join(lines) + "\n"
+            counts.append(("unused_by_child", self.unused_by_child))
+        total = self.vocabulary_size
+        rows = [(name, count, f"{100.0 * count / total:.2f}") for name, count in counts]
+        return render_tsv([("languages", "tokens", "percent"), *rows])
 
 
 def overlap_breakdown(

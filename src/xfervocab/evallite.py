@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .errors import CorpusFormatError
-from .textio import read_lines
+from .textio import read_lines, render_tsv
 
 TOKENIZATIONS = ("none", "intl")
 SMOOTHINGS = ("none", "exponential")
@@ -52,9 +52,7 @@ class LearningCurve:
         return cls(tuple(points))
 
     def to_tsv(self) -> str:
-        lines = ["step\tscore"]
-        lines += [f"{step}\t{score!r}" for step, score in self.points]
-        return "\n".join(lines) + "\n"
+        return render_tsv([("step", "score"), *self.points])
 
 
 def should_stop(
@@ -106,11 +104,8 @@ class TokenOverlap:
         return self.baseline_and_reference + self.baseline_only + self.reference_only + self.neither
 
     def to_tsv(self) -> str:
-        return (
-            "baseline_and_reference\tbaseline_only\treference_only\tneither\ttotal\n"
-            f"{self.baseline_and_reference}\t{self.baseline_only}\t{self.reference_only}\t"
-            f"{self.neither}\t{self.total}\n"
-        )
+        header = ("baseline_and_reference", "baseline_only", "reference_only", "neither", "total")
+        return render_tsv([header, (*astuple(self), self.total)])
 
 
 def token_overlap_analysis(

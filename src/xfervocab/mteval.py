@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .evallite import SMOOTHINGS, TOKENIZATIONS
 from .evallite import LearningCurve, TokenOverlap, should_stop, token_overlap_analysis  # noqa: F401 (re-exported)
+from .textio import render_tsv
 
 _PUNCT_NORMALIZATION = {
     "‘": "'", "’": "'", "‚": "'", "“": '"', "”": '"',
@@ -76,10 +77,10 @@ class BleuReport:
         header = ["score", "bp", "sys_len", "ref_len"]
         header += [f"p{n}" for n in range(1, self.n_max + 1)]
         header += ["smoothing", "tokenization", "signature"]
-        row = [f"{self.score:.6f}", f"{self.bp:.6f}", str(self.sys_len), str(self.ref_len)]
+        row = [f"{self.score:.6f}", f"{self.bp:.6f}", self.sys_len, self.ref_len]
         row += [f"{p:.6f}" for p in self.precisions]
         row += [self.smoothing, self.tokenization, self.signature()]
-        return "\t".join(header) + "\n" + "\t".join(row) + "\n"
+        return render_tsv([header, row])
 
 
 @dataclass(frozen=True)
@@ -92,11 +93,7 @@ class SignificanceResult:
     confidence_level: float
 
     def to_tsv(self) -> str:
-        return (
-            "wins_a\twins_b\tties\tsamples\tbetter\tconfidence_level\n"
-            f"{self.wins_a}\t{self.wins_b}\t{self.ties}\t{self.samples}\t{self.better}\t"
-            f"{self.confidence_level!r}\n"
-        )
+        return render_tsv([("wins_a", "wins_b", "ties", "samples", "better", "confidence_level"), astuple(self)])
 
 
 def _normalize_references(references, n_sentences: int) -> list[list[str]]:

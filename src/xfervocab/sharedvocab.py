@@ -10,9 +10,10 @@ sentences; the mixed corpus exists only for vocabulary generation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .corpus import ParallelCorpus, sample_equal
+from .textio import render_tsv
 from .wordpiece import Vocabulary, VocabSpec
 from .wordpiece_learner import WordpieceLearner, learn_wordpiece
 
@@ -25,11 +26,7 @@ class MergedBuildReport:
     within_tolerance: bool
 
     def to_tsv(self) -> str:
-        return (
-            "initial_size_tried\tfinal_size\titerations\twithin_tolerance\n"
-            f"{self.initial_size_tried}\t{self.final_size}\t{self.iterations}\t"
-            f"{str(self.within_tolerance).lower()}\n"
-        )
+        return render_tsv([("initial_size_tried", "final_size", "iterations", "within_tolerance"), astuple(self)])
 
 
 def merge_vocabs(parent: Vocabulary, child: Vocabulary) -> Vocabulary:

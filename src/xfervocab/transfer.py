@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import EmbeddingShapeError
-from .textio import read_lines
+from .textio import read_lines, render_tsv, write_text
 from .wordpiece import VARIANTS, Vocabulary, VocabSpec, apply_wordpiece
 from .wordpiece_learner import learn_wordpiece
 
@@ -42,10 +42,8 @@ class VocabMapping:
     used_parent_slots: frozenset[int] | None = None
 
     def to_tsv(self) -> str:
-        lines = ["slot\tparent\tchild\tshared"]
-        for e in self.entries:
-            lines.append(f"{e.slot}\t{e.parent_token}\t{e.child_token}\t{str(e.shared).lower()}")
-        return "\n".join(lines) + "\n"
+        rows = [(e.slot, e.parent_token, e.child_token, e.shared) for e in self.entries]
+        return render_tsv([("slot", "parent", "child", "shared"), *rows])
 
     def output_tokens(self) -> list[str]:
         return [e.child_token for e in self.entries]
@@ -188,9 +186,9 @@ def transform_vocab(
 @dataclass(frozen=True)
 class TransferBundle:
     vocabulary_path: Path
-    embeddings_path: Path
+    embeddings_path: Path | None
     mapping_path: Path
-    unused_parent_path: Path
+    unused_parent_path: Path | None
 
 
 def save_embeddings_binary(matrix: np.ndarray, path: str | Path) -> None:
@@ -216,10 +214,7 @@ def load_embeddings_binary(path: str | Path) -> np.ndarray:
 
 
 def save_embeddings_tsv(matrix: np.ndarray, path: str | Path) -> None:
-    matrix = np.asarray(matrix, dtype=np.float32)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in matrix:
-            fh.write("\t".join(repr(float(x)) for x in row) + "\n")
+    write_text(path, render_tsv(np.asarray(matrix, dtype=np.float32).tolist()))
 
 
 def load_embeddings_tsv(path: str | Path) -> np.ndarray:
@@ -245,34 +240,34 @@ def load_embeddings(path: str | Path) -> np.ndarray:
 
 
 def emit_transfer_bundle(
-    mapping: VocabMapping, parent_embeddings: np.ndarray, out_dir: str | Path
+    mapping: VocabMapping, parent_embeddings: np.ndarray | None, out_dir: str | Path
 ) -> TransferBundle:
-    """Write the transformed vocabulary, the unchanged embedding matrix, the
-    slot mapping TSV, and the unused-parent report."""
-    parent_embeddings = np.asarray(parent_embeddings)
-    if parent_embeddings.ndim != 2 or parent_embeddings.shape[0] != len(mapping.entries):
-        raise EmbeddingShapeError(
-            f"embedding matrix has {parent_embeddings.shape[0] if parent_embeddings.ndim == 2 else 'malformed'} "
-            f"rows but the mapping has {len(mapping.entries)} slots"
-        )
+    """Write the transformed vocabulary and the slot mapping TSV and, given
+    parent embeddings, the unchanged embedding matrix and the unused-parent
+    report.  Every text is rendered before out_dir is created, so a failed
+    render writes nothing."""
+    vocab = Vocabulary(mapping.output_tokens())
+    mapping_tsv = mapping.to_tsv()
+    unused_tsv = None
+    if parent_embeddings is not None:
+        parent_embeddings = np.asarray(parent_embeddings)
+        if parent_embeddings.ndim != 2 or parent_embeddings.shape[0] != len(mapping.entries):
+            raise EmbeddingShapeError(
+                f"embedding matrix has {parent_embeddings.shape[0] if parent_embeddings.ndim == 2 else 'malformed'} "
+                f"rows but the mapping has {len(mapping.entries)} slots"
+            )
+        used = mapping.used_parent_slots
+        unused = [(e.slot, e.parent_token) for e in mapping.entries if used is not None and e.slot not in used]
+        unused_tsv = render_tsv([("slot", "parent"), *unused])
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    vocab_path = out_dir / "vocabulary.txt"
-    Vocabulary(mapping.output_tokens()).save(vocab_path)
-
-    emb_path = out_dir / "embeddings.bin"
+    vocab_path, mapping_path = out_dir / "vocabulary.txt", out_dir / "mapping.tsv"
+    vocab.save(vocab_path)
+    write_text(mapping_path, mapping_tsv)
+    if unused_tsv is None:
+        return TransferBundle(vocab_path, None, mapping_path, None)
+    emb_path, unused_path = out_dir / "embeddings.bin", out_dir / "unused_parent.tsv"
     save_embeddings_binary(parent_embeddings, emb_path)
-
-    mapping_path = out_dir / "mapping.tsv"
-    mapping_path.write_text(mapping.to_tsv(), encoding="utf-8")
-
-    unused_path = out_dir / "unused_parent.tsv"
-    lines = ["slot\tparent"]
-    if mapping.used_parent_slots is not None:
-        for entry in mapping.entries:
-            if entry.slot not in mapping.used_parent_slots:
-                lines.append(f"{entry.slot}\t{entry.parent_token}")
-    unused_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
+    write_text(unused_path, unused_tsv)
     return TransferBundle(vocab_path, emb_path, mapping_path, unused_path)

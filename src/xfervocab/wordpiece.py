@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Container, Iterable, Iterator, Sequence
 
 from .errors import EscapeDecodeError
-from .textio import read_lines
+from .textio import read_lines, write_lines
 
 # End-of-unit marker appended to every word-level unit before matching.
 WORD_MARKER = "_"
@@ -114,7 +114,7 @@ class Vocabulary:
         return cls([line.removesuffix("\r") for line in read_lines(path)])
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text("\n".join(self._tokens) + "\n", encoding="utf-8")
+        write_lines(path, self._tokens)
 
     @property
     def tokens(self) -> list[str]:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from xfervocab.cli import _apply_config, build_parser, main
+from xfervocab.wordpiece import Vocabulary
 
 
 def write(path, lines):
@@ -67,6 +68,21 @@ def test_transform_vocab_toy_mapping(texts, capsys):
         "3\td\ty\tfalse",
     ]
     assert (out_dir / "vocabulary.txt").read_text(encoding="utf-8") == "a\nb\nx\ny\n"
+
+
+@pytest.mark.filterwarnings("ignore:vocabulary size")
+def test_transform_vocab_child_token_with_a_tab_exits_1_and_writes_no_bundle(texts, capsys):
+    Vocabulary.with_ascii_fallback(["the_", "cat_"]).save(texts / "p.vocab")
+    write(texts / "child.txt", ["ab\tcd ef"])
+    out_dir = texts / "b"
+    code = main([
+        "transform-vocab", "--parent-vocab", str(texts / "p.vocab"), "--child", str(texts / "child.txt"),
+        "--out-dir", str(out_dir),
+    ])
+    assert code == 1
+    assert "xfervocab: error: TSV cell '\\t' contains a tab or newline" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert not (texts / "b.manifest.json").exists()
 
 
 def test_learn_and_apply_wordpiece_roundtrip(texts):

@@ -3,8 +3,11 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xfervocab.corpus import (
+    CORRUPTION_MODES,
     FilterReport,
     ParallelCorpus,
     corrupt_word_order,
@@ -271,3 +274,49 @@ def test_corpus_rejects_newlines_and_mismatch():
         ParallelCorpus(("a\nb",), ("x",))
     with pytest.raises(AlignmentError):
         ParallelCorpus(("a",), ())
+
+
+# Sentences of arbitrary Unicode scalar values without newlines, which a
+# corpus cannot hold.
+sentences = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\n"), max_size=20)
+
+
+@st.composite
+def corpus_lists(draw):
+    """A corpus as plain lists, so each test can build equal corpora twice."""
+    n = draw(st.integers(1, 8))
+    side = st.lists(sentences, min_size=n, max_size=n)
+    return draw(side), draw(side)
+
+
+def corpus_operations(draw, a, b):
+    """Every seeded corpus operation, as (name, call) with its arguments drawn."""
+    seed = draw(st.integers(0, 2**32))
+    per_side = draw(st.integers(0, min(len(a[0]), len(b[0]))))
+    size = draw(st.integers(0, len(a[0])))
+    factor = draw(st.integers(1, 3))
+    keep = draw(st.floats(0, 1))
+    operations = [
+        ("sample_equal", lambda x, y: sample_equal(x, y, per_side, seed)),
+        ("subsample", lambda x, y: subsample(x, size, seed)),
+        ("mix_with_oversample", lambda x, y: mix_with_oversample(x, y, factor, seed)),
+        ("make_pseudo_related", lambda x, y: make_pseudo_related(x, keep, seed)),
+    ]
+    for mode in CORRUPTION_MODES:
+        operations.append((mode, lambda x, y, mode=mode: corrupt_word_order(x, mode, seed)))
+    return operations
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus_lists(), corpus_lists(), st.data())
+def test_corpus_operations_are_deterministic_and_leave_input_unchanged(a, b, data):
+    def build(lists, lang):
+        return ParallelCorpus(tuple(lists[0]), tuple(lists[1]), lang, lang.upper())
+
+    for name, operation in corpus_operations(data.draw, a, b):
+        first_inputs = build(a, "aa"), build(b, "bb")
+        second_inputs = build(a, "aa"), build(b, "bb")
+        first = operation(*first_inputs)
+        second = operation(*second_inputs)
+        assert first == second, name
+        assert first_inputs == (build(a, "aa"), build(b, "bb")), name

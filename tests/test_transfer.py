@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xfervocab.errors import EmbeddingShapeError
+from xfervocab.errors import CorpusFormatError, EmbeddingShapeError
 from xfervocab.transfer import (
     MappingEntry,
     VocabMapping,
@@ -263,6 +263,15 @@ def test_mapping_tsv_layout():
     assert lines[3] == "2\tc\tx\tfalse"
 
 
+def test_mapping_with_a_tab_in_a_token_raises_before_any_bundle_file(tmp_path):
+    mapping = VocabMapping((MappingEntry(0, "a", "\t", False),), "frequency")
+    with pytest.raises(CorpusFormatError, match=r"'\\t'"):
+        mapping.to_tsv()
+    with pytest.raises(CorpusFormatError):
+        emit_transfer_bundle(mapping, np.zeros((1, 2), dtype=np.float32), tmp_path / "bundle")
+    assert not (tmp_path / "bundle").exists()
+
+
 def test_transform_vocab_end_to_end(latin_corpus):
     parent = Vocabulary.with_ascii_fallback(["the_", "cat_", "hat_", "ing"])
     out_vocab, mapping = transform_vocab(parent, [latin_corpus[:400]], "frequency")
@@ -297,6 +306,15 @@ def test_emit_bundle_identity_mapping_byte_identical(tmp_path):
     reference = tmp_path / "direct.bin"
     save_embeddings_binary(matrix, reference)
     assert first.embeddings_path.read_bytes() == reference.read_bytes()
+
+
+def test_emit_bundle_without_embeddings_writes_vocabulary_and_mapping(tmp_path):
+    mapping = map_vocabularies(Vocabulary(["a", "b", "c", "d"]), Vocabulary(["b", "x", "a", "y"]), "frequency")
+    bundle = emit_transfer_bundle(mapping, None, tmp_path / "bundle")
+    assert bundle.embeddings_path is None and bundle.unused_parent_path is None
+    assert sorted(path.name for path in (tmp_path / "bundle").iterdir()) == ["mapping.tsv", "vocabulary.txt"]
+    assert bundle.mapping_path.read_text(encoding="utf-8") == mapping.to_tsv()
+    assert Vocabulary.load(bundle.vocabulary_path).tokens == ["a", "b", "x", "y"]
 
 
 def test_emit_bundle_shape_error(tmp_path):

@@ -277,6 +277,9 @@ def test_vocabulary_file_roundtrip(tmp_path):
     assert loaded.index("hello_") == vocab.index("hello_")
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     assert Vocabulary.load(path).tokens == vocab.tokens
+    Vocabulary([]).save(path)
+    assert path.read_bytes() == b""
+    assert Vocabulary.load(path).tokens == []
 
 
 def test_vocab_spec_validation():
