@@ -11,8 +11,8 @@ international tokenization that pads punctuation not surrounded by digits.
 from __future__ import annotations
 
 import unicodedata
-from collections import Counter
 from dataclasses import astuple, dataclass
+from itertools import chain, count
 from typing import Sequence
 
 import numpy as np
@@ -28,22 +28,34 @@ _PUNCT_NORMALIZATION = {
 }
 
 
+_NORMALIZE = str.maketrans(_PUNCT_NORMALIZATION)
+_WORD_CACHE_SIZE = 1 << 16
+_WORD_TOKENS: dict[str, list[str]] = {}  # whitespace word -> its tokens, up to _WORD_CACHE_SIZE words
+
+
+def _tokenize_word(word: str) -> list[str]:
+    out = []
+    for i, ch in enumerate(word):
+        category = unicodedata.category(ch)[0]
+        between_digits = word[i - 1 : i].isdigit() and word[i + 1 : i + 2].isdigit()
+        out.append(f" {ch} " if category == "S" or category == "P" and not between_digits else ch)
+    return "".join(out).split()
+
+
 def tokenize_intl(text: str) -> list[str]:
     """Normalize unicode punctuation to ASCII where defined, pad punctuation
-    and symbols not sitting between digits with spaces, collapse whitespace."""
-    text = "".join(_PUNCT_NORMALIZATION.get(ch, ch) for ch in text)
-    out = []
-    n = len(text)
-    for i, ch in enumerate(text):
-        category = unicodedata.category(ch)
-        if category.startswith("P") or category.startswith("S"):
-            prev_digit = i > 0 and text[i - 1].isdigit()
-            next_digit = i + 1 < n and text[i + 1].isdigit()
-            if category.startswith("S") or not (prev_digit and next_digit):
-                out.append(f" {ch} ")
-                continue
-        out.append(ch)
-    return "".join(out).split()
+    and symbols not sitting between digits with spaces, collapse whitespace.
+    Padding never looks across whitespace, so each whitespace word is
+    normalized and tokenized on its own, through a bounded memo."""
+    out: list[str] = []
+    for word in text.split():
+        tokens = _WORD_TOKENS.get(word)
+        if tokens is None:
+            tokens = _tokenize_word(word.translate(_NORMALIZE))
+            if len(_WORD_TOKENS) < _WORD_CACHE_SIZE:
+                _WORD_TOKENS[word] = tokens
+        out += tokens
+    return out
 
 
 def _tokenize(text: str, tokenization: str) -> list[str]:
@@ -109,31 +121,50 @@ def _normalize_references(references, n_sentences: int) -> list[list[str]]:
     return per_sentence
 
 
-def _ngram_counts(tokens: list[str], n_max: int) -> Counter:
-    """Every n-gram of orders 1..n_max in one table; a gram's length is its order."""
-    return Counter(tuple(tokens[i : i + n]) for n in range(1, n_max + 1) for i in range(len(tokens) - n + 1))
-
-
 def _corpora_stats(corpora: Sequence[Sequence[str]], references, n_max: int, tokenization: str) -> np.ndarray:
-    """sentence_stats of each corpus, stacked; each reference is tokenized and counted once for all."""
+    """sentence_stats of each corpus, stacked; each reference is tokenized and counted once for all.
+
+    The references, then each corpus's candidates, are the rows of one token-id
+    array.  An n-gram's id is the dense rank of (its (n-1)-gram id, its last token);
+    a gram's clip count is its largest count in one reference of its sentence."""
     refs = _normalize_references(references, len(corpora[0]))
-    if not refs:
-        raise ValueError("cannot score an empty corpus")
-    stats = np.zeros((len(corpora), len(refs), 2 * n_max + 2), dtype=np.int64)
-    for i, ref_group in enumerate(refs):
-        ref_tokens = [_tokenize(r, tokenization) for r in ref_group]
-        clip: Counter = Counter()  # each gram's highest count in one reference
-        for tokens in ref_tokens:
-            clip |= _ngram_counts(tokens, n_max)
-        for corpus_stats, candidates in zip(stats, corpora):
-            tokens = _tokenize(candidates[i], tokenization)
-            sys_len = len(tokens)
-            row = [0] * n_max + [max(sys_len - n, 0) for n in range(n_max)]
-            for gram, matches in (_ngram_counts(tokens, n_max) & clip).items():
-                row[len(gram) - 1] += matches
-            ref_len = min((len(r) for r in ref_tokens), key=lambda L: (abs(L - sys_len), L))
-            corpus_stats[i] = row + [sys_len, ref_len]
-    return stats
+    if not refs or not all(refs):
+        raise ValueError("cannot score an empty corpus or an empty reference group")
+    n_sentences, n_refs = len(refs), sum(map(len, refs))
+    rows = [_tokenize(r, tokenization) for group in refs for r in group]
+    rows += [_tokenize(c, tokenization) for candidates in corpora for c in candidates]
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    ids = dict(zip(dict.fromkeys(chain.from_iterable(rows)), count()))
+    tok = np.fromiter(map(ids.__getitem__, chain.from_iterable(rows)), np.int64, int(lengths.sum()))
+    row = np.repeat(np.arange(len(rows)), lengths)
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(tok))  # tokens from here to the row's end
+    ref_sentence = np.repeat(np.arange(n_sentences), list(map(len, refs)))
+    row_sentence = np.concatenate([ref_sentence, np.tile(np.arange(n_sentences), len(corpora))])
+    sys_len = lengths[n_refs:]
+    stats = np.zeros((len(sys_len), 2 * n_max + 2), np.int64)
+    starts, gram, n_grams = np.arange(len(tok)), tok, len(ids)
+    for n in range(1, n_max + 1):
+        if n > 1:
+            keep = room[starts] >= n
+            starts = starts[keep]
+            grams, gram = np.unique(gram[keep] * len(ids) + tok[starts + n - 1], return_inverse=True)
+            n_grams = max(len(grams), 1)
+        keys, counts = np.unique(row[starts] * n_grams + gram, return_counts=True)  # (row, gram) -> count
+        entry_row = keys // n_grams
+        pairs, pair = np.unique(row_sentence[entry_row] * n_grams + keys % n_grams, return_inverse=True)
+        split = np.searchsorted(entry_row, n_refs)
+        clip = np.zeros(len(pairs), np.int64)
+        np.maximum.at(clip, pair[:split], counts[:split])
+        matches = np.minimum(counts[split:], clip[pair[split:]])
+        stats[:, n - 1] = np.bincount(entry_row[split:] - n_refs, weights=matches, minlength=len(sys_len))
+    stats[:, n_max : 2 * n_max] = np.maximum(sys_len[:, None] - np.arange(n_max), 0)
+    stats[:, 2 * n_max] = sys_len
+    # The reference length closest to sys_len; a tie goes to the shorter.
+    ref_len, width = lengths[:n_refs], int(lengths.max(initial=0)) + 1
+    closest = np.abs(ref_len - sys_len.reshape(len(corpora), n_sentences)[:, ref_sentence]) * width + ref_len
+    group_starts = np.searchsorted(ref_sentence, np.arange(n_sentences))
+    stats[:, 2 * n_max + 1] = (np.minimum.reduceat(closest, group_starts, axis=1) % width).ravel()
+    return stats.reshape(len(corpora), n_sentences, -1)
 
 
 def sentence_stats(candidates: Sequence[str], references, n_max: int = 4, tokenization: str = "intl") -> np.ndarray:
@@ -224,17 +255,15 @@ def bleu(
 def _resample_scores(stats: Sequence[np.ndarray], samples: int, seed: int | None, smoothing: str) -> list[np.ndarray]:
     """BLEU of every system in stats on every resample.
 
-    All resample indices come from one seeded draw.  Row k of the counts
-    matrix says how often each sentence was drawn into resample k, so
-    counts @ stats holds every resample's summed statistics.
-    """
+    Resample k is the k-th row drawn from one seeded generator, and row k of
+    counts says how often it drew each sentence.  So counts @ stats holds every
+    resample's summed statistics, exactly: each sum is an integer below 2**53."""
     n_sentences = len(stats[0])
-    indices = np.random.default_rng(seed).integers(0, n_sentences, size=(samples, n_sentences))
-    counts = np.empty((samples, n_sentences), np.int64)
-    for k, row in enumerate(indices):
-        counts[k] = np.bincount(row, minlength=n_sentences)
-    # An int64 product is integer arithmetic: exactly the sum of the drawn rows.
-    sums = counts @ np.hstack(stats)
+    rng = np.random.default_rng(seed)
+    counts = np.empty((samples, n_sentences))
+    for row in counts:
+        row[:] = np.bincount(rng.integers(0, n_sentences, n_sentences), minlength=n_sentences)
+    sums = counts @ np.hstack(stats).astype(np.float64)
     n_max = (stats[0].shape[1] - 2) // 2
     weights = np.full(n_max, 1.0 / n_max)
     return [_scores_from_sums(part, weights, smoothing)[0] for part in np.hsplit(sums, len(stats))]

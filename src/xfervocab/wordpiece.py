@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Container, Iterable, Iterator, Sequence
 
-from .errors import EscapeDecodeError
+from .errors import CorpusFormatError, EscapeDecodeError
 from .textio import read_lines, write_lines
 
 # End-of-unit marker appended to every word-level unit before matching.
@@ -114,6 +114,10 @@ class Vocabulary:
         return cls([line.removesuffix("\r") for line in read_lines(path)])
 
     def save(self, path: str | Path) -> None:
+        # `load` strips a trailing "\r" as a CRLF line end, so such a token would not come back.
+        for tok in self._tokens:
+            if tok.endswith("\r"):
+                raise CorpusFormatError(f"token {tok!r} ends with a carriage return; a vocabulary file cannot keep it")
         write_lines(path, self._tokens)
 
     @property

@@ -101,6 +101,30 @@ def test_learn_and_apply_wordpiece_roundtrip(texts):
     assert str(seg_path) in manifest["outputs"]
 
 
+@pytest.mark.parametrize("target_size", ["30", "40"])
+def test_learn_wordpiece_on_crlf_corpus_refuses_unloadable_vocabulary(tmp_path, capsys, target_size):
+    corpus = tmp_path / "crlf.txt"
+    corpus.write_bytes(b"the cat sat on the mat\r\nthe dog ran to the cat\r\na bird sat on a dog\r\n")
+    vocab_path = tmp_path / "wp.vocab"
+    code = main(["learn-wp", "--input", str(corpus), "--target-size", target_size, "--out", str(vocab_path)])
+    assert code == 1
+    assert "xfervocab: error: token '\\r' ends with a carriage return" in capsys.readouterr().err
+    assert not vocab_path.exists()
+    assert not (tmp_path / "wp.vocab.manifest.json").exists()
+
+
+def test_learn_and_apply_bpe_on_crlf_corpus(tmp_path):
+    # BPE splits words on whitespace, "\r" included, so the table loads and
+    # the output is the input with LF line ends.
+    corpus = tmp_path / "crlf.txt"
+    corpus.write_bytes(b"the cat sat on the mat\r\nthe dog ran to the cat\r\na bird sat on a dog\r\n")
+    table_path, out_path = tmp_path / "bpe.merges", tmp_path / "bpe.out"
+    assert main(["learn-bpe", "--input", str(corpus), "--merges", "40", "--out", str(table_path)]) == 0
+    assert main(["apply-bpe", "--table", str(table_path), "--input", str(corpus), "--out", str(out_path)]) == 0
+    rebuilt = out_path.read_text(encoding="utf-8").replace("@@ ", "")
+    assert rebuilt == corpus.read_text(encoding="utf-8").replace("\r\n", "\n")
+
+
 def test_learn_and_apply_bpe(texts):
     table_path = texts / "bpe.merges"
     assert main(["learn-bpe", "--input", str(texts / "train.txt"), "--merges", "10", "--out", str(table_path)]) == 0

@@ -4,6 +4,8 @@ and the stopping criterion."""
 
 import math
 import random
+import string
+import unicodedata
 from collections import Counter
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xfervocab.mteval as mteval
+from tests.conftest import LATIN, desk_sentences
 from xfervocab.mteval import (
     TOKENIZATIONS,
     LearningCurve,
@@ -141,6 +144,63 @@ def test_intl_tokenization_pads_punctuation_not_numbers():
     assert report.sys_len == 4
 
 
+def oracle_tokenize_intl(text):
+    """The per-character tokenizer used before the per-word memo: normalize
+    the whole text, then pad punctuation and symbols one character at a time."""
+    text = "".join(mteval._PUNCT_NORMALIZATION.get(ch, ch) for ch in text)
+    out = []
+    n = len(text)
+    for i, ch in enumerate(text):
+        category = unicodedata.category(ch)
+        if category.startswith("P") or category.startswith("S"):
+            prev_digit = i > 0 and text[i - 1].isdigit()
+            next_digit = i + 1 < n and text[i + 1].isdigit()
+            if category.startswith("S") or not (prev_digit and next_digit):
+                out.append(f" {ch} ")
+                continue
+        out.append(ch)
+    return "".join(out).split()
+
+
+# Letters and digits (an Arabic-Indic digit and a superscript two count as
+# digits), ASCII and Unicode punctuation and symbols, every normalized
+# character, and whitespace that is not a plain space.
+TOKENIZER_CHARS = (
+    "aZé9٣²"
+    + string.punctuation
+    + "¡¿§¶€£©°±•※‰′「」、。"
+    + "".join(mteval._PUNCT_NORMALIZATION)
+    + " \t\u2009\u3000\x1c"
+)
+TOKENIZER_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(TOKENIZER_CHARS),
+        st.sampled_from(["1,5", "3.14", "2…4", "7 ,8", "1\u00a0.5"]),  # separators between digits
+        st.characters(exclude_categories=("Cs",)),
+    ),
+    max_size=30,
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=TOKENIZER_TEXT)
+def test_tokenize_intl_matches_per_character_oracle(text):
+    expected = oracle_tokenize_intl(text)
+    assert tokenize_intl(text) == expected
+    assert tokenize_intl(text) == expected  # now every word comes from the memo
+
+
+def test_tokenize_intl_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(mteval, "_WORD_TOKENS", {})
+    bound = mteval._WORD_CACHE_SIZE
+    assert bound == 1 << 16
+    words = [f"w{i}," for i in range(bound + 100)]
+    assert tokenize_intl(" ".join(words)) == [t for w in words for t in (w[:-1], ",")]
+    assert len(mteval._WORD_TOKENS) == bound
+    assert tokenize_intl(f"{words[-1]} x") == [words[-1][:-1], ",", "x"]  # past the bound: still right, not stored
+    assert len(mteval._WORD_TOKENS) == bound
+
+
 def test_bleu_signature_records_settings():
     sig = bleu(["a"], ["a"], smoothing="exponential", tokenization="intl").signature()
     assert "smooth.exponential" in sig and "tok.intl" in sig and "numrefs.1" in sig
@@ -223,6 +283,16 @@ def test_bootstrap_matches_gather_oracle(samples, n_max, smoothing, multi_ref):
             assert min(wins_a, wins_b) > 0
 
 
+@pytest.mark.parametrize("n_sentences", [1, 7, 79])
+def test_resample_rows_match_one_draw_at_odd_sizes(n_sentences):
+    sys_a, sys_b, refs = near_equal_systems(False)
+    stats = [sentence_stats(cand[:n_sentences], refs[:n_sentences], 4) for cand in (sys_a, sys_b)]
+    for seed in (0, 5):
+        scores = _resample_scores(stats, 37, seed, "exponential")
+        expected = oracle_resample_scores(stats, 37, seed, "exponential")
+        assert all(np.array_equal(got, want) for got, want in zip(scores, expected))
+
+
 def test_bootstrap_length_mismatch():
     with pytest.raises(ValueError):
         paired_bootstrap(["a"], ["a", "b"], ["a"], seed=0)
@@ -288,6 +358,63 @@ def test_sentence_stats_matches_per_order_oracle(rows, n_max, tokenization):
     assert got.dtype == expected[0].dtype and np.array_equal(got, expected[0])
     both = _corpora_stats([cand_a, cand_b], references, n_max, tokenization)
     assert all(np.array_equal(g, e) for g, e in zip(both, expected, strict=True))
+
+
+def oracle_counter_corpora_stats(corpora, references, n_max, tokenization):
+    """The statistics before whole-corpus numpy: one Counter of every order
+    per sentence, clipped with cand & (ref_1 | ref_2 ...)."""
+
+    def ngram_counts(tokens):
+        return Counter(tuple(tokens[i : i + n]) for n in range(1, n_max + 1) for i in range(len(tokens) - n + 1))
+
+    refs = _normalize_references(references, len(corpora[0]))
+    stats = np.zeros((len(corpora), len(refs), 2 * n_max + 2), dtype=np.int64)
+    for i, ref_group in enumerate(refs):
+        ref_tokens = [_tokenize(r, tokenization) for r in ref_group]
+        clip: Counter = Counter()
+        for tokens in ref_tokens:
+            clip |= ngram_counts(tokens)
+        for corpus_stats, candidates in zip(stats, corpora):
+            tokens = _tokenize(candidates[i], tokenization)
+            sys_len = len(tokens)
+            row = [0] * n_max + [max(sys_len - n, 0) for n in range(n_max)]
+            for gram, matches in (ngram_counts(tokens) & clip).items():
+                row[len(gram) - 1] += matches
+            ref_len = min((len(r) for r in ref_tokens), key=lambda L: (abs(L - sys_len), L))
+            corpus_stats[i] = row + [sys_len, ref_len]
+    return stats
+
+
+def desk_eval_set(seed, n_sentences=300):
+    """Two systems and 1-3 references per sentence, all varied from one desk
+    sentence by dropping, repeating and swapping words; a few are empty."""
+    rng = random.Random(seed)
+    pool = desk_sentences(seed, LATIN, n_sentences, 400)
+
+    def vary(sentence):
+        words = [w for w in sentence.split() for _ in range(rng.choice((0, 1, 1, 1, 2)))]
+        if len(words) > 1 and rng.random() < 0.5:
+            i = rng.randrange(len(words) - 1)
+            words[i], words[i + 1] = words[i + 1], words[i]
+        return "" if rng.random() < 0.05 else " ".join(words)
+
+    refs = [[vary(base) for _ in range(rng.randint(1, 3))] for base in pool]
+    cand_a = [vary(base) for base in pool]
+    cand_b = [vary(rng.choice(pool)) if rng.random() < 0.2 else vary(base) for base in pool]
+    return cand_a, cand_b, refs
+
+
+@pytest.mark.parametrize("tokenization", TOKENIZATIONS)
+@pytest.mark.parametrize("n_max", range(1, 7))
+def test_corpora_stats_matches_counter_oracle_on_desk_corpora(n_max, tokenization):
+    cand_a, cand_b, refs = desk_eval_set(n_max)
+    assert sorted(set(map(len, refs))) == [1, 2, 3]
+    assert any("" in group for group in refs) and "" in cand_a and "" in cand_b
+    expected = oracle_counter_corpora_stats([cand_a, cand_b], refs, n_max, tokenization)
+    got = _corpora_stats([cand_a, cand_b], refs, n_max, tokenization)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    assert np.all(got[..., n_max - 1].sum(axis=1) > 0)  # every order matches somewhere
+    assert np.any(got[..., :n_max] < got[..., n_max : 2 * n_max])  # and clipping bites
 
 
 def test_bootstrap_tokenizes_each_reference_once(monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xfervocab.wordpiece as wordpiece
-from xfervocab.errors import EscapeDecodeError
+from xfervocab.errors import CorpusFormatError, EscapeDecodeError
 from xfervocab.wordpiece import (
     ESCAPE_TOKENS,
     WORD_MARKER,
@@ -280,6 +280,16 @@ def test_vocabulary_file_roundtrip(tmp_path):
     Vocabulary([]).save(path)
     assert path.read_bytes() == b""
     assert Vocabulary.load(path).tokens == []
+
+
+@pytest.mark.parametrize("token", ["\r", "a\r", "\r\r"])
+def test_vocabulary_save_refuses_token_that_load_would_change(tmp_path, token):
+    path = tmp_path / "vocab.txt"
+    with pytest.raises(CorpusFormatError, match="ends with a carriage return"):
+        Vocabulary(["a", token]).save(path)
+    assert not path.exists()
+    Vocabulary(["a", "\r_", "b\rc"]).save(path)
+    assert Vocabulary.load(path).tokens == ["a", "\r_", "b\rc"]
 
 
 def test_vocab_spec_validation():
