@@ -20,9 +20,7 @@ corpus = ParallelCorpus.from_pairs(
         ("Pardon? Have you seen this cat?", "Promiňte? Viděli jste tuto kočku?"),
         ("The quick brown fox jumps over the lazy dog.", "Rychlá hnědá liška skáče přes líného psa."),
         (" ".join(["very"] * 80) + " long", "way too long on the source side"),
-    ],
-    "en",
-    "cs",
+    ]
 )
 
 print("=" * 70)

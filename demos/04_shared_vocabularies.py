@@ -28,12 +28,10 @@ def synthetic_corpus(seed, alphabet, n=1500):
 parent = ParallelCorpus(
     tuple(synthetic_corpus(1, "abcdefghij")),
     tuple(synthetic_corpus(2, "абвгдежзик")),
-    "en", "ru",
 )
 child = ParallelCorpus(
     tuple(synthetic_corpus(3, "abcdefghij")),
     tuple(synthetic_corpus(4, "klmnopqrst")),
-    "en", "et",
 )
 
 print("=" * 70)

@@ -10,7 +10,9 @@ recorded argv reproduces the artifacts byte for byte.
 
 A named output is always written: `merge-vocab --report` beside
 `--parent-vocab/--child-vocab`, and `--out-tsv` beside
-`--out-source/--out-target`, exit 1 naming the flag.
+`--out-source/--out-target`, exit 1 naming the flag.  Likewise a named
+input is always read: flags that name a file the command would skip exit 1
+naming the flags, whether the value comes from argv or from `--config`.
 
 The handlers of learn-wp, transform-vocab, merge-vocab, balanced-vocab,
 eval bleu and eval bootstrap load the numpy modules they call on first use
@@ -59,7 +61,7 @@ from .diagnostics import (
 from .errors import XfervocabError
 from .evallite import RELATIVE_TO, SMOOTHINGS, TOKENIZATIONS, LearningCurve, should_stop, token_overlap_analysis
 from .textio import read_lines, render_tsv, write_lines, write_text
-from .wordpiece import VARIANTS, Vocabulary, VocabSpec, apply_wordpiece
+from .wordpiece import MAX_TRAIN_SENTENCES, VARIANTS, Vocabulary, VocabSpec, apply_wordpiece
 
 
 def _load(module: str) -> None:
@@ -114,6 +116,19 @@ def _lang_file(item: str):
     return (lang, _In(path)) if path else item
 
 
+def _char_range(value: str) -> tuple[int, int]:
+    """`LO-HI` as the inclusive code-point range (LO, HI); a ValueError names
+    the flag, since `main` reports one from a `--config` item as it is."""
+    lo, _, hi = value.partition("-")
+    try:
+        bounds = int(lo, 0), int(hi, 0)
+        if bounds[0] <= bounds[1]:
+            return bounds
+    except ValueError:
+        pass
+    raise ValueError(f"--char-range expects LO-HI with LO <= HI, got {value!r}")
+
+
 def _named(value, kind) -> list:
     """The nonempty `kind` values in a parsed value, lists and pairs included."""
     if isinstance(value, (list, tuple)):
@@ -131,15 +146,27 @@ def _corpus_in_args(parser, prefix=""):
 
 def _read_corpus(args, prefix="") -> ParallelCorpus:
     pre = f"{prefix}_" if prefix else ""
+    flag = f"--{prefix}-" if prefix else "--"
     tsv = getattr(args, f"{pre}tsv")
     source = getattr(args, f"{pre}source")
     target = getattr(args, f"{pre}target")
+    if tsv and (source or target):
+        raise XfervocabError(f"{flag}tsv cannot be combined with {flag}source/{flag}target")
     if tsv:
         return load_parallel_tsv(tsv)
     if not source or not target:
-        flag = f"--{prefix}-" if prefix else "--"
         raise XfervocabError(f"missing corpus input: give {flag}source/{flag}target or {flag}tsv")
     return load_parallel(source, target)
+
+
+def _corpus_flags(args, *prefixes) -> str:
+    """The corpus input flags of `prefixes` that name a file, comma-separated."""
+    named = []
+    for prefix in prefixes:
+        pre = f"{prefix}_" if prefix else ""
+        flag = f"--{prefix}-" if prefix else "--"
+        named += [flag + side for side in ("source", "target", "tsv") if getattr(args, pre + side)]
+    return ", ".join(named)
 
 
 def _corpus_out_args(parser):
@@ -172,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", type=_In, nargs="+", required=True, help="training text files")
     p.add_argument("--target-size", type=int, required=True)
     p.add_argument("--tolerance", type=float, default=0.01)
-    p.add_argument("--max-train-sentences", type=int, default=20_000_000)
+    p.add_argument("--max-train-sentences", type=int, default=MAX_TRAIN_SENTENCES)
     p.add_argument("--out", type=_Out, required=True, help="vocabulary file")
 
     p = sub.add_parser("apply-wp", help="segment text with a wordpiece vocabulary")
@@ -219,6 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", type=_In, nargs="+", required=True)
     p.add_argument(
         "--char-range",
+        type=_char_range,
         action="append",
         default=[],
         help="restrict to tokens with a char in an inclusive range, e.g. 0x0400-0x04FF",
@@ -338,6 +366,8 @@ def _cmd_apply_wp(args):
 
 def _cmd_transform_vocab(args) -> list[Path]:
     _load("transfer")
+    if args.child and args.child_vocab:
+        raise XfervocabError("--child cannot be combined with --child-vocab")
     parent = Vocabulary.load(args.parent_vocab)
     if args.child_vocab:
         child = Vocabulary.load(args.child_vocab)
@@ -357,7 +387,11 @@ def _cmd_transform_vocab(args) -> list[Path]:
 
 def _cmd_merge_vocab(args):
     _load("sharedvocab")
-    if args.parent_vocab and args.child_vocab:
+    if args.parent_vocab or args.child_vocab:
+        if not (args.parent_vocab and args.child_vocab):
+            raise XfervocabError("merging vocabulary files needs both --parent-vocab and --child-vocab")
+        if named := _corpus_flags(args, "parent", "child"):
+            raise XfervocabError(f"--parent-vocab/--child-vocab cannot be combined with {named}")
         if args.report:
             raise XfervocabError("--report needs corpus mode; merging two vocabulary files writes no report")
         parent = Vocabulary.load(args.parent_vocab)
@@ -385,7 +419,7 @@ def _cmd_balanced_vocab(args):
     _load("sharedvocab")
     parent_corpus = _read_corpus(args, "parent")
     child_corpus = _read_corpus(args, "child")
-    vocab = build_balanced_vocab(parent_corpus, child_corpus, args.target_size, args.tolerance, args.seed)
+    vocab = build_balanced_vocab(parent_corpus, child_corpus, args.target_size, args.tolerance, seed=args.seed)
     vocab.save(args.out)
     print(f"balanced vocabulary: {len(vocab)} tokens -> {args.out}")
 
@@ -404,13 +438,7 @@ def _cmd_diag(args):
         _write_report(args.out, render_tsv([("segmentation_rate",), (rate,)]))
     elif args.diag_command == "usage":
         sentences = [s for path in args.input for s in read_lines(path)]
-        predicate = None
-        if args.char_range:
-            ranges = []
-            for spec in args.char_range:
-                lo, _, hi = spec.partition("-")
-                ranges.append((int(lo, 0), int(hi, 0)))
-            predicate = unicode_range_predicate(ranges)
+        predicate = unicode_range_predicate(args.char_range) if args.char_range else None
         usage = vocab_usage(vocab, sentences, predicate)
         print(f"vocab_usage\t{usage:.4f}")
         _write_report(args.out, render_tsv([("vocab_usage",), (usage,)]))
@@ -420,6 +448,8 @@ def _cmd_diag(args):
             if isinstance(item, str):
                 raise XfervocabError(f"--corpus expects LANG=FILE, got {item!r}")
             lang, path = item
+            if lang in corpora:
+                raise XfervocabError(f"--corpus label {lang!r} is given twice")
             corpora[lang] = read_lines(path)
         breakdown = overlap_breakdown(vocab, corpora, args.min_count, args.parent, args.child)
         langs = sorted(corpora)
@@ -452,10 +482,16 @@ def _cmd_corpus(args):
     if not args.out_tsv and not (args.out_source and args.out_target):
         raise XfervocabError("missing corpus output: give --out-source/--out-target or --out-tsv")
     if args.corpus_command == "sample":
+        if args.size is not None and args.per_side is not None:
+            raise XfervocabError("--size cannot be combined with --per-side")
         if args.size is not None:
+            if named := _corpus_flags(args, "a", "b"):
+                raise XfervocabError(f"--size cannot be combined with {named}")
             corpus = _read_corpus(args)
             out = subsample(corpus, args.size, args.seed)
         elif args.per_side is not None:
+            if named := _corpus_flags(args, ""):
+                raise XfervocabError(f"--per-side cannot be combined with {named}")
             a = _read_corpus(args, "a")
             b = _read_corpus(args, "b")
             out = sample_equal(a, b, args.per_side, args.seed)
@@ -468,10 +504,12 @@ def _cmd_corpus(args):
     else:
         corpus = _read_corpus(args)
         if args.corpus_command == "filter":
+            if args.max_subwords is not None and not args.vocab:
+                raise XfervocabError("--max-subwords needs --vocab")
+            if args.vocab and args.max_subwords is None:
+                raise XfervocabError("--vocab needs --max-subwords")
             out, report = filter_by_word_length(corpus, args.min_words, args.max_words)
             if args.max_subwords is not None:
-                if not args.vocab:
-                    raise XfervocabError("--max-subwords needs --vocab")
                 vocab = Vocabulary.load(args.vocab)
                 out, sub_report = filter_by_subword_length(out, vocab, args.max_subwords)
                 report = FilterReport.from_counts(sub_report.kept, report.dropped + sub_report.dropped)
@@ -502,7 +540,7 @@ def _cmd_eval(args):
         cand_b = read_lines(args.candidates_b)
         references = read_lines(args.references)
         result = paired_bootstrap(
-            cand_a, cand_b, references, args.samples, args.alpha, args.seed, tokenization=args.tokenize
+            cand_a, cand_b, references, args.samples, args.alpha, seed=args.seed, tokenization=args.tokenize
         )
         print(
             f"wins_a {result.wins_a}\twins_b {result.wins_b}\tties {result.ties}\tbetter {result.better}"

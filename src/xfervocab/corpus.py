@@ -29,8 +29,6 @@ class ParallelCorpus:
 
     sources: tuple[str, ...]
     targets: tuple[str, ...]
-    source_lang: str = "src"
-    target_lang: str = "tgt"
 
     def __post_init__(self):
         if len(self.sources) != len(self.targets):
@@ -43,10 +41,10 @@ class ParallelCorpus:
                     raise CorpusFormatError(f"sentence contains a newline: {sentence!r}")
 
     @classmethod
-    def from_pairs(cls, pairs, source_lang="src", target_lang="tgt") -> "ParallelCorpus":
+    def from_pairs(cls, pairs) -> "ParallelCorpus":
         sources = tuple(src for src, _ in pairs)
         targets = tuple(tgt for _, tgt in pairs)
-        return cls(sources, targets, source_lang, target_lang)
+        return cls(sources, targets)
 
     @property
     def pairs(self) -> list[tuple[str, str]]:
@@ -74,12 +72,7 @@ class FilterReport:
         return render_tsv([("kept", "dropped", "dropped_fraction"), astuple(self)])
 
 
-def load_parallel(
-    source_path: str | Path,
-    target_path: str | Path,
-    source_lang: str = "src",
-    target_lang: str = "tgt",
-) -> ParallelCorpus:
+def load_parallel(source_path: str | Path, target_path: str | Path) -> ParallelCorpus:
     """Zip two one-sentence-per-line files into a parallel corpus."""
     sources = read_lines(source_path)
     targets = read_lines(target_path)
@@ -87,10 +80,10 @@ def load_parallel(
         raise AlignmentError(
             f"{source_path} has {len(sources)} lines but {target_path} has {len(targets)}"
         )
-    return ParallelCorpus(tuple(sources), tuple(targets), source_lang, target_lang)
+    return ParallelCorpus(tuple(sources), tuple(targets))
 
 
-def load_parallel_tsv(path: str | Path, source_lang="src", target_lang="tgt") -> ParallelCorpus:
+def load_parallel_tsv(path: str | Path) -> ParallelCorpus:
     """Load a two-column TSV; a row without exactly one tab is rejected."""
     sources, targets = [], []
     for i, line in enumerate(read_lines(path), start=1):
@@ -99,7 +92,7 @@ def load_parallel_tsv(path: str | Path, source_lang="src", target_lang="tgt") ->
             raise CorpusFormatError(f"{path}: line {i}: expected 2 tab-separated columns, got {len(columns)}")
         sources.append(columns[0])
         targets.append(columns[1])
-    return ParallelCorpus(tuple(sources), tuple(targets), source_lang, target_lang)
+    return ParallelCorpus(tuple(sources), tuple(targets))
 
 
 def write_parallel(corpus: ParallelCorpus, source_path: str | Path, target_path: str | Path) -> None:
@@ -128,8 +121,7 @@ def filter_by_word_length(
         if min_words < _word_count(src) <= max_words and min_words < _word_count(tgt) <= max_words
     ]
     report = FilterReport.from_counts(len(kept), len(corpus) - len(kept))
-    out = ParallelCorpus.from_pairs(kept, corpus.source_lang, corpus.target_lang)
-    return out, report
+    return ParallelCorpus.from_pairs(kept), report
 
 
 def filter_by_subword_length(
@@ -143,8 +135,7 @@ def filter_by_subword_length(
         and len(apply_wordpiece(vocab, tgt)) <= max_tokens
     ]
     report = FilterReport.from_counts(len(kept), len(corpus) - len(kept))
-    out = ParallelCorpus.from_pairs(kept, corpus.source_lang, corpus.target_lang)
-    return out, report
+    return ParallelCorpus.from_pairs(kept), report
 
 
 def sample_equal(a: ParallelCorpus, b: ParallelCorpus, per_side: int, seed: int) -> ParallelCorpus:
@@ -157,9 +148,7 @@ def sample_equal(a: ParallelCorpus, b: ParallelCorpus, per_side: int, seed: int)
     rng = random.Random(seed)
     picked_a = [(a.sources[i], a.targets[i]) for i in rng.sample(range(len(a)), per_side)]
     picked_b = [(b.sources[i], b.targets[i]) for i in rng.sample(range(len(b)), per_side)]
-    source_lang = a.source_lang if a.source_lang == b.source_lang else "mixed"
-    target_lang = a.target_lang if a.target_lang == b.target_lang else "mixed"
-    return ParallelCorpus.from_pairs(picked_a + picked_b, source_lang, target_lang)
+    return ParallelCorpus.from_pairs(picked_a + picked_b)
 
 
 def subsample(corpus: ParallelCorpus, size: int, seed: int) -> ParallelCorpus:
@@ -169,19 +158,19 @@ def subsample(corpus: ParallelCorpus, size: int, seed: int) -> ParallelCorpus:
         raise SampleSizeError(f"size {size} exceeds the corpus size {len(corpus)}")
     indices = sorted(random.Random(seed).sample(range(len(corpus)), size))
     pairs = [(corpus.sources[i], corpus.targets[i]) for i in indices]
-    return ParallelCorpus.from_pairs(pairs, corpus.source_lang, corpus.target_lang)
+    return ParallelCorpus.from_pairs(pairs)
 
 
 def mix_with_oversample(
-    authentic: ParallelCorpus, synthetic: ParallelCorpus, factor: int, seed: int = 0
+    authentic: ParallelCorpus, synthetic: ParallelCorpus, factor: int, seed: int
 ) -> ParallelCorpus:
     """factor copies of authentic plus synthetic, Fisher-Yates shuffled with
-    the given seed (default 0) so training order is reproducible."""
+    the given seed so training order is reproducible."""
     if factor < 1:
         raise ValueError("factor must be at least 1")
     combined = authentic.pairs * factor + synthetic.pairs
     random.Random(seed).shuffle(combined)
-    return ParallelCorpus.from_pairs(combined, authentic.source_lang, authentic.target_lang)
+    return ParallelCorpus.from_pairs(combined)
 
 
 def _sample_derangement(letters: list[str], rng: random.Random) -> dict[str, str]:
@@ -247,7 +236,7 @@ def make_pseudo_related(corpus: ParallelCorpus, keep_percent: float, seed: int) 
 
     sources = tuple(transform(s, keep_src) for s in corpus.sources)
     targets = tuple(transform(t, keep_tgt) for t in corpus.targets)
-    return ParallelCorpus(sources, targets, corpus.source_lang, corpus.target_lang)
+    return ParallelCorpus(sources, targets)
 
 
 def corrupt_word_order(corpus: ParallelCorpus, mode: str, seed: int) -> ParallelCorpus:
@@ -267,7 +256,7 @@ def corrupt_word_order(corpus: ParallelCorpus, mode: str, seed: int) -> Parallel
         order = list(range(len(corpus)))
         rng.shuffle(order)
         targets = tuple(corpus.targets[i] for i in order)
-        return ParallelCorpus(corpus.sources, targets, corpus.source_lang, corpus.target_lang)
+        return ParallelCorpus(corpus.sources, targets)
 
     sources, targets = [], []
     for src, tgt in corpus:
@@ -279,4 +268,4 @@ def corrupt_word_order(corpus: ParallelCorpus, mode: str, seed: int) -> Parallel
             tgt = " ".join(sorted(tgt.split()))
         sources.append(src)
         targets.append(tgt)
-    return ParallelCorpus(tuple(sources), tuple(targets), corpus.source_lang, corpus.target_lang)
+    return ParallelCorpus(tuple(sources), tuple(targets))

@@ -7,7 +7,7 @@ overlap breakdown, and the impact of subword-length filtering.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .corpus import FilterReport, ParallelCorpus, filter_by_subword_length
@@ -68,17 +68,15 @@ class OverlapBreakdown:
     """Vocabulary tokens classed by the exact set of languages using them.
 
     A token belongs to a language when its count in that language's
-    segmented corpus reaches min_count; tokens below the threshold
+    segmented corpus reaches overlap_breakdown's min_count; tokens below it
     everywhere are counted as never_observed.
     """
 
     classes: dict[frozenset[str], int]
     reused_parent: int | None
     unused_by_child: int | None
-    min_count: int
     never_observed: int
     vocabulary_size: int
-    languages: tuple[str, ...] = field(default=())
 
     def to_tsv(self) -> str:
         subsets = sorted(self.classes, key=lambda s: (len(s), sorted(s)))
@@ -142,10 +140,8 @@ def overlap_breakdown(
         classes=classes,
         reused_parent=reused,
         unused_by_child=unused,
-        min_count=min_count,
         never_observed=len(vocab) - len(token_langs),
         vocabulary_size=len(vocab),
-        languages=tuple(corpora),
     )
 
 

@@ -252,7 +252,7 @@ def bleu(
     )
 
 
-def _resample_scores(stats: Sequence[np.ndarray], samples: int, seed: int | None, smoothing: str) -> list[np.ndarray]:
+def _resample_scores(stats: Sequence[np.ndarray], samples: int, seed: int, smoothing: str) -> list[np.ndarray]:
     """BLEU of every system in stats on every resample.
 
     Resample k is the k-th row drawn from one seeded generator, and row k of
@@ -275,7 +275,8 @@ def paired_bootstrap(
     references,
     samples: int = 1000,
     alpha: float = 0.05,
-    seed: int | None = None,
+    *,
+    seed: int,
     n_max: int = 4,
     smoothing: str = "exponential",
     tokenization: str = "intl",

@@ -87,7 +87,8 @@ def build_balanced_vocab(
     child_corpus: ParallelCorpus,
     target_size: int,
     tolerance: float = 0.01,
-    seed: int = 0,
+    *,
+    seed: int,
 ) -> Vocabulary:
     """Learn one vocabulary from an equal number of sentence pairs sampled
     from each corpus, so all four language sides contribute equally."""

@@ -37,8 +37,6 @@ class VocabMapping:
     """Per-slot record of a parent-to-child vocabulary rewrite."""
 
     entries: tuple[MappingEntry, ...]
-    variant: str
-    seed: int | None = None
     used_parent_slots: frozenset[int] | None = None
 
     def to_tsv(self) -> str:
@@ -153,7 +151,7 @@ def map_vocabularies(
             entries.append(MappingEntry(slot, parent_token, parent_token, False, True))
         else:
             entries.append(MappingEntry(slot, parent_token, token, token == parent_token))
-    return VocabMapping(tuple(entries), variant, seed)
+    return VocabMapping(tuple(entries))
 
 
 def transform_vocab(
@@ -161,7 +159,6 @@ def transform_vocab(
     child_corpus: Sequence[Iterable[str]],
     variant: str = "frequency",
     seed: int | None = None,
-    tolerance: float = 0.01,
 ) -> tuple[Vocabulary, VocabMapping]:
     """Learn a child vocabulary sized to the parent and remap parent slots.
 
@@ -169,7 +166,7 @@ def transform_vocab(
     the parent segmentation, for the unused-parent report.
     """
     sentences = [list(part) for part in child_corpus]
-    spec = VocabSpec(target_size=len(parent), tolerance=tolerance)
+    spec = VocabSpec(target_size=len(parent))
     child = learn_wordpiece(sentences, spec)
     mapping = map_vocabularies(parent, child, variant, seed)
 
@@ -178,7 +175,7 @@ def transform_vocab(
         for sentence in part:
             observed.update(apply_wordpiece(parent, sentence))
     used = frozenset(e.slot for e in mapping.entries if e.parent_token in observed)
-    mapping = VocabMapping(mapping.entries, mapping.variant, mapping.seed, used)
+    mapping = VocabMapping(mapping.entries, used)
     out_tokens = mapping.output_tokens()
     return Vocabulary(out_tokens, within_tolerance=child.within_tolerance), mapping
 

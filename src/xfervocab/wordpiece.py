@@ -30,6 +30,9 @@ ESCAPE_TOKENS = ("\\", ";", "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", WO
 # Assignment variants of `transfer.map_vocabularies`, here for a parser without numpy.
 VARIANTS = ("frequency", "everything_random", "unmatched_random", "levenshtein")
 
+# Sentences a learner counts unless told otherwise.
+MAX_TRAIN_SENTENCES = 20_000_000
+
 # Units whose tokens one Vocabulary remembers; later new units are not stored.
 _UNIT_CACHE_SIZE = 1 << 16
 
@@ -156,16 +159,13 @@ class VocabSpec:
 
     target_size: int
     tolerance: float = 0.01
-    max_train_sentences: int = 20_000_000
-    refine_iterations: int = 4
+    max_train_sentences: int = MAX_TRAIN_SENTENCES
 
     def __post_init__(self):
         if not 0 < self.tolerance < 0.5:
             raise ValueError("tolerance must be in (0, 0.5)")
         if self.target_size < 1:
             raise ValueError("target_size must be positive")
-        if self.refine_iterations < 1:
-            raise ValueError("refine_iterations must be at least 1")
 
 
 def _segment_boundaries(marked: str, unsafe: list[bool], index: Container[str], max_len: int) -> list[tuple[int, int]]:

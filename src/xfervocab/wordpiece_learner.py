@@ -21,8 +21,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .wordpiece import ESCAPE_TOKENS, WORD_MARKER, VocabSpec, Vocabulary, _count_units
+from .wordpiece import ESCAPE_TOKENS, MAX_TRAIN_SENTENCES, WORD_MARKER, VocabSpec, Vocabulary, _count_units
 from .wordpiece import _segment_boundaries, _unsafe_mask
+
+# Counting passes per threshold, the default of Tensor2Tensor's SubwordTextEncoder.
+_REFINE_ITERATIONS = 4
 
 
 class _CandidateBuilder:
@@ -173,7 +176,7 @@ class WordpieceLearner:
     nested, and any target up to the inventory size is hit exactly.
     """
 
-    def __init__(self, unit_counts: Counter, refine_iterations: int = 4):
+    def __init__(self, unit_counts: Counter):
         if not unit_counts:
             raise ValueError("cannot learn a vocabulary from an empty corpus")
         chars = set()
@@ -182,7 +185,6 @@ class WordpieceLearner:
         chars -= {"\\", WORD_MARKER}
         self._base = sorted(chars.union(ESCAPE_TOKENS))
         self._unit_counts: Counter | None = unit_counts
-        self._refine_iterations = refine_iterations
         self._max_count = max(unit_counts.values())
         self._ranking: list[str] | None = None
         # Threshold-1 counts, aligned with the ranking and with the base.
@@ -191,15 +193,11 @@ class WordpieceLearner:
 
     @classmethod
     def from_corpora(
-        cls,
-        corpora: Sequence[Iterable[str]],
-        max_train_sentences: int = 20_000_000,
-        refine_iterations: int = 4,
+        cls, corpora: Sequence[Iterable[str]], max_train_sentences: int = MAX_TRAIN_SENTENCES
     ) -> "WordpieceLearner":
         if not corpora:
             raise ValueError("cannot learn a vocabulary from an empty corpus")
-        counts = _count_units(corpora, max_train_sentences)
-        return cls(counts, refine_iterations)
+        return cls(_count_units(corpora, max_train_sentences))
 
     @property
     def base_tokens(self) -> list[str]:
@@ -232,7 +230,7 @@ class WordpieceLearner:
             else:
                 selected, adjusted = builder.select(first_counts, threshold)
                 previous = np.zeros_like(selected)
-                for _ in range(self._refine_iterations - 1):
+                for _ in range(_REFINE_ITERATIONS - 1):
                     if np.array_equal(selected, previous):
                         break  # a fixed point: further passes repeat it
                     builder.move_to(selected)
@@ -278,7 +276,4 @@ def learn_wordpiece(corpora: Sequence[Iterable[str]], spec: VocabSpec) -> Vocabu
     every observed character and the full escape alphabet, and its
     within_tolerance flag records whether the size contract was met.
     """
-    learner = WordpieceLearner.from_corpora(
-        corpora, spec.max_train_sentences, spec.refine_iterations
-    )
-    return learner.learn(spec)
+    return WordpieceLearner.from_corpora(corpora, spec.max_train_sentences).learn(spec)

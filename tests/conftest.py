@@ -46,7 +46,7 @@ def desk_parallel(
 ) -> ParallelCorpus:
     src = desk_sentences(seed, src_alphabet, n_sentences, n_types)
     tgt = desk_sentences(seed + 1, tgt_alphabet, n_sentences, n_types)
-    return ParallelCorpus(tuple(src), tuple(tgt), "lt", "cy")
+    return ParallelCorpus(tuple(src), tuple(tgt))
 
 
 @pytest.fixture(scope="session")

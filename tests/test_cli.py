@@ -387,6 +387,8 @@ def desk(tmp_path_factory):
     write(d / "refs.txt", ["the cat sat on the mat", "a quick brown fox"])
     write(d / "worse.txt", ["the cat sat", "a fox"])
     write(d / "curve.tsv", ["step\tscore", "1\t10", "2\t15", "3\t16", "4\t16.01", "5\t16.02"])
+    write(d / "tsv.conf", [f"tsv = {d}/pair.tsv"])
+    write(d / "range.conf", ["char_range = 0x0400"])
     return d
 
 
@@ -516,11 +518,54 @@ def test_manifest_records_each_command_shape(desk, argv, inputs, outputs, seed, 
         (["eval", "bootstrap", "--candidates-a", "{d}/worse.txt", "--candidates-b", "{d}/refs.txt",
           "--references", "{d}/refs.txt", "--samples", "50", "--seed", "4", "--alpha", "1"],
          "alpha must be in (0, 1)"),
+        # A named input is always read: flags naming a file the command would skip.
+        (["corpus", "pseudo", "--tsv", "{d}/pair.tsv", *CORPUS_LT, "--keep-percent", "0", "--seed", "1",
+          "--out-tsv", "{d}/e7.tsv"], "--tsv cannot be combined with --source/--target"),
+        (["balanced-vocab", "--parent-tsv", "{d}/pair.tsv", "--parent-target", "{d}/cy.txt", "--child-tsv",
+          "{d}/pair.tsv", "--target-size", "50", "--seed", "1", "--out", "{d}/e8.vocab"],
+         "--parent-tsv cannot be combined with --parent-source/--parent-target"),
+        (["--config", "{d}/tsv.conf", "corpus", "corrupt", *CORPUS_LT, "--mode", "sort_target", "--seed", "1",
+          "--out-tsv", "{d}/e9.tsv"], "--tsv cannot be combined with --source/--target"),
+        (["transform-vocab", "--parent-vocab", "{d}/parent.vocab", "--child", "{d}/lt.txt", "--child-vocab",
+          "{d}/child.vocab", "--out-dir", "{d}/e10"], "--child cannot be combined with --child-vocab"),
+        (["corpus", "sample", *CORPUS_LT, "--a-tsv", "{d}/pair.tsv", "--b-tsv", "{d}/pair.tsv", "--per-side", "5",
+          "--size", "5", "--seed", "1", "--out-tsv", "{d}/e11.tsv"], "--size cannot be combined with --per-side"),
+        (["corpus", "sample", *CORPUS_LT, "--a-tsv", "{d}/pair.tsv", "--b-source", "{d}/lt2.txt", "--size", "5",
+          "--seed", "1", "--out-tsv", "{d}/e12.tsv"], "--size cannot be combined with --a-tsv, --b-source"),
+        (["corpus", "sample", "--tsv", "{d}/pair.tsv", "--a-tsv", "{d}/pair.tsv", "--b-tsv", "{d}/pair.tsv",
+          "--per-side", "5", "--seed", "1", "--out-tsv", "{d}/e13.tsv"], "--per-side cannot be combined with --tsv"),
+        (["corpus", "filter", *CORPUS_LT, "--vocab", "{d}/toy.vocab", "--out-tsv", "{d}/e14.tsv"],
+         "--vocab needs --max-subwords"),
+        (["merge-vocab", "--parent-vocab", "{d}/parent.vocab", "--child-vocab", "{d}/child.vocab", "--parent-tsv",
+          "{d}/pair.tsv", "--child-source", "{d}/lt2.txt", "--out", "{d}/e15.vocab"],
+         "--parent-vocab/--child-vocab cannot be combined with --parent-tsv, --child-source"),
+        (["merge-vocab", "--parent-vocab", "{d}/parent.vocab", "--parent-tsv", "{d}/pair.tsv", "--child-tsv",
+          "{d}/pair.tsv", "--target-size", "50", "--out", "{d}/e16.vocab"],
+         "merging vocabulary files needs both --parent-vocab and --child-vocab"),
+        (["merge-vocab", "--child-vocab", "{d}/child.vocab", "--out", "{d}/e17.vocab"],
+         "merging vocabulary files needs both --parent-vocab and --child-vocab"),
+        (["diag", "overlap", "--vocab", "{d}/toy.vocab", "--corpus", "en={d}/lt.txt", "--corpus", "en={d}/cy.txt",
+          "--corpus", "cs={d}/lt.txt", "--out", "{d}/e18.tsv"], "--corpus label 'en' is given twice"),
+        (["--config", "{d}/range.conf", "diag", "usage", "--vocab", "{d}/toy.vocab", "--input", "{d}/lt.txt",
+          "--out", "{d}/e19.tsv"], "--char-range expects LO-HI with LO <= HI, got '0x0400'"),
     ],
 )
 def test_cli_error_paths_exit_1(desk, capsys, argv, message):
+    before = set(desk.rglob("*"))
     assert main([arg.format(d=desk) for arg in argv]) == 1
     assert capsys.readouterr().err == f"xfervocab: error: {message.format(d=desk)}\n"
+    assert set(desk.rglob("*")) == before  # no output and no manifest
+
+
+@pytest.mark.parametrize("value", ["0x0400", "0x7A-0x61", "a-z"])
+def test_bad_char_range_on_the_command_line_exits_2(desk, capsys, value):
+    before = set(desk.rglob("*"))
+    with pytest.raises(SystemExit) as exc:
+        main(["diag", "usage", "--vocab", f"{desk}/toy.vocab", "--input", f"{desk}/lt.txt", "--char-range", value,
+              "--out", f"{desk}/e20.tsv"])
+    assert exc.value.code == 2
+    assert f"argument --char-range: invalid _char_range value: {value!r}" in capsys.readouterr().err
+    assert set(desk.rglob("*")) == before
 
 
 def test_config_file_digest_is_recorded(texts):

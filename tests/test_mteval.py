@@ -293,6 +293,14 @@ def test_resample_rows_match_one_draw_at_odd_sizes(n_sentences):
         assert all(np.array_equal(got, want) for got, want in zip(scores, expected))
 
 
+def test_bootstrap_needs_an_explicit_seed():
+    refs = ["a b c", "d e f"]
+    with pytest.raises(TypeError):
+        paired_bootstrap(refs, refs, refs, samples=10)
+    with pytest.raises(TypeError):
+        paired_bootstrap(refs, refs, refs, 10, 0.05, 3)  # seed is keyword-only
+
+
 def test_bootstrap_length_mismatch():
     with pytest.raises(ValueError):
         paired_bootstrap(["a"], ["a", "b"], ["a"], seed=0)

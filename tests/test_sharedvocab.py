@@ -61,7 +61,7 @@ def test_build_merged_identical_corpora_collapses():
 
 def test_balanced_draws_equal_counts(small_parents):
     parent, child = small_parents
-    bigger = ParallelCorpus(parent.sources * 3, parent.targets * 3, "lt", "cy")
+    bigger = ParallelCorpus(parent.sources * 3, parent.targets * 3)
     vocab = build_balanced_vocab(bigger, child, target_size=800, tolerance=0.01, seed=4)
     # equality with the manual pipeline: sample min-size pairs from each side
     per_side = min(len(bigger), len(child))
@@ -82,3 +82,7 @@ def test_balanced_deterministic(small_parents, tmp_path):
     a.save(pa)
     b.save(pb)
     assert pa.read_bytes() == pb.read_bytes()
+    with pytest.raises(TypeError):
+        build_balanced_vocab(parent, child, 600, 0.01)
+    with pytest.raises(TypeError):
+        build_balanced_vocab(parent, child, 600, 0.01, 9)  # seed is keyword-only

@@ -201,7 +201,7 @@ def test_token_overlap_matches_oracle(both, base_only, ref_only, neither):
     st.integers(1, 10**9),
 )
 def test_overlap_breakdown_matches_oracle(classes, reused, unused, never, size):
-    breakdown = OverlapBreakdown(classes, reused, unused, 10, never, size)
+    breakdown = OverlapBreakdown(classes, reused, unused, never, size)
     assert breakdown.to_tsv() == oracle_overlap_breakdown_tsv(breakdown)
 
 
@@ -211,7 +211,7 @@ def mappings(draw, token_strategy=cells.filter(bool)):
     child = draw(st.permutations(parent))
     entries = tuple(MappingEntry(slot, p, c, p == c) for slot, (p, c) in enumerate(zip(parent, child)))
     used = draw(st.none() | st.frozensets(st.integers(0, len(parent) - 1)))
-    return VocabMapping(entries, "frequency", None, used)
+    return VocabMapping(entries, used)
 
 
 @settings(max_examples=200, deadline=None)

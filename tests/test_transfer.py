@@ -154,7 +154,7 @@ def oracle_levenshtein_mapping(parent, child):
             entries.append(MappingEntry(slot, parent_token, parent_token, False, True))
         else:
             entries.append(MappingEntry(slot, parent_token, token, token == parent_token))
-    return VocabMapping(tuple(entries), "levenshtein")
+    return VocabMapping(tuple(entries))
 
 
 # Spaces, a Latin-1 letter and two astral code points; small, so ties and
@@ -264,7 +264,7 @@ def test_mapping_tsv_layout():
 
 
 def test_mapping_with_a_tab_in_a_token_raises_before_any_bundle_file(tmp_path):
-    mapping = VocabMapping((MappingEntry(0, "a", "\t", False),), "frequency")
+    mapping = VocabMapping((MappingEntry(0, "a", "\t", False),))
     with pytest.raises(CorpusFormatError, match=r"'\\t'"):
         mapping.to_tsv()
     with pytest.raises(CorpusFormatError):

@@ -8,12 +8,14 @@ import re
 import unicodedata
 import warnings
 from collections import defaultdict
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xfervocab.wordpiece as wordpiece
+import xfervocab.wordpiece_learner as wordpiece_learner
 from xfervocab.errors import CorpusFormatError, EscapeDecodeError
 from xfervocab.wordpiece import (
     ESCAPE_TOKENS,
@@ -422,8 +424,8 @@ def oracle_ranking(unit_counts, refine_iterations=4):
     return base, ranking, dict(build(1))
 
 
-def oracle_learn(unit_counts, spec):
-    base, ranking, raw = oracle_ranking(unit_counts, spec.refine_iterations)
+def oracle_learn(unit_counts, spec, refine_iterations):
+    base, ranking, raw = oracle_ranking(unit_counts, refine_iterations)
     selected = ranking[: spec.target_size - len(base)]
     within = abs(len(base) + len(selected) - spec.target_size) <= spec.tolerance * spec.target_size
     ordered = sorted(selected + base, key=lambda tok: (-raw.get(tok, 0), tok))
@@ -444,16 +446,17 @@ oracle_corpora = st.lists(st.text(ORACLE_ALPHABET, min_size=1, max_size=8), min_
 def test_incremental_ladder_matches_recount_oracle(sentences, refine_iterations, extra):
     counts = _count_units([sentences], len(sentences))
     base, ranking, raw = oracle_ranking(counts, refine_iterations)
-    learner = WordpieceLearner(counts, refine_iterations)
+    learner = WordpieceLearner(counts)
     assert learner.base_tokens == base
-    assert learner._canonical_ranking() == ranking
+    with mock.patch.object(wordpiece_learner, "_REFINE_ITERATIONS", refine_iterations):
+        assert learner._canonical_ranking() == ranking
     learned_raw = dict(zip(ranking, learner._ranked_raw.tolist())) | dict(zip(base, learner._base_raw))
     assert learned_raw == {tok: raw.get(tok, 0) for tok in learned_raw}
     assert set(learned_raw) == set(raw) | set(base)
     # Targets inside the inventory, at its end, and past it (tolerance misses).
     for target in {len(base), len(base) + len(ranking), *(len(base) + k for k in extra)}:
-        spec = VocabSpec(target_size=target, refine_iterations=refine_iterations)
+        spec = VocabSpec(target_size=target)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             vocab = learner.learn(spec)
-        assert (vocab.tokens, vocab.within_tolerance) == oracle_learn(counts, spec)
+        assert (vocab.tokens, vocab.within_tolerance) == oracle_learn(counts, spec, refine_iterations)
