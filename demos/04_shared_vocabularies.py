@@ -20,7 +20,7 @@ from xfervocab import (
 
 def synthetic_corpus(seed, alphabet, n=1500):
     rng = random.Random(seed)
-    words = list({"".join(rng.choice(alphabet) for _ in range(rng.randint(2, 8))) for _ in range(900)})
+    words = list(dict.fromkeys("".join(rng.choice(alphabet) for _ in range(rng.randint(2, 8))) for _ in range(900)))
     weights = [1.0 / (i + 1) for i in range(len(words))]
     return [" ".join(rng.choices(words, weights=weights, k=rng.randint(4, 9))) for _ in range(n)]
 
@@ -71,12 +71,7 @@ corpora = {
 breakdown = overlap_breakdown(
     balanced, corpora, min_count=10, parent_langs=("eng", "rus"), child_langs=("est", "eng")
 )
-total = breakdown.vocabulary_size
-for subset in sorted(breakdown.classes, key=lambda s: (len(s), sorted(s))):
-    share = 100.0 * breakdown.classes[subset] / total
-    print(f"  {'+'.join(sorted(subset)):14} {share:5.1f}%")
-print(f"  {'reused parent':14} {100.0 * breakdown.reused_parent / total:5.1f}%")
-print(f"  {'unused by child':14} {100.0 * breakdown.unused_by_child / total:5.1f}%")
+print(breakdown.to_tsv(), end="")
 
 print()
 print("5. Merging two toy vocabularies keeps parent indices stable")

@@ -6,13 +6,15 @@ manifest with the exact argument vector, the seed, the tool version, and
 the SHA-256 digest of every declared file the argv names, `--config`
 included: inputs hashed before the command runs, outputs after it returns,
 plus the files `transform-vocab` writes into `--out-dir`.  Re-running the
-recorded argv reproduces the artifacts byte for byte.
+recorded argv reproduces the artifacts byte for byte.  The manifest's seed
+is `--seed` as given, also where the run draws nothing from it
+(`transform-vocab --variant frequency|levenshtein`, `corpus corrupt --mode
+sort_target`).
 
-A named output is always written: `merge-vocab --report` beside
-`--parent-vocab/--child-vocab`, and `--out-tsv` beside
-`--out-source/--out-target`, exit 1 naming the flag.  Likewise a named
-input is always read: flags that name a file the command would skip exit 1
-naming the flags, whether the value comes from argv or from `--config`.
+A given flag is always read: one beside a mode that would leave it unread
+exits 1 naming the flags (`_refuse`), whether the value comes from argv or
+from `--config`.  A malformed value exits 2 from argv and 1 from `--config`,
+naming the flag (`_char_range`, `_lang_file`).
 
 The handlers of learn-wp, transform-vocab, merge-vocab, balanced-vocab,
 eval bleu and eval bootstrap load the numpy modules they call on first use
@@ -110,10 +112,12 @@ class _Out(str):
     """Type of a flag that names a file the command writes."""
 
 
-def _lang_file(item: str):
-    """`LANG=FILE` as (LANG, FILE); an item without a file stays as given."""
+def _lang_file(item: str) -> tuple[str, _In]:
+    """`LANG=FILE` as (LANG, FILE); a ValueError names the flag, as `_char_range`'s does."""
     lang, _, path = item.partition("=")
-    return (lang, _In(path)) if path else item
+    if not path:
+        raise ValueError(f"--corpus expects LANG=FILE, got {item!r}")
+    return lang, _In(path)
 
 
 def _char_range(value: str) -> tuple[int, int]:
@@ -144,29 +148,28 @@ def _corpus_in_args(parser, prefix=""):
     group.add_argument(f"{p}tsv", type=_In, help="two-column TSV instead of two files")
 
 
+def _refuse(args, beside: str, *dests: str) -> None:
+    """Exit 1 naming each of `dests` that is given, from argv or `--config`,
+    since the mode `beside` selects would leave it unread."""
+    given = [f"--{dest.replace('_', '-')}" for dest in dests if getattr(args, dest) not in (None, [])]
+    if given:
+        raise XfervocabError(f"{beside} cannot be combined with {', '.join(given)}")
+
+
+def _corpus_dests(*prefixes: str) -> list[str]:
+    """The source, target and tsv dests of each corpus input prefix."""
+    return [f"{prefix}_{side}" if prefix else side for prefix in prefixes for side in ("source", "target", "tsv")]
+
+
 def _read_corpus(args, prefix="") -> ParallelCorpus:
-    pre = f"{prefix}_" if prefix else ""
+    source, target, tsv = _corpus_dests(prefix)
     flag = f"--{prefix}-" if prefix else "--"
-    tsv = getattr(args, f"{pre}tsv")
-    source = getattr(args, f"{pre}source")
-    target = getattr(args, f"{pre}target")
-    if tsv and (source or target):
-        raise XfervocabError(f"{flag}tsv cannot be combined with {flag}source/{flag}target")
-    if tsv:
-        return load_parallel_tsv(tsv)
-    if not source or not target:
+    if getattr(args, tsv):
+        _refuse(args, f"{flag}tsv", source, target)
+        return load_parallel_tsv(getattr(args, tsv))
+    if not getattr(args, source) or not getattr(args, target):
         raise XfervocabError(f"missing corpus input: give {flag}source/{flag}target or {flag}tsv")
-    return load_parallel(source, target)
-
-
-def _corpus_flags(args, *prefixes) -> str:
-    """The corpus input flags of `prefixes` that name a file, comma-separated."""
-    named = []
-    for prefix in prefixes:
-        pre = f"{prefix}_" if prefix else ""
-        flag = f"--{prefix}-" if prefix else "--"
-        named += [flag + side for side in ("source", "target", "tsv") if getattr(args, pre + side)]
-    return ", ".join(named)
+    return load_parallel(getattr(args, source), getattr(args, target))
 
 
 def _corpus_out_args(parser):
@@ -222,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     _corpus_in_args(p, "parent")
     _corpus_in_args(p, "child")
     p.add_argument("--target-size", type=int, help="search per-side sizes for this merged size")
-    p.add_argument("--tolerance", type=float, default=0.01)
+    p.add_argument("--tolerance", type=float, help="relative size tolerance (default 0.01)")
     p.add_argument("--out", type=_Out, required=True)
     p.add_argument("--report", type=_Out, help="build report TSV")
 
@@ -352,8 +355,7 @@ def _cmd_apply_bpe(args):
 def _cmd_learn_wp(args):
     _load("wordpiece_learner")
     corpora = [read_lines(path) for path in args.input]
-    spec = VocabSpec(args.target_size, args.tolerance, args.max_train_sentences)
-    vocab = learn_wordpiece(corpora, spec)
+    vocab = learn_wordpiece(corpora, VocabSpec(args.target_size, args.tolerance), args.max_train_sentences)
     vocab.save(args.out)
     print(f"learned {len(vocab)} tokens (within_tolerance={vocab.within_tolerance}) -> {args.out}")
 
@@ -366,10 +368,9 @@ def _cmd_apply_wp(args):
 
 def _cmd_transform_vocab(args) -> list[Path]:
     _load("transfer")
-    if args.child and args.child_vocab:
-        raise XfervocabError("--child cannot be combined with --child-vocab")
     parent = Vocabulary.load(args.parent_vocab)
     if args.child_vocab:
+        _refuse(args, "--child-vocab", "child")
         child = Vocabulary.load(args.child_vocab)
         mapping = map_vocabularies(parent, child, args.variant, args.seed)
     elif args.child:
@@ -390,10 +391,8 @@ def _cmd_merge_vocab(args):
     if args.parent_vocab or args.child_vocab:
         if not (args.parent_vocab and args.child_vocab):
             raise XfervocabError("merging vocabulary files needs both --parent-vocab and --child-vocab")
-        if named := _corpus_flags(args, "parent", "child"):
-            raise XfervocabError(f"--parent-vocab/--child-vocab cannot be combined with {named}")
-        if args.report:
-            raise XfervocabError("--report needs corpus mode; merging two vocabulary files writes no report")
+        unread = [*_corpus_dests("parent", "child"), "target_size", "tolerance", "report"]
+        _refuse(args, "--parent-vocab/--child-vocab", *unread)
         parent = Vocabulary.load(args.parent_vocab)
         child = Vocabulary.load(args.child_vocab)
         merged = merge_vocabs(parent, child)
@@ -403,7 +402,8 @@ def _cmd_merge_vocab(args):
             raise XfervocabError("corpus mode needs --target-size")
         parent_corpus = _read_corpus(args, "parent")
         child_corpus = _read_corpus(args, "child")
-        merged, report = build_merged_vocab(parent_corpus, child_corpus, args.target_size, args.tolerance)
+        tolerance = 0.01 if args.tolerance is None else args.tolerance
+        merged, report = build_merged_vocab(parent_corpus, child_corpus, args.target_size, tolerance)
     merged.save(args.out)
     if report is not None:
         print(
@@ -429,6 +429,11 @@ def _write_report(path: str | None, tsv: str) -> None:
         write_text(path, tsv)
 
 
+def _report_filter(path: str | None, report: FilterReport) -> None:
+    print(f"kept {report.kept}\tdropped {report.dropped}\tdropped_fraction {report.dropped_fraction:.4f}")
+    _write_report(path, report.to_tsv())
+
+
 def _cmd_diag(args):
     vocab = Vocabulary.load(args.vocab)
     if args.diag_command == "rate":
@@ -444,54 +449,29 @@ def _cmd_diag(args):
         _write_report(args.out, render_tsv([("vocab_usage",), (usage,)]))
     elif args.diag_command == "overlap":
         corpora = {}
-        for item in args.corpus:
-            if isinstance(item, str):
-                raise XfervocabError(f"--corpus expects LANG=FILE, got {item!r}")
-            lang, path = item
+        for lang, path in args.corpus:
             if lang in corpora:
                 raise XfervocabError(f"--corpus label {lang!r} is given twice")
             corpora[lang] = read_lines(path)
-        breakdown = overlap_breakdown(vocab, corpora, args.min_count, args.parent, args.child)
-        langs = sorted(corpora)
-        width = max(16, max(len(lang) for lang in langs) + 2)
-        header = "".join(lang.ljust(width) for lang in langs) + "tokens".rjust(8) + "%".rjust(9)
-        print(header)
-        total = len(vocab)
-
-        def row(marks, count):
-            cells = "".join(str(m).ljust(width) for m in marks)
-            print(f"{cells}{count:>8}{100.0 * count / total:>8.2f}%")
-
-        for subset in sorted(breakdown.classes, key=lambda s: (len(s), sorted(s))):
-            row(["+" if lang in subset else "-" for lang in langs], breakdown.classes[subset])
-        if breakdown.reused_parent is not None:
-            row(["reused parent"] + [""] * (len(langs) - 1), breakdown.reused_parent)
-        if breakdown.unused_by_child is not None:
-            row(["unused by child"] + [""] * (len(langs) - 1), breakdown.unused_by_child)
-        _write_report(args.out, breakdown.to_tsv())
+        tsv = overlap_breakdown(vocab, corpora, args.min_count, args.parent, args.child).to_tsv()
+        print(tsv, end="")
+        _write_report(args.out, tsv)
     elif args.diag_command == "filter-impact":
-        corpus = _read_corpus(args)
-        report = length_filter_impact(vocab, corpus, args.threshold)
-        print(f"kept {report.kept}\tdropped {report.dropped}\tdropped_fraction {report.dropped_fraction:.4f}")
-        _write_report(args.out, report.to_tsv())
+        _report_filter(args.out, length_filter_impact(vocab, _read_corpus(args), args.threshold))
 
 
 def _cmd_corpus(args):
-    if args.out_tsv and (args.out_source or args.out_target):
-        raise XfervocabError("--out-tsv cannot be combined with --out-source/--out-target")
+    if args.out_tsv:
+        _refuse(args, "--out-tsv", "out_source", "out_target")
     if not args.out_tsv and not (args.out_source and args.out_target):
         raise XfervocabError("missing corpus output: give --out-source/--out-target or --out-tsv")
     if args.corpus_command == "sample":
-        if args.size is not None and args.per_side is not None:
-            raise XfervocabError("--size cannot be combined with --per-side")
         if args.size is not None:
-            if named := _corpus_flags(args, "a", "b"):
-                raise XfervocabError(f"--size cannot be combined with {named}")
+            _refuse(args, "--size", "per_side", *_corpus_dests("a", "b"))
             corpus = _read_corpus(args)
             out = subsample(corpus, args.size, args.seed)
         elif args.per_side is not None:
-            if named := _corpus_flags(args, ""):
-                raise XfervocabError(f"--per-side cannot be combined with {named}")
+            _refuse(args, "--per-side", *_corpus_dests(""))
             a = _read_corpus(args, "a")
             b = _read_corpus(args, "b")
             out = sample_equal(a, b, args.per_side, args.seed)
@@ -513,8 +493,7 @@ def _cmd_corpus(args):
                 vocab = Vocabulary.load(args.vocab)
                 out, sub_report = filter_by_subword_length(out, vocab, args.max_subwords)
                 report = FilterReport.from_counts(sub_report.kept, report.dropped + sub_report.dropped)
-            _write_report(args.report, report.to_tsv())
-            print(f"kept {report.kept}\tdropped {report.dropped}\tdropped_fraction {report.dropped_fraction:.4f}")
+            _report_filter(args.report, report)
         elif args.corpus_command == "pseudo":
             out = make_pseudo_related(corpus, args.keep_percent, args.seed)
         elif args.corpus_command == "corrupt":

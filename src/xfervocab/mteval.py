@@ -70,7 +70,6 @@ def _tokenize(text: str, tokenization: str) -> list[str]:
 class BleuReport:
     score: float
     precisions: tuple[float, ...]
-    weights: tuple[float, ...]
     bp: float
     sys_len: int
     ref_len: int
@@ -227,21 +226,14 @@ def bleu(
     n_max: int = 4,
     smoothing: str = "exponential",
     tokenization: str = "intl",
-    weights: Sequence[float] | None = None,
 ) -> BleuReport:
     """Document-level BLEU (multiplied by 100) for one candidate corpus."""
     references = _normalize_references(references, len(candidates))
     sums = sentence_stats(candidates, references, n_max, tokenization).sum(axis=0)
-    if weights is None:
-        weights = [1.0 / n_max] * n_max
-    weights_arr = np.asarray(weights, dtype=np.float64)
-    if weights_arr.shape != (n_max,):
-        raise ValueError(f"expected {n_max} weights")
-    scores, precisions, bp = _scores_from_sums(sums[None], weights_arr, smoothing)
+    scores, precisions, bp = _scores_from_sums(sums[None], np.full(n_max, 1.0 / n_max), smoothing)
     return BleuReport(
         score=float(scores[0]),
         precisions=tuple(float(p) for p in precisions[0]),
-        weights=tuple(float(w) for w in weights_arr),
         bp=float(bp[0]),
         sys_len=int(sums[2 * n_max]),
         ref_len=int(sums[2 * n_max + 1]),

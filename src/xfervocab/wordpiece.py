@@ -159,7 +159,6 @@ class VocabSpec:
 
     target_size: int
     tolerance: float = 0.01
-    max_train_sentences: int = MAX_TRAIN_SENTENCES
 
     def __post_init__(self):
         if not 0 < self.tolerance < 0.5:

@@ -268,12 +268,14 @@ class WordpieceLearner:
         return Vocabulary([tok for _count, tok in ordered], within_tolerance=within)
 
 
-def learn_wordpiece(corpora: Sequence[Iterable[str]], spec: VocabSpec) -> Vocabulary:
+def learn_wordpiece(
+    corpora: Sequence[Iterable[str]], spec: VocabSpec, max_train_sentences: int = MAX_TRAIN_SENTENCES
+) -> Vocabulary:
     """Learn a wordpiece vocabulary of roughly spec.target_size tokens.
 
     Multiple corpora are treated as one concatenated stream; counting stops
-    after spec.max_train_sentences sentences.  The result always contains
+    after max_train_sentences sentences.  The result always contains
     every observed character and the full escape alphabet, and its
     within_tolerance flag records whether the size contract was met.
     """
-    return WordpieceLearner.from_corpora(corpora, spec.max_train_sentences).learn(spec)
+    return WordpieceLearner.from_corpora(corpora, max_train_sentences).learn(spec)

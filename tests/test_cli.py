@@ -249,8 +249,9 @@ def test_diag_overlap(texts, capsys):
         "--min-count", "1", "--parent", "A", "--child", "B",
         "--out", str(texts / "ov.tsv"),
     ]) == 0
-    report = (texts / "ov.tsv").read_text(encoding="utf-8")
-    assert "A\t" in report and "unused_by_child" in report
+    report = (texts / "ov.tsv").read_bytes().decode("utf-8")
+    assert "A\t" in report and "never_observed" in report and "unused_by_child" in report
+    assert capsys.readouterr().out == report  # stdout is the report --out writes
 
 
 def test_config_file_provides_defaults(texts, capsys):
@@ -389,6 +390,8 @@ def desk(tmp_path_factory):
     write(d / "curve.tsv", ["step\tscore", "1\t10", "2\t15", "3\t16", "4\t16.01", "5\t16.02"])
     write(d / "tsv.conf", [f"tsv = {d}/pair.tsv"])
     write(d / "range.conf", ["char_range = 0x0400"])
+    write(d / "corpus.conf", [f"corpus = A{d}/lt.txt"])
+    write(d / "tolerance.conf", ["tolerance = 0.02"])
     return d
 
 
@@ -504,8 +507,8 @@ def test_manifest_records_each_command_shape(desk, argv, inputs, outputs, seed, 
         (["balanced-vocab", "--parent-tsv", "{d}/pair.tsv", "--child-target", "{d}/cy.txt",
           "--target-size", "50", "--seed", "1", "--out", "{d}/e2.vocab"],
          "missing corpus input: give --child-source/--child-target or --child-tsv"),
-        (["diag", "overlap", "--vocab", "{d}/toy.vocab", "--corpus", "A{d}/lt.txt"],
-         "--corpus expects LANG=FILE, got 'A{d}/lt.txt'"),
+        (["--config", "{d}/corpus.conf", "diag", "overlap", "--vocab", "{d}/toy.vocab", "--corpus", "en={d}/lt.txt",
+          "--out", "{d}/e0.tsv"], "--corpus expects LANG=FILE, got 'A{d}/lt.txt'"),
         (["corpus", "filter", *CORPUS_LT, "--max-subwords", "5", "--out-tsv", "{d}/e3.tsv"],
          "--max-subwords needs --vocab"),
         (["merge-vocab", "--parent-tsv", "{d}/pair.tsv", "--child-tsv", "{d}/pair.tsv", "--out", "{d}/e4.vocab"],
@@ -520,16 +523,17 @@ def test_manifest_records_each_command_shape(desk, argv, inputs, outputs, seed, 
          "alpha must be in (0, 1)"),
         # A named input is always read: flags naming a file the command would skip.
         (["corpus", "pseudo", "--tsv", "{d}/pair.tsv", *CORPUS_LT, "--keep-percent", "0", "--seed", "1",
-          "--out-tsv", "{d}/e7.tsv"], "--tsv cannot be combined with --source/--target"),
+          "--out-tsv", "{d}/e7.tsv"], "--tsv cannot be combined with --source, --target"),
         (["balanced-vocab", "--parent-tsv", "{d}/pair.tsv", "--parent-target", "{d}/cy.txt", "--child-tsv",
           "{d}/pair.tsv", "--target-size", "50", "--seed", "1", "--out", "{d}/e8.vocab"],
-         "--parent-tsv cannot be combined with --parent-source/--parent-target"),
+         "--parent-tsv cannot be combined with --parent-target"),
         (["--config", "{d}/tsv.conf", "corpus", "corrupt", *CORPUS_LT, "--mode", "sort_target", "--seed", "1",
-          "--out-tsv", "{d}/e9.tsv"], "--tsv cannot be combined with --source/--target"),
+          "--out-tsv", "{d}/e9.tsv"], "--tsv cannot be combined with --source, --target"),
         (["transform-vocab", "--parent-vocab", "{d}/parent.vocab", "--child", "{d}/lt.txt", "--child-vocab",
-          "{d}/child.vocab", "--out-dir", "{d}/e10"], "--child cannot be combined with --child-vocab"),
+          "{d}/child.vocab", "--out-dir", "{d}/e10"], "--child-vocab cannot be combined with --child"),
         (["corpus", "sample", *CORPUS_LT, "--a-tsv", "{d}/pair.tsv", "--b-tsv", "{d}/pair.tsv", "--per-side", "5",
-          "--size", "5", "--seed", "1", "--out-tsv", "{d}/e11.tsv"], "--size cannot be combined with --per-side"),
+          "--size", "5", "--seed", "1", "--out-tsv", "{d}/e11.tsv"],
+         "--size cannot be combined with --per-side, --a-tsv, --b-tsv"),
         (["corpus", "sample", *CORPUS_LT, "--a-tsv", "{d}/pair.tsv", "--b-source", "{d}/lt2.txt", "--size", "5",
           "--seed", "1", "--out-tsv", "{d}/e12.tsv"], "--size cannot be combined with --a-tsv, --b-source"),
         (["corpus", "sample", "--tsv", "{d}/pair.tsv", "--a-tsv", "{d}/pair.tsv", "--b-tsv", "{d}/pair.tsv",
@@ -548,6 +552,14 @@ def test_manifest_records_each_command_shape(desk, argv, inputs, outputs, seed, 
           "--corpus", "cs={d}/lt.txt", "--out", "{d}/e18.tsv"], "--corpus label 'en' is given twice"),
         (["--config", "{d}/range.conf", "diag", "usage", "--vocab", "{d}/toy.vocab", "--input", "{d}/lt.txt",
           "--out", "{d}/e19.tsv"], "--char-range expects LO-HI with LO <= HI, got '0x0400'"),
+        # Merging two vocabulary files reads no size, tolerance or report flag.
+        (["merge-vocab", "--parent-vocab", "{d}/parent.vocab", "--child-vocab", "{d}/child.vocab", "--target-size",
+          "99", "--out", "{d}/e20.vocab"], "--parent-vocab/--child-vocab cannot be combined with --target-size"),
+        (["merge-vocab", "--parent-vocab", "{d}/parent.vocab", "--child-vocab", "{d}/child.vocab", "--tolerance",
+          "0.3", "--out", "{d}/e21.vocab"], "--parent-vocab/--child-vocab cannot be combined with --tolerance"),
+        (["--config", "{d}/tolerance.conf", "merge-vocab", "--parent-vocab", "{d}/parent.vocab", "--child-vocab",
+          "{d}/child.vocab", "--out", "{d}/e22.vocab"],
+         "--parent-vocab/--child-vocab cannot be combined with --tolerance"),
     ],
 )
 def test_cli_error_paths_exit_1(desk, capsys, argv, message):
@@ -565,6 +577,17 @@ def test_bad_char_range_on_the_command_line_exits_2(desk, capsys, value):
               "--out", f"{desk}/e20.tsv"])
     assert exc.value.code == 2
     assert f"argument --char-range: invalid _char_range value: {value!r}" in capsys.readouterr().err
+    assert set(desk.rglob("*")) == before
+
+
+@pytest.mark.parametrize("item", ["A{d}/lt.txt", "A="])
+def test_bad_corpus_item_on_the_command_line_exits_2(desk, capsys, item):
+    before = set(desk.rglob("*"))
+    item = item.format(d=desk)
+    with pytest.raises(SystemExit) as exc:
+        main(["diag", "overlap", "--vocab", f"{desk}/toy.vocab", "--corpus", item, "--out", f"{desk}/e23.tsv"])
+    assert exc.value.code == 2
+    assert f"argument --corpus: invalid _lang_file value: {item!r}" in capsys.readouterr().err
     assert set(desk.rglob("*")) == before
 
 

@@ -35,8 +35,8 @@ apply_wordpiece detokenize learn_wordpiece
 """.split()
 
 
-def run_python(args, cwd=None):
-    env = dict(os.environ)
+def run_python(args, cwd=None, **variables):
+    env = dict(os.environ, **variables)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
@@ -113,6 +113,14 @@ def test_step_runs_without_numpy(step_inputs, step):
 def test_demo_exits_0(demo, tmp_path):
     result = run_python([str(demo)], cwd=tmp_path)
     assert result.returncode == 0, result.stderr
+
+
+def test_shared_vocabularies_demo_ignores_the_hash_seed(tmp_path):
+    # A set of strings iterates in hash-seed order; the demo must not depend on it.
+    demo = str(ROOT / "demos" / "04_shared_vocabularies.py")
+    runs = [run_python([demo], cwd=tmp_path, PYTHONHASHSEED=seed) for seed in ("1", "2")]
+    assert all(run.returncode == 0 for run in runs), [run.stderr for run in runs]
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_handlers_call_the_names_set_on_the_cli_module(monkeypatch, tmp_path):

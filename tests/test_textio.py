@@ -164,8 +164,7 @@ def test_merged_build_report_matches_oracle(initial, final, iterations, within):
 )
 def test_bleu_report_matches_oracle(score, bp, sys_len, ref_len, precisions, smoothing, tokenization):
     n_max = len(precisions)
-    weights = (1 / n_max,) * n_max
-    report = BleuReport(score, tuple(precisions), weights, bp, sys_len, ref_len, smoothing, tokenization, n_max)
+    report = BleuReport(score, tuple(precisions), bp, sys_len, ref_len, smoothing, tokenization, n_max)
     assert report.to_tsv() == oracle_bleu_tsv(report)
 
 

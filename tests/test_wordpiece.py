@@ -344,11 +344,13 @@ def test_learn_is_deterministic(latin_corpus):
 
 
 def test_learn_respects_sentence_cap(latin_corpus):
-    capped = learn_wordpiece(
-        [latin_corpus], VocabSpec(target_size=300, max_train_sentences=50)
-    )
-    uncapped = learn_wordpiece([latin_corpus[:50]], VocabSpec(target_size=300))
-    assert capped.tokens == uncapped.tokens
+    # The cap belongs to the counting step, so both ways to learn take it there.
+    spec = VocabSpec(target_size=300)
+    capped = learn_wordpiece([latin_corpus], spec, max_train_sentences=50)
+    assert capped.tokens == learn_wordpiece([latin_corpus[:50]], spec).tokens
+    assert capped.tokens == WordpieceLearner.from_corpora([latin_corpus], 50).learn(spec).tokens
+    with pytest.raises(TypeError):
+        VocabSpec(target_size=300, max_train_sentences=50)
 
 
 def test_doubling_target_never_increases_segmentation_rate(latin_corpus):
