@@ -16,6 +16,11 @@ exits 1 naming the flags (`_refuse`), whether the value comes from argv or
 from `--config`.  A malformed value exits 2 from argv and 1 from `--config`,
 naming the flag (`_char_range`, `_lang_file`).
 
+A report command (`diag`, `eval`, `corpus filter` and corpus-mode
+`merge-vocab`) prints its report TSV, the exact text its `--out`/`--report`
+writes (`_report`).  learn-bpe, learn-wp, transform-vocab, balanced-vocab
+and file-mode merge-vocab print one status line; the rest print nothing.
+
 The handlers of learn-wp, transform-vocab, merge-vocab, balanced-vocab,
 eval bleu and eval bootstrap load the numpy modules they call on first use
 (`_load`); no other command imports numpy.  A `--config` key sets its
@@ -113,10 +118,13 @@ class _Out(str):
 
 
 def _lang_file(item: str) -> tuple[str, _In]:
-    """`LANG=FILE` as (LANG, FILE); a ValueError names the flag, as `_char_range`'s does."""
+    """`LANG=FILE` as (LANG, FILE); a ValueError names the flag, as `_char_range`'s does.
+    The overlap report joins a set of labels with `+`, so LANG is nonempty and holds none."""
     lang, _, path = item.partition("=")
     if not path:
         raise ValueError(f"--corpus expects LANG=FILE, got {item!r}")
+    if not lang or "+" in lang:
+        raise ValueError(f"--corpus label must be nonempty and hold no '+', got {item!r}")
     return lang, _In(path)
 
 
@@ -396,7 +404,8 @@ def _cmd_merge_vocab(args):
         parent = Vocabulary.load(args.parent_vocab)
         child = Vocabulary.load(args.child_vocab)
         merged = merge_vocabs(parent, child)
-        report = None
+        merged.save(args.out)
+        print(f"merged {len(merged)} tokens -> {args.out}")
     else:
         if args.target_size is None:
             raise XfervocabError("corpus mode needs --target-size")
@@ -404,15 +413,8 @@ def _cmd_merge_vocab(args):
         child_corpus = _read_corpus(args, "child")
         tolerance = 0.01 if args.tolerance is None else args.tolerance
         merged, report = build_merged_vocab(parent_corpus, child_corpus, args.target_size, tolerance)
-    merged.save(args.out)
-    if report is not None:
-        print(
-            f"merged size {report.final_size} in {report.iterations} iterations "
-            f"(within_tolerance={report.within_tolerance})"
-        )
-        _write_report(args.report, report.to_tsv())
-    else:
-        print(f"merged {len(merged)} tokens -> {args.out}")
+        merged.save(args.out)
+        _report(args.report, report.to_tsv())
 
 
 def _cmd_balanced_vocab(args):
@@ -424,29 +426,22 @@ def _cmd_balanced_vocab(args):
     print(f"balanced vocabulary: {len(vocab)} tokens -> {args.out}")
 
 
-def _write_report(path: str | None, tsv: str) -> None:
+def _report(path: str | None, tsv: str) -> None:
+    """Print a report's TSV as it is, and write the same text to `path` when one is given."""
+    print(tsv, end="")
     if path:
         write_text(path, tsv)
-
-
-def _report_filter(path: str | None, report: FilterReport) -> None:
-    print(f"kept {report.kept}\tdropped {report.dropped}\tdropped_fraction {report.dropped_fraction:.4f}")
-    _write_report(path, report.to_tsv())
 
 
 def _cmd_diag(args):
     vocab = Vocabulary.load(args.vocab)
     if args.diag_command == "rate":
         sentences = [s for path in args.input for s in read_lines(path)]
-        rate = segmentation_rate(vocab, sentences)
-        print(f"segmentation_rate\t{rate:.4f}")
-        _write_report(args.out, render_tsv([("segmentation_rate",), (rate,)]))
+        tsv = render_tsv([("segmentation_rate",), (segmentation_rate(vocab, sentences),)])
     elif args.diag_command == "usage":
         sentences = [s for path in args.input for s in read_lines(path)]
         predicate = unicode_range_predicate(args.char_range) if args.char_range else None
-        usage = vocab_usage(vocab, sentences, predicate)
-        print(f"vocab_usage\t{usage:.4f}")
-        _write_report(args.out, render_tsv([("vocab_usage",), (usage,)]))
+        tsv = render_tsv([("vocab_usage",), (vocab_usage(vocab, sentences, predicate),)])
     elif args.diag_command == "overlap":
         corpora = {}
         for lang, path in args.corpus:
@@ -454,10 +449,9 @@ def _cmd_diag(args):
                 raise XfervocabError(f"--corpus label {lang!r} is given twice")
             corpora[lang] = read_lines(path)
         tsv = overlap_breakdown(vocab, corpora, args.min_count, args.parent, args.child).to_tsv()
-        print(tsv, end="")
-        _write_report(args.out, tsv)
-    elif args.diag_command == "filter-impact":
-        _report_filter(args.out, length_filter_impact(vocab, _read_corpus(args), args.threshold))
+    else:
+        tsv = length_filter_impact(vocab, _read_corpus(args), args.threshold).to_tsv()
+    _report(args.out, tsv)
 
 
 def _cmd_corpus(args):
@@ -493,7 +487,7 @@ def _cmd_corpus(args):
                 vocab = Vocabulary.load(args.vocab)
                 out, sub_report = filter_by_subword_length(out, vocab, args.max_subwords)
                 report = FilterReport.from_counts(sub_report.kept, report.dropped + sub_report.dropped)
-            _report_filter(args.report, report)
+            _report(args.report, report.to_tsv())
         elif args.corpus_command == "pseudo":
             out = make_pseudo_related(corpus, args.keep_percent, args.seed)
         elif args.corpus_command == "corrupt":
@@ -510,38 +504,24 @@ def _cmd_eval(args):
     if args.eval_command == "bleu":
         candidates = read_lines(args.candidates)
         references = read_lines(args.references)
-        report = bleu(candidates, references, args.n_max, args.smoothing, args.tokenize)
-        print(f"{report.score:.2f}")
-        print(report.signature())
-        _write_report(args.out, report.to_tsv())
+        tsv = bleu(candidates, references, args.n_max, args.smoothing, args.tokenize).to_tsv()
     elif args.eval_command == "bootstrap":
         cand_a = read_lines(args.candidates_a)
         cand_b = read_lines(args.candidates_b)
         references = read_lines(args.references)
-        result = paired_bootstrap(
+        tsv = paired_bootstrap(
             cand_a, cand_b, references, args.samples, args.alpha, seed=args.seed, tokenization=args.tokenize
-        )
-        print(
-            f"wins_a {result.wins_a}\twins_b {result.wins_b}\tties {result.ties}\tbetter {result.better}"
-        )
-        _write_report(args.out, result.to_tsv())
+        ).to_tsv()
     elif args.eval_command == "stop":
         curve = LearningCurve.from_tsv(args.curve)
-        stop, best_step = should_stop(
-            curve, args.window_frac, args.delta_frac, args.min_evals, args.relative_to
-        )
-        print(f"stop {str(stop).lower()}\tbest_step {best_step}")
-        _write_report(args.out, render_tsv([("stop", "best_step"), (stop, best_step)]))
-    elif args.eval_command == "token-analysis":
+        decision = should_stop(curve, args.window_frac, args.delta_frac, args.min_evals, args.relative_to)
+        tsv = render_tsv([("stop", "best_step"), decision])
+    else:
         child = [line.split() for line in read_lines(args.child)]
         baseline = [line.split() for line in read_lines(args.baseline)]
         references = [line.split() for line in read_lines(args.references)]
-        overlap = token_overlap_analysis(child, baseline, references)
-        print(
-            f"baseline_and_reference {overlap.baseline_and_reference}\tbaseline_only {overlap.baseline_only}"
-            f"\treference_only {overlap.reference_only}\tneither {overlap.neither}"
-        )
-        _write_report(args.out, overlap.to_tsv())
+        tsv = token_overlap_analysis(child, baseline, references).to_tsv()
+    _report(args.out, tsv)
 
 
 _HANDLERS = {

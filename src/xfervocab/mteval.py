@@ -175,11 +175,9 @@ def sentence_stats(candidates: Sequence[str], references, n_max: int = 4, tokeni
     return _corpora_stats([candidates], references, n_max, tokenization)[0]
 
 
-def _scores_from_sums(
-    sums: np.ndarray, weights: np.ndarray, smoothing: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scores_from_sums(sums: np.ndarray, smoothing: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized document-level BLEU over rows of summed statistics, laid
-    out as the columns of sentence_stats.
+    out as the columns of sentence_stats, with equal weights on every order.
 
     Returns (scores, precisions, bp); with exponential smoothing a zero
     match count at order n is replaced by 1/2^k, k counting the zero orders
@@ -208,7 +206,7 @@ def _scores_from_sums(
     with np.errstate(divide="ignore", invalid="ignore"):
         precisions = np.where(vacuous, 0.0, effective / np.maximum(totals, 1))
         log_p = np.where(precisions > 0, np.log(np.maximum(precisions, 1e-300)), 0.0)
-        geo = np.exp(np.sum(weights * log_p, axis=-1))
+        geo = np.exp(np.sum(np.full(n_max, 1.0 / n_max) * log_p, axis=-1))
         bp = np.where(
             sys_len > ref_len,
             1.0,
@@ -230,7 +228,7 @@ def bleu(
     """Document-level BLEU (multiplied by 100) for one candidate corpus."""
     references = _normalize_references(references, len(candidates))
     sums = sentence_stats(candidates, references, n_max, tokenization).sum(axis=0)
-    scores, precisions, bp = _scores_from_sums(sums[None], np.full(n_max, 1.0 / n_max), smoothing)
+    scores, precisions, bp = _scores_from_sums(sums[None], smoothing)
     return BleuReport(
         score=float(scores[0]),
         precisions=tuple(float(p) for p in precisions[0]),
@@ -256,9 +254,7 @@ def _resample_scores(stats: Sequence[np.ndarray], samples: int, seed: int, smoot
     for row in counts:
         row[:] = np.bincount(rng.integers(0, n_sentences, n_sentences), minlength=n_sentences)
     sums = counts @ np.hstack(stats).astype(np.float64)
-    n_max = (stats[0].shape[1] - 2) // 2
-    weights = np.full(n_max, 1.0 / n_max)
-    return [_scores_from_sums(part, weights, smoothing)[0] for part in np.hsplit(sums, len(stats))]
+    return [_scores_from_sums(part, smoothing)[0] for part in np.hsplit(sums, len(stats))]
 
 
 def paired_bootstrap(

@@ -76,19 +76,9 @@ class Vocabulary:
 
     def __init__(self, tokens: Sequence[str], within_tolerance: bool = True):
         tokens = list(tokens)
-        seen = set()
-        for tok in tokens:
-            if not tok:
-                raise ValueError("vocabulary tokens must be non-empty")
-            if "\n" in tok:
-                raise ValueError(f"token {tok!r} contains a newline")
-            if tok in seen:
-                raise ValueError(f"duplicate token {tok!r}")
-            if WORD_MARKER in tok[:-1]:
-                raise ValueError(f"token {tok!r} has a non-final marker underscore")
-            if "\\" in tok and tok != "\\":
-                raise ValueError(f"token {tok!r} embeds a backslash; only the bare escape token may")
-            seen.add(tok)
+        problem = _first_bad_token(tokens)
+        if problem is not None:
+            raise ValueError(problem[1])
         self._tokens = tokens
         self._index = {tok: i for i, tok in enumerate(tokens)}
         self._max_len = max((len(t) for t in tokens), default=0)
@@ -114,7 +104,12 @@ class Vocabulary:
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
         # CRLF line ends are accepted.
-        return cls([line.removesuffix("\r") for line in read_lines(path)])
+        tokens = [line.removesuffix("\r") for line in read_lines(path)]
+        problem = _first_bad_token(tokens)
+        if problem is not None:
+            index, message = problem
+            raise CorpusFormatError(f"{path}: line {index + 1}: {message}")
+        return cls(tokens)
 
     def save(self, path: str | Path) -> None:
         # `load` strips a trailing "\r" as a CRLF line end, so such a token would not come back.
@@ -151,6 +146,26 @@ class Vocabulary:
 
     def __repr__(self) -> str:
         return f"Vocabulary({len(self._tokens)} tokens)"
+
+
+def _first_bad_token(tokens: list[str]) -> tuple[int, str] | None:
+    """The index of the first token that is empty, holds a newline, repeats
+    an earlier one, has a non-final marker or embeds a backslash, and what
+    is wrong with it; None when every token is valid."""
+    seen = set()
+    for i, tok in enumerate(tokens):
+        if not tok:
+            return i, "vocabulary tokens must be non-empty"
+        if "\n" in tok:
+            return i, f"token {tok!r} contains a newline"
+        if tok in seen:
+            return i, f"duplicate token {tok!r}"
+        if WORD_MARKER in tok[:-1]:
+            return i, f"token {tok!r} has a non-final marker underscore"
+        if "\\" in tok and tok != "\\":
+            return i, f"token {tok!r} embeds a backslash; only the bare escape token may"
+        seen.add(tok)
+    return None
 
 
 @dataclass(frozen=True)

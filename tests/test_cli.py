@@ -1,6 +1,7 @@
 """Command-line driver: subcommands, exit codes, manifests, reproducibility."""
 
 import json
+import shutil
 
 import pytest
 
@@ -22,11 +23,16 @@ def texts(tmp_path):
 
 
 def test_eval_bleu_identical_prints_100(texts, capsys):
-    code = main(["eval", "bleu", "--candidates", str(texts / "cand.txt"), "--references", str(texts / "refs.txt")])
+    code = main([
+        "eval", "bleu", "--candidates", str(texts / "cand.txt"), "--references", str(texts / "refs.txt"),
+        "--out", str(texts / "bleu.tsv"),
+    ])
     assert code == 0
     out = capsys.readouterr().out
-    assert out.startswith("100.00")
-    assert "smooth.exponential" in out
+    assert out == (texts / "bleu.tsv").read_bytes().decode("utf-8")
+    row = out.splitlines()[1].split("\t")
+    assert row[0] == "100.000000"
+    assert row[-1].startswith("BLEU+") and "smooth.exponential" in row[-1]  # the signature
 
 
 def test_unknown_subcommand_exits_2():
@@ -155,7 +161,7 @@ def test_corpus_pseudo_rerun_is_byte_identical(texts):
     assert json.loads(manifest_path.read_text(encoding="utf-8"))["outputs"] == manifest["outputs"]
 
 
-def test_corpus_filter_with_report(texts):
+def test_corpus_filter_with_report(texts, capsys):
     write(texts / "fs.txt", ["a b c", "one two three four five"])
     write(texts / "ft.txt", ["x y z", "uno dos tres cuatro cinco"])
     report_path = texts / "report.tsv"
@@ -168,9 +174,9 @@ def test_corpus_filter_with_report(texts):
     ])
     assert code == 0
     assert (texts / "ks.txt").read_text(encoding="utf-8") == "one two three four five\n"
-    lines = report_path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "kept\tdropped\tdropped_fraction"
-    assert lines[1].startswith("1\t1\t")
+    report = report_path.read_bytes().decode("utf-8")
+    assert capsys.readouterr().out == report
+    assert report == "kept\tdropped\tdropped_fraction\n1\t1\t0.5\n"
 
 
 def test_corpus_sample_and_corrupt(texts):
@@ -205,8 +211,8 @@ def test_corpus_sample_downscale_mode(texts):
 
 def test_eval_stop_and_bootstrap(texts, capsys):
     write(texts / "curve.tsv", ["step\tscore", "1\t10", "2\t15", "3\t16", "4\t16.01", "5\t16.02", "6\t16.03"])
-    assert main(["eval", "stop", "--curve", str(texts / "curve.tsv")]) == 0
-    assert "stop true\tbest_step 6" in capsys.readouterr().out
+    assert main(["eval", "stop", "--curve", str(texts / "curve.tsv"), "--out", str(texts / "stop.tsv")]) == 0
+    assert capsys.readouterr().out == "stop\tbest_step\ntrue\t6\n" == (texts / "stop.tsv").read_text(encoding="utf-8")
     assert main([
         "eval", "bootstrap",
         "--candidates-a", str(texts / "cand.txt"), "--candidates-b", str(texts / "worse.txt"),
@@ -214,8 +220,8 @@ def test_eval_stop_and_bootstrap(texts, capsys):
         "--out", str(texts / "sig.tsv"),
     ]) == 0
     out = capsys.readouterr().out
-    assert "wins_a 200" in out
-    assert (texts / "sig.tsv").read_text(encoding="utf-8").splitlines()[1].split("\t")[4] == "A"
+    assert out == (texts / "sig.tsv").read_bytes().decode("utf-8")
+    assert out.splitlines()[1].split("\t")[:5] == ["200", "0", "0", "200", "A"]
 
 
 def test_eval_token_analysis(texts, capsys):
@@ -225,18 +231,26 @@ def test_eval_token_analysis(texts, capsys):
     assert main([
         "eval", "token-analysis",
         "--child", str(texts / "child.txt"), "--baseline", str(texts / "base.txt"),
-        "--references", str(texts / "tref.txt"),
+        "--references", str(texts / "tref.txt"), "--out", str(texts / "ta.tsv"),
     ]) == 0
-    assert "baseline_only 1\treference_only 1" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out == (texts / "ta.tsv").read_bytes().decode("utf-8")
+    assert out.splitlines()[1] == "0\t1\t1\t0\t2"
 
 
 def test_diag_rate_and_usage(texts, capsys):
     write(texts / "toy.vocab", ["the_", "cat_", "sat_", "on_", "mat_", *"abcdefghijklmnopqrstuvwxyz", *"\\;0123456789", "_"])
-    assert main(["diag", "rate", "--vocab", str(texts / "toy.vocab"), "--input", str(texts / "refs.txt")]) == 0
-    rate_line = capsys.readouterr().out.strip()
-    assert rate_line.startswith("segmentation_rate\t")
-    assert float(rate_line.split("\t")[1]) >= 1.0
-    assert main(["diag", "usage", "--vocab", str(texts / "toy.vocab"), "--input", str(texts / "refs.txt")]) == 0
+    common = ["--vocab", str(texts / "toy.vocab"), "--input", str(texts / "refs.txt")]
+    assert main(["diag", "rate", *common, "--out", str(texts / "rate.tsv")]) == 0
+    out = capsys.readouterr().out
+    assert out == (texts / "rate.tsv").read_bytes().decode("utf-8")
+    header, rate = out.splitlines()
+    assert header == "segmentation_rate"
+    assert float(rate) >= 1.0
+    assert main(["diag", "usage", *common, "--out", str(texts / "usage.tsv")]) == 0
+    out = capsys.readouterr().out
+    assert out == (texts / "usage.tsv").read_bytes().decode("utf-8")
+    assert out.splitlines()[0] == "vocab_usage"
 
 
 def test_diag_overlap(texts, capsys):
@@ -291,7 +305,9 @@ def test_merge_and_balanced_vocab_from_corpora(texts, capsys):
     ]) == 0
     merged_size = len((texts / "m.vocab").read_text(encoding="utf-8").splitlines())
     assert abs(merged_size - 600) <= 12
-    assert (texts / "m.tsv").read_text(encoding="utf-8").startswith("initial_size_tried\t")
+    report = (texts / "m.tsv").read_bytes().decode("utf-8")
+    assert capsys.readouterr().out == report
+    assert report.startswith("initial_size_tried\tfinal_size\titerations\twithin_tolerance\n")
     assert main([
         "balanced-vocab", *common, "--target-size", "500", "--seed", "2",
         "--out", str(texts / "b.vocab"),
@@ -308,7 +324,9 @@ def test_diag_filter_impact(texts, capsys):
         "--source", str(texts / "fis.txt"), "--target", str(texts / "fit.txt"),
         "--threshold", "50", "--out", str(texts / "fi.tsv"),
     ]) == 0
-    assert "dropped_fraction 0.5" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out == (texts / "fi.tsv").read_bytes().decode("utf-8")
+    assert out == "kept\tdropped\tdropped_fraction\n1\t1\t0.5\n"
 
 
 def test_invalid_utf8_names_file_and_line(texts, capsys):
@@ -392,6 +410,13 @@ def desk(tmp_path_factory):
     write(d / "range.conf", ["char_range = 0x0400"])
     write(d / "corpus.conf", [f"corpus = A{d}/lt.txt"])
     write(d / "tolerance.conf", ["tolerance = 0.02"])
+    write(d / "plus.conf", [f"corpus = a+b={d}/lt.txt"])
+    write(d / "empty.conf", [f"corpus = ={d}/lt.txt"])
+    write(d / "noeq.conf", ["smoothing none"])
+    write(d / "bad.merges", ["#version: xfervocab-1", "ab"])
+    write(d / "dup.vocab", ["a", "b", "a"])
+    write(d / "blank.vocab", ["a", "", "b"])
+    (d / "emb.bin").write_bytes(b"\x02\x00\x00\x00\x02\x00\x00\x00\x00\x00\x80\x3f")
     return d
 
 
@@ -499,6 +524,30 @@ def test_manifest_records_each_command_shape(desk, argv, inputs, outputs, seed, 
     assert manifest["argv"] == [arg.format(d=desk) for arg in argv]
 
 
+# Every command that prints a report, with the file its --out/--report names (None: add --out).
+REPORT_FILES = {
+    "merge-vocab-corpora": "m2.tsv", "diag-rate": "rate.tsv", "diag-usage": None, "diag-overlap": "ov.tsv",
+    "diag-filter-impact": "fi.tsv", "corpus-filter": "fr.tsv", "eval-bleu": "bleu.tsv", "eval-bootstrap": "sig.tsv",
+    "eval-stop": "stop.tsv", "eval-token-analysis": None,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, report", [(case[1], REPORT_FILES[case[0]]) for case in MANIFEST_SHAPES if case[0] in REPORT_FILES],
+    ids=[case[0] for case in MANIFEST_SHAPES if case[0] in REPORT_FILES],
+)
+def test_each_report_command_prints_the_bytes_of_its_report_file(desk, tmp_path, capsys, argv, report):
+    d = tmp_path / "desk"
+    shutil.copytree(desk, d)
+    if report is None:
+        report = "report.tsv"
+        argv = [*argv, "--out", f"{{d}}/{report}"]
+    assert main([arg.format(d=d) for arg in argv]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") >= 2  # a header and a row at least
+    assert out.encode("utf-8") == (d / report).read_bytes()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -560,6 +609,38 @@ def test_manifest_records_each_command_shape(desk, argv, inputs, outputs, seed, 
         (["--config", "{d}/tolerance.conf", "merge-vocab", "--parent-vocab", "{d}/parent.vocab", "--child-vocab",
           "{d}/child.vocab", "--out", "{d}/e22.vocab"],
          "--parent-vocab/--child-vocab cannot be combined with --tolerance"),
+        (["apply-bpe", "--table", "{d}/bad.merges", "--input", "{d}/lt.txt", "--out", "{d}/e23.bpe"],
+         "{d}/bad.merges: line 2: expected 'left right'"),
+        (["learn-bpe", "--input", "{d}/lt.txt", "--merges", "0", "--out", "{d}/e24.merges"],
+         "num_merges must be at least 1"),
+        (["--config", "{d}/noeq.conf", "eval", "bleu", "--candidates", "{d}/worse.txt", "--references",
+          "{d}/refs.txt", "--out", "{d}/e25.tsv"], "{d}/noeq.conf: line 1: expected key = value"),
+        (["corpus", "pseudo", *CORPUS_LT, "--keep-percent", "0.5", "--seed", "1"],
+         "missing corpus output: give --out-source/--out-target or --out-tsv"),
+        (["corpus", "filter", *CORPUS_LT, "--min-words", "5", "--max-words", "3", "--out-tsv", "{d}/e26.tsv"],
+         "min_words must not exceed max_words"),
+        (["corpus", "mix", "--authentic-tsv", "{d}/pair.tsv", "--synthetic-tsv", "{d}/pair.tsv", "--factor", "0",
+          "--seed", "1", "--out-tsv", "{d}/e27.tsv"], "factor must be at least 1"),
+        (["corpus", "pseudo", *CORPUS_LT, "--keep-percent", "1.5", "--seed", "1", "--out-tsv", "{d}/e28.tsv"],
+         "keep_percent must be within [0, 1]"),
+        (["diag", "overlap", "--vocab", "{d}/toy.vocab", "--corpus", "A={d}/lt.txt", "--corpus", "B={d}/cy.txt",
+          "--parent", "zz", "--out", "{d}/e29.tsv"], "role language 'zz' has no labeled corpus"),
+        (["eval", "bootstrap", "--candidates-a", "{d}/worse.txt", "--candidates-b", "{d}/refs.txt",
+          "--references", "{d}/refs.txt", "--samples", "0", "--seed", "4", "--out", "{d}/e30.tsv"],
+         "samples must be at least 1"),
+        (["merge-vocab", "--parent-tsv", "{d}/pair.tsv", "--child-tsv", "{d}/pair.tsv", "--target-size", "3",
+          "--out", "{d}/e31.vocab"], "target_size 3 is below the alphabet size 40"),
+        (["transform-vocab", "--parent-vocab", "{d}/parent.vocab", "--child-vocab", "{d}/child.vocab",
+          "--embeddings", "{d}/emb.bin", "--out-dir", "{d}/e32"], "{d}/emb.bin: payload does not match header 2x2"),
+        # A bad vocabulary line and an ambiguous overlap label.
+        (["apply-wp", "--vocab", "{d}/dup.vocab", "--input", "{d}/lt.txt", "--out", "{d}/e33.wp"],
+         "{d}/dup.vocab: line 3: duplicate token 'a'"),
+        (["apply-wp", "--vocab", "{d}/blank.vocab", "--input", "{d}/lt.txt", "--out", "{d}/e34.wp"],
+         "{d}/blank.vocab: line 2: vocabulary tokens must be non-empty"),
+        (["--config", "{d}/plus.conf", "diag", "overlap", "--vocab", "{d}/toy.vocab", "--corpus", "en={d}/lt.txt",
+          "--out", "{d}/e35.tsv"], "--corpus label must be nonempty and hold no '+', got 'a+b={d}/lt.txt'"),
+        (["--config", "{d}/empty.conf", "diag", "overlap", "--vocab", "{d}/toy.vocab", "--corpus", "en={d}/lt.txt",
+          "--out", "{d}/e36.tsv"], "--corpus label must be nonempty and hold no '+', got '={d}/lt.txt'"),
     ],
 )
 def test_cli_error_paths_exit_1(desk, capsys, argv, message):
@@ -580,7 +661,7 @@ def test_bad_char_range_on_the_command_line_exits_2(desk, capsys, value):
     assert set(desk.rglob("*")) == before
 
 
-@pytest.mark.parametrize("item", ["A{d}/lt.txt", "A="])
+@pytest.mark.parametrize("item", ["A{d}/lt.txt", "A=", "a+b={d}/lt.txt", "={d}/lt.txt"])
 def test_bad_corpus_item_on_the_command_line_exits_2(desk, capsys, item):
     before = set(desk.rglob("*"))
     item = item.format(d=desk)

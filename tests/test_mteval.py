@@ -248,9 +248,7 @@ def oracle_resample_scores(stats, samples, seed, smoothing):
     resample's rows from the one seeded draw, sum them, score the sums."""
     n_sentences = len(stats[0])
     indices = np.random.default_rng(seed).integers(0, n_sentences, size=(samples, n_sentences))
-    n_max = (stats[0].shape[1] - 2) // 2
-    weights = np.full(n_max, 1.0 / n_max)
-    return [_scores_from_sums(s[indices].sum(axis=1), weights, smoothing)[0] for s in stats]
+    return [_scores_from_sums(s[indices].sum(axis=1), smoothing)[0] for s in stats]
 
 
 def near_equal_systems(multi_ref):

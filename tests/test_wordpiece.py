@@ -284,6 +284,26 @@ def test_vocabulary_file_roundtrip(tmp_path):
     assert Vocabulary.load(path).tokens == []
 
 
+@pytest.mark.parametrize(
+    "tokens, line, message",
+    [
+        (["a", "b", "a"], 3, "duplicate token 'a'"),
+        (["a", "", "b"], 2, "vocabulary tokens must be non-empty"),
+        (["a", "b", "c", "a_b"], 4, "token 'a_b' has a non-final marker underscore"),
+        (["\\", "a\\b"], 2, "token 'a\\\\b' embeds a backslash; only the bare escape token may"),
+    ],
+)
+def test_vocabulary_load_names_file_and_line_of_a_bad_token(tmp_path, tokens, line, message):
+    with pytest.raises(ValueError) as exc:
+        Vocabulary(tokens)
+    assert str(exc.value) == message
+    path = tmp_path / "vocab.txt"
+    path.write_text("".join(tok + "\r\n" for tok in tokens), encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as exc:
+        Vocabulary.load(path)
+    assert str(exc.value) == f"{path}: line {line}: {message}"
+
+
 @pytest.mark.parametrize("token", ["\r", "a\r", "\r\r"])
 def test_vocabulary_save_refuses_token_that_load_would_change(tmp_path, token):
     path = tmp_path / "vocab.txt"
