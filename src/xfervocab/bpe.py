@@ -81,11 +81,11 @@ class MergeTable:
             if len(parts) != 2:
                 raise CorpusFormatError(f"{path}: line {i}: expected 'left right'")
             rules.append(MergeRule(parts[0], parts[1]))
-        problem = _first_bad_rule(rules)
-        if problem is not None:
-            index, message = problem
-            raise CorpusFormatError(f"{path}: line {index + 2}: {message}")
-        return cls(rules)
+        try:
+            return cls(rules)
+        except ValueError:  # only validation raises; find the line again
+            index, message = _first_bad_rule(rules)
+            raise CorpusFormatError(f"{path}: line {index + 2}: {message}") from None
 
 
 def _first_bad_rule(rules: list[MergeRule]) -> tuple[int, str] | None:

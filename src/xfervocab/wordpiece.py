@@ -105,11 +105,11 @@ class Vocabulary:
     def load(cls, path: str | Path) -> "Vocabulary":
         # CRLF line ends are accepted.
         tokens = [line.removesuffix("\r") for line in read_lines(path)]
-        problem = _first_bad_token(tokens)
-        if problem is not None:
-            index, message = problem
-            raise CorpusFormatError(f"{path}: line {index + 1}: {message}")
-        return cls(tokens)
+        try:
+            return cls(tokens)
+        except ValueError:  # only validation raises; find the line again
+            index, message = _first_bad_token(tokens)
+            raise CorpusFormatError(f"{path}: line {index + 1}: {message}") from None
 
     def save(self, path: str | Path) -> None:
         # `load` strips a trailing "\r" as a CRLF line end, so such a token would not come back.

@@ -7,8 +7,9 @@ they are also the threshold-1 build.  Its candidates (every substring of a
 safe run, plus the base) get fixed ids, sorted by length then token, and
 counts and prefix discounts are array sums over those ids.  A refinement
 pass that reproduces its token set is a fixed point and ends the threshold.
-Moving to a new token set re-segments only the units that contain a token
-whose membership changed.  No per-threshold state is kept, and the
+Moving to a new token set walks every unit's greedy segmentation at once, as
+a few array passes over the base segment starts, and recounts only the
+starts whose activity flipped.  No per-threshold state is kept, and the
 counting state is dropped once the ranking exists.
 """
 
@@ -39,24 +40,24 @@ class _CandidateBuilder:
     token) order, with its immediate prefix as its parent.  A count is then
     the subtree sum over the run suffixes of the active starts, and the
     prefix discount is one carry pushed to the parent, one length block at a
-    time.  Moving to a new token set re-segments only the units that
-    contain a changed token.
+    time.  A move to a new token set walks every unit's greedy segmentation
+    at once over the base starts, and recounts only the starts whose
+    activity flipped.
     """
 
     def __init__(self, unit_counts: Counter, base: list[str]):
-        self._units = sorted(unit_counts)
-        self._freqs = [unit_counts[unit] for unit in self._units]
-        self._index = set(base)  # the current token set, for _segment_boundaries
+        units = sorted(unit_counts)
+        index = set(base)
         # Segment starts of the threshold-1 (base) segmentation, the only
         # positions any later segmentation can start at, and the ends of
         # their safe runs.
         universe = set(base)
         starts, stops = array("i"), array("i")
-        self._unit_offsets = array("i", [0])
-        for unit in self._units:
+        unit_offsets = array("i", [0])
+        for unit in units:
             marked = unit + WORD_MARKER
             unsafe = _unsafe_mask(unit)
-            for start, _end in _segment_boundaries(marked, unsafe, self._index, 1):
+            for start, _end in _segment_boundaries(marked, unsafe, index, 1):
                 if unsafe[start]:
                     continue
                 stop = start
@@ -65,9 +66,7 @@ class _CandidateBuilder:
                 starts.append(start)
                 stops.append(stop)
                 universe.update(marked[start:end] for end in range(start + 1, stop + 1))
-            self._unit_offsets.append(len(starts))
-        self._starts = starts
-        self._active = bytearray(b"\x01") * len(starts)
+            unit_offsets.append(len(starts))
 
         # Each temporary goes before the next is built: what the learner
         # holds at its peak adds to the peak of the step that calls it.
@@ -88,20 +87,27 @@ class _CandidateBuilder:
         self._parent = np.fromiter(
             (id_of[tok[:-1]] if len(tok) > 1 else -1 for tok in self.tokens), np.int32, len(self.tokens)
         )
-        # Id of the run suffix of each start: the deepest candidate it counts.
-        self._suffix = array("i")
-        for u, unit in enumerate(self._units):
+        # Id of the run suffix of each start (the deepest candidate it
+        # counts), and whether that run ends its unit.
+        suffix, final = array("i"), bytearray()
+        for u, unit in enumerate(units):
             marked = unit + WORD_MARKER
-            for j in range(self._unit_offsets[u], self._unit_offsets[u + 1]):
-                self._suffix.append(id_of[marked[starts[j] : stops[j]]])
+            for j in range(unit_offsets[u], unit_offsets[u + 1]):
+                suffix.append(id_of[marked[starts[j] : stops[j]]])
+                final.append(stops[j] == len(marked))
+        self._suffix = np.frombuffer(suffix, np.int32)
+        self._final = np.frombuffer(final, bool)
         self.base_ids = [id_of[tok] for tok in base]
-        del id_of
+        del id_of, starts, stops
+        offsets = np.frombuffer(unit_offsets, np.int32)
+        self._first = offsets[:-1]
+        freqs = [unit_counts[unit] for unit in units]
+        self._weights = np.repeat(np.asarray(freqs, np.min_scalar_type(max(freqs))), np.diff(offsets))
 
         # Summed frequency of the active starts whose run suffix each id is.
         self._suffix_counts = np.zeros(len(self.tokens), np.int64)
-        weights = np.repeat(np.asarray(self._freqs, np.int64), np.diff(self._unit_offsets))
-        np.add.at(self._suffix_counts, np.frombuffer(self._suffix, np.int32), weights)
-        self._current = np.zeros(len(self.tokens), bool)  # selected ids in the token set
+        np.add.at(self._suffix_counts, self._suffix, self._weights)
+        self._active = np.ones(len(self._suffix), bool)
 
     def counts(self) -> np.ndarray:
         """Candidate counts under the current segmentation."""
@@ -130,40 +136,34 @@ class _CandidateBuilder:
         return selected, adjusted
 
     def move_to(self, selected: np.ndarray) -> None:
-        """Re-segment the units that contain a token whose membership in the
-        current set (base tokens plus selected) changes."""
-        changed = np.flatnonzero(selected != self._current)
-        if not len(changed):
-            return
-        for i in changed.tolist():
-            if selected[i]:
-                self._index.add(self.tokens[i])
-            else:
-                self._index.discard(self.tokens[i])
-        self._current = selected
-        longest = int(np.argmax(selected))  # ids run longest first
-        max_len = int(self._lengths[longest]) if selected[longest] else 1
-        # A unit holds a changed token iff some run suffix of it descends
-        # from one; mark descendants shortest block first.
-        reach = np.zeros(len(self.tokens), bool)
-        reach[changed] = True
+        """Walk every unit's greedy segmentation under the base tokens plus
+        selected, and recount the starts whose activity flips.  The match at
+        a start is the deepest id in the set on its run suffix's prefix
+        chain, or the whole word-final suffix when its parent is in the set
+        (marker fusion).  Starts are consecutive within a run and a run's
+        end leads to the next run's first start, so the walk steps from
+        index j to j + match until a match consumes the final run."""
+        # deep[i]: the deepest id in the set on i's prefix chain.  Every
+        # length-1 id is a base token, so only longer blocks can miss.
+        deep = np.arange(len(self.tokens), dtype=np.int32)
         for first, last in reversed(self._blocks):
-            reach[first:last] |= reach[self._parent[first:last]]
-        hits = reach[np.frombuffer(self._suffix, np.int32)]
-        touched = np.logical_or.reduceat(hits, np.frombuffer(self._unit_offsets, np.int32)[:-1])
-        ids, weights = [], []
-        for u in np.flatnonzero(touched).tolist():
-            unit = self._units[u]
-            unsafe = _unsafe_mask(unit)
-            now = {start for start, _end in _segment_boundaries(unit + WORD_MARKER, unsafe, self._index, max_len)}
-            for j in range(self._unit_offsets[u], self._unit_offsets[u + 1]):
-                active = self._starts[j] in now
-                if active != self._active[j]:
-                    self._active[j] = active
-                    ids.append(self._suffix[j])
-                    weights.append(self._freqs[u] if active else -self._freqs[u])
-        if ids:
-            np.add.at(self._suffix_counts, ids, weights)
+            np.copyto(deep[first:last], deep[self._parent[first:last]], where=~selected[first:last])
+        suffix = self._suffix
+        parent = self._parent[suffix]  # -1 for a lone marker, never its own deepest id
+        whole = self._lengths[suffix]
+        match = np.where(self._final & (deep[parent] == parent), whole, self._lengths[deep[suffix]])
+        done = self._final & (match == whole)
+        active = np.zeros_like(self._active)
+        frontier = self._first
+        while len(frontier):
+            active[frontier] = True
+            frontier = frontier[~done[frontier]]
+            frontier = frontier + match[frontier]
+            frontier = frontier[~active[frontier]]  # a closure never revisits a start, so the loop ends
+        flipped = np.flatnonzero(active != self._active)
+        weights = self._weights[flipped].astype(np.int64)
+        np.add.at(self._suffix_counts, suffix[flipped], np.where(active[flipped], weights, -weights))
+        self._active = active
 
 
 class WordpieceLearner:

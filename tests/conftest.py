@@ -1,5 +1,6 @@
 """Shared fixtures: deterministic synthetic desk corpora in two scripts."""
 
+import itertools
 import random
 
 import pytest
@@ -26,14 +27,17 @@ def desk_sentences(
     n_sentences: int = 10_000,
     n_types: int = 1_500,
 ) -> list[str]:
-    """Zipf-weighted synthetic sentences; fully determined by the seed."""
+    """Zipf-weighted synthetic sentences; fully determined by the seed.
+
+    The cumulative weights are built once; `choices(weights=...)` rebuilds
+    them on every call, then draws exactly as it does from `cum_weights`."""
     rng = random.Random(seed)
     words = make_words(rng, alphabet, n_types)
-    weights = [1.0 / (rank + 1) for rank in range(n_types)]
+    cum_weights = list(itertools.accumulate(1.0 / (rank + 1) for rank in range(n_types)))
     sentences = []
     for _ in range(n_sentences):
         k = rng.randint(4, 9)
-        sentences.append(" ".join(rng.choices(words, weights=weights, k=k)) + ".")
+        sentences.append(" ".join(rng.choices(words, cum_weights=cum_weights, k=k)) + ".")
     return sentences
 
 

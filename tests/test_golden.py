@@ -53,6 +53,14 @@ def test_learn_wordpiece_digest(target, digest):
     assert sha(vocab_text(learn_wordpiece([corpus], VocabSpec(target_size=target)))) == digest
 
 
+def test_learn_wordpiece_digest_at_scale():
+    # 50k sentences over 20k word types: every move of the threshold ladder
+    # reaches thousands of units, as in the learner's scale measurements.
+    corpus = desk_sentences(5, LATIN, 50_000, 20_000)
+    vocab = learn_wordpiece([corpus], VocabSpec(target_size=8000))
+    assert sha(vocab_text(vocab)) == "30c9851156294f595fdfc5ab9684f48bb33aa3e5d3a435cfca2a1225d5f35a4a"
+
+
 def test_merged_vocab_digest(parent, child):
     merged, report = build_merged_vocab(parent, child, 450)
     assert sha(vocab_text(merged)) == "6737ca1ca9eea0fccf3c94de268615c1b4de4d83919f0a7243e99a6f41224e6c"

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tests.conftest import LATIN, desk_sentences
 import xfervocab.wordpiece as wordpiece
 import xfervocab.wordpiece_learner as wordpiece_learner
 from xfervocab.errors import CorpusFormatError, EscapeDecodeError
@@ -463,9 +464,28 @@ oracle_corpora = st.lists(st.text(ORACLE_ALPHABET, min_size=1, max_size=8), min_
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(sentences=oracle_corpora, refine_iterations=st.sampled_from([1, 2, 4]), extra=st.lists(st.integers(0, 120), max_size=3))
-def test_incremental_ladder_matches_recount_oracle(sentences, refine_iterations, extra):
+# Runs of up to 40 characters repeating a few shared pieces (so a piece is
+# often selected mid-word and its word-final occurrence fuses with the
+# marker), units of only "_" and "\", and unsafe characters inside a run
+# of punctuation.  These walks run many steps, unlike the 8-character words.
+long_oracle_corpora = st.lists(st.text("abc", min_size=1, max_size=5), min_size=1, max_size=4).flatmap(
+    lambda pieces: st.lists(
+        st.one_of(
+            st.lists(st.sampled_from(pieces), min_size=1, max_size=8).map("".join),
+            st.text("_\\", min_size=1, max_size=6),
+            st.tuples(*(st.text(chars, min_size=1, max_size=6) for chars in (".-", "_\\", ".-"))).map("".join),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+).flatmap(
+    lambda words: st.lists(
+        st.lists(st.sampled_from(words), min_size=1, max_size=8).map(" ".join), min_size=1, max_size=30
+    )
+)
+
+
+def check_ladder_against_oracle(sentences, refine_iterations, extra):
     counts = _count_units([sentences], len(sentences))
     base, ranking, raw = oracle_ranking(counts, refine_iterations)
     learner = WordpieceLearner(counts)
@@ -482,3 +502,24 @@ def test_incremental_ladder_matches_recount_oracle(sentences, refine_iterations,
             warnings.simplefilter("ignore")
             vocab = learner.learn(spec)
         assert (vocab.tokens, vocab.within_tolerance) == oracle_learn(counts, spec, refine_iterations)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sentences=oracle_corpora, refine_iterations=st.sampled_from([1, 2, 4]), extra=st.lists(st.integers(0, 120), max_size=3))
+def test_incremental_ladder_matches_recount_oracle(sentences, refine_iterations, extra):
+    check_ladder_against_oracle(sentences, refine_iterations, extra)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sentences=long_oracle_corpora, refine_iterations=st.sampled_from([2, 4]), extra=st.lists(st.integers(0, 300), max_size=3))
+def test_incremental_ladder_matches_recount_oracle_on_long_and_escaped_units(sentences, refine_iterations, extra):
+    check_ladder_against_oracle(sentences, refine_iterations, extra)
+
+
+def test_incremental_ladder_matches_recount_oracle_at_desk_scale():
+    counts = _count_units([desk_sentences(7, LATIN, 300, 200)], 300)
+    base, ranking, raw = oracle_ranking(counts)
+    learner = WordpieceLearner(counts)
+    assert learner._canonical_ranking() == ranking
+    assert learner._ranked_raw.tolist() == [raw.get(tok, 0) for tok in ranking]
+    assert learner._base_raw == [raw.get(tok, 0) for tok in base]
