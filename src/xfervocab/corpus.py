@@ -18,7 +18,7 @@ from .errors import AlignmentError, CorpusFormatError, SampleSizeError
 from .textio import read_lines, render_tsv, write_lines, write_text
 from .wordpiece import Vocabulary, apply_wordpiece
 
-_WORD_RE = re.compile(r"\S+")
+_SPACE_RE = re.compile(r"(\s+)")
 
 CORRUPTION_MODES = ("shuffle_source", "shuffle_target", "shuffle_both", "sort_target", "shuffle_pairing")
 
@@ -194,10 +194,6 @@ def _cipher_char(ch: str, mapping: dict[str, str]) -> str:
     return mapped.upper() if ch.isupper() else mapped
 
 
-def _cipher_word(word: str, mapping: dict[str, str]) -> str:
-    return "".join(_cipher_char(c, mapping) if c.isalpha() else c for c in word)
-
-
 def make_pseudo_related(corpus: ParallelCorpus, keep_percent: float, seed: int) -> ParallelCorpus:
     """Turn a corpus into a pseudo-related one via a fixed-point-free letter
     substitution applied to all but a kept fraction of word types.
@@ -205,37 +201,34 @@ def make_pseudo_related(corpus: ParallelCorpus, keep_percent: float, seed: int) 
     One cipher is drawn over the lowercase alphabet observed on either side;
     digits and punctuation pass through and capitalization is preserved.
     Keep sets are word types sampled independently per language, so every
-    occurrence of a kept type survives unchanged.
+    occurrence of a kept type survives unchanged.  Each side's word types are
+    ciphered once, and sentences are rebuilt from them around their original
+    whitespace.
     """
     if not 0.0 <= keep_percent <= 1.0:
         raise ValueError("keep_percent must be within [0, 1]")
     rng = random.Random(seed)
 
-    letters = set()
-    for side in (corpus.sources, corpus.targets):
-        for sentence in side:
-            for ch in sentence:
-                if ch.isalpha():
-                    low = ch.lower()
-                    letters.add(low if len(low) == 1 else ch)
+    chars = set().union(*map(set, corpus.sources), *map(set, corpus.targets))
+    letters = {ch if len(ch.lower()) != 1 else ch.lower() for ch in chars if ch.isalpha()}
     mapping = _sample_derangement(sorted(letters), rng) if letters else {}
+    cipher = str.maketrans({ch: _cipher_char(ch, mapping) for ch in chars if ch.isalpha()})
 
-    def keep_set(side: tuple[str, ...]) -> set[str]:
+    def rendering(side: tuple[str, ...]) -> dict[str, str]:
+        """Each word type of the side -> itself if kept, else its ciphered form."""
         types = sorted({word for sentence in side for word in sentence.split()})
-        k = math.ceil(keep_percent * len(types))
-        return set(rng.sample(types, k))
+        kept = set(rng.sample(types, math.ceil(keep_percent * len(types))))
+        return {word: word if word in kept else word.translate(cipher) for word in types}
 
-    keep_src = keep_set(corpus.sources)
-    keep_tgt = keep_set(corpus.targets)
+    def transform(sentence: str, rendered: dict[str, str]) -> str:
+        parts = _SPACE_RE.split(sentence)  # words at even indices, the whitespace between them at odd ones
+        parts[::2] = [rendered.get(word, word) for word in parts[::2]]  # the "" beside edge whitespace is no type
+        return "".join(parts)
 
-    def transform(sentence: str, kept: set[str]) -> str:
-        return _WORD_RE.sub(
-            lambda m: m.group(0) if m.group(0) in kept else _cipher_word(m.group(0), mapping),
-            sentence,
-        )
-
-    sources = tuple(transform(s, keep_src) for s in corpus.sources)
-    targets = tuple(transform(t, keep_tgt) for t in corpus.targets)
+    rendered_src = rendering(corpus.sources)  # draws after the cipher, and before the target's keep set
+    rendered_tgt = rendering(corpus.targets)
+    sources = tuple(transform(s, rendered_src) for s in corpus.sources)
+    targets = tuple(transform(t, rendered_tgt) for t in corpus.targets)
     return ParallelCorpus(sources, targets)
 
 

@@ -11,8 +11,10 @@ international tokenization that pads punctuation not surrounded by digits.
 from __future__ import annotations
 
 import unicodedata
+from array import array
+from collections import defaultdict
 from dataclasses import astuple, dataclass
-from itertools import chain, count
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +31,7 @@ _PUNCT_NORMALIZATION = {
 
 
 _NORMALIZE = str.maketrans(_PUNCT_NORMALIZATION)
+_BLOCK_BYTES = 4 << 20  # the bootstrap's resample counts block; bounds memory, never changes a score
 _WORD_CACHE_SIZE = 1 << 16
 _WORD_TOKENS: dict[str, list[str]] = {}  # whitespace word -> its tokens, up to _WORD_CACHE_SIZE words
 
@@ -124,31 +127,39 @@ def _corpora_stats(corpora: Sequence[Sequence[str]], references, n_max: int, tok
     """sentence_stats of each corpus, stacked; each reference is tokenized and counted once for all.
 
     The references, then each corpus's candidates, are the rows of one token-id
-    array.  An n-gram's id is the dense rank of (its (n-1)-gram id, its last token);
-    a gram's clip count is its largest count in one reference of its sentence."""
+    array, streamed from the tokenizer with each row's length beside it.  An
+    n-gram's id is the dense rank of (its (n-1)-gram id, its last token); a
+    gram's clip count is its largest count in one reference of its sentence."""
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     refs = _normalize_references(references, len(corpora[0]))
     if not refs or not all(refs):
         raise ValueError("cannot score an empty corpus or an empty reference group")
     n_sentences, n_refs = len(refs), sum(map(len, refs))
-    rows = [_tokenize(r, tokenization) for group in refs for r in group]
-    rows += [_tokenize(c, tokenization) for candidates in corpora for c in candidates]
-    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
-    ids = dict(zip(dict.fromkeys(chain.from_iterable(rows)), count()))
-    tok = np.fromiter(map(ids.__getitem__, chain.from_iterable(rows)), np.int64, int(lengths.sum()))
-    row = np.repeat(np.arange(len(rows)), lengths)
-    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(tok))  # tokens from here to the row's end
+    ids: defaultdict[str, int] = defaultdict()
+    ids.default_factory = ids.__len__  # a token's id is the number of distinct tokens before it
+    tok, lengths = array("q"), array("q")
+    for text in chain(chain.from_iterable(refs), chain.from_iterable(corpora)):
+        tokens = _tokenize(text, tokenization)
+        tok.extend(map(ids.__getitem__, tokens))
+        lengths.append(len(tokens))
+    tok, lengths = np.frombuffer(tok, np.int64), np.frombuffer(lengths, np.int64)
+    index = np.int32 if len(tok) < 2**31 else np.int64  # per-token positions; (row, gram) keys stay int64
+    row = np.repeat(np.arange(len(lengths), dtype=index), lengths)
+    room = np.repeat(np.cumsum(lengths, dtype=index), lengths) - np.arange(len(tok), dtype=index)  # to the row's end
     ref_sentence = np.repeat(np.arange(n_sentences), list(map(len, refs)))
     row_sentence = np.concatenate([ref_sentence, np.tile(np.arange(n_sentences), len(corpora))])
     sys_len = lengths[n_refs:]
     stats = np.zeros((len(sys_len), 2 * n_max + 2), np.int64)
-    starts, gram, n_grams = np.arange(len(tok)), tok, len(ids)
+    starts, gram, n_grams = np.arange(len(tok), dtype=index), tok, len(ids)
     for n in range(1, n_max + 1):
         if n > 1:
             keep = room[starts] >= n
             starts = starts[keep]
             grams, gram = np.unique(gram[keep] * len(ids) + tok[starts + n - 1], return_inverse=True)
             n_grams = max(len(grams), 1)
-        keys, counts = np.unique(row[starts] * n_grams + gram, return_counts=True)  # (row, gram) -> count
+        # (row, gram) -> count
+        keys, counts = np.unique(row[starts].astype(np.int64) * n_grams + gram, return_counts=True)
         entry_row = keys // n_grams
         pairs, pair = np.unique(row_sentence[entry_row] * n_grams + keys % n_grams, return_inverse=True)
         split = np.searchsorted(entry_row, n_refs)
@@ -245,15 +256,22 @@ def bleu(
 def _resample_scores(stats: Sequence[np.ndarray], samples: int, seed: int, smoothing: str) -> list[np.ndarray]:
     """BLEU of every system in stats on every resample.
 
-    Resample k is the k-th row drawn from one seeded generator, and row k of
-    counts says how often it drew each sentence.  So counts @ stats holds every
-    resample's summed statistics, exactly: each sum is an integer below 2**53."""
+    Resample k is the k-th row drawn from one seeded generator, as counts of
+    how often it drew each sentence.  The rows fill a reused block of at most
+    _BLOCK_BYTES (one row, if a row is larger), and block @ stats gives those
+    resamples' summed statistics, exactly: each sum is an integer below 2**53,
+    so neither the block's shape nor the summation order moves a bit.  Beyond
+    the block and the stats, memory is a row of sums and the scores per resample."""
     n_sentences = len(stats[0])
+    table = np.hstack(stats).astype(np.float64)
     rng = np.random.default_rng(seed)
-    counts = np.empty((samples, n_sentences))
-    for row in counts:
-        row[:] = np.bincount(rng.integers(0, n_sentences, n_sentences), minlength=n_sentences)
-    sums = counts @ np.hstack(stats).astype(np.float64)
+    block = np.empty((max(1, min(samples, _BLOCK_BYTES // (8 * n_sentences))), n_sentences))
+    sums = np.empty((samples, table.shape[1]))
+    for start in range(0, samples, len(block)):
+        counts = block[: samples - start]
+        for row in counts:
+            row[:] = np.bincount(rng.integers(0, n_sentences, n_sentences), minlength=n_sentences)
+        np.matmul(counts, table, out=sums[start : start + len(counts)])
     return [_scores_from_sums(part, smoothing)[0] for part in np.hsplit(sums, len(stats))]
 
 
@@ -277,6 +295,8 @@ def paired_bootstrap(
         raise ValueError("samples must be at least 1")
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     stats = _corpora_stats([cand_a, cand_b], references, n_max, tokenization)
     scores_a, scores_b = _resample_scores(stats, samples, seed, smoothing)
 

@@ -641,6 +641,14 @@ def test_each_report_command_prints_the_bytes_of_its_report_file(desk, tmp_path,
           "--out", "{d}/e35.tsv"], "--corpus label must be nonempty and hold no '+', got 'a+b={d}/lt.txt'"),
         (["--config", "{d}/empty.conf", "diag", "overlap", "--vocab", "{d}/toy.vocab", "--corpus", "en={d}/lt.txt",
           "--out", "{d}/e36.tsv"], "--corpus label must be nonempty and hold no '+', got '={d}/lt.txt'"),
+        # An n-gram order below one and a negative bootstrap seed.
+        (["eval", "bleu", "--candidates", "{d}/worse.txt", "--references", "{d}/refs.txt", "--n-max", "0", "--out",
+          "{d}/e37.tsv"], "n_max must be at least 1"),
+        (["eval", "bleu", "--candidates", "{d}/worse.txt", "--references", "{d}/refs.txt", "--n-max", "-2", "--out",
+          "{d}/e38.tsv"], "n_max must be at least 1"),
+        (["eval", "bootstrap", "--candidates-a", "{d}/worse.txt", "--candidates-b", "{d}/refs.txt",
+          "--references", "{d}/refs.txt", "--samples", "50", "--seed", "-1", "--out", "{d}/e39.tsv"],
+         "seed must be a non-negative integer, got -1"),
     ],
 )
 def test_cli_error_paths_exit_1(desk, capsys, argv, message):

@@ -1,11 +1,15 @@
 """Corpus loading, filtering, sampling, mixing, and corruption contracts."""
 
+import math
+import random
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.conftest import CYRILLIC, LATIN, desk_sentences
 from xfervocab.corpus import (
     CORRUPTION_MODES,
     FilterReport,
@@ -20,6 +24,7 @@ from xfervocab.corpus import (
     sample_equal,
     subsample,
     write_parallel_tsv,
+    _sample_derangement,
 )
 from xfervocab.errors import AlignmentError, CorpusDecodeError, CorpusFormatError, SampleSizeError
 from xfervocab.wordpiece import Vocabulary
@@ -232,6 +237,83 @@ def test_pseudo_related_deterministic():
     a = make_pseudo_related(PSEUDO_INPUT, 0.3, seed=42)
     b = make_pseudo_related(PSEUDO_INPUT, 0.3, seed=42)
     assert a.pairs == b.pairs
+
+
+def oracle_pseudo_related(corpus, keep_percent, seed):
+    """The pseudo-related rewrite before word-type memos: letters gathered
+    character by character, and every word occurrence ciphered on its own
+    through a regex callback."""
+    rng = random.Random(seed)
+    letters = set()
+    for side in (corpus.sources, corpus.targets):
+        for sentence in side:
+            for ch in sentence:
+                if ch.isalpha():
+                    low = ch.lower()
+                    letters.add(low if len(low) == 1 else ch)
+    mapping = _sample_derangement(sorted(letters), rng) if letters else {}
+
+    def cipher_char(ch):
+        low = ch.lower()
+        if len(low) != 1:
+            low = ch
+        mapped = mapping.get(low)
+        if mapped is None:
+            return ch
+        return mapped.upper() if ch.isupper() else mapped
+
+    def keep_set(side):
+        types = sorted({word for sentence in side for word in sentence.split()})
+        return set(rng.sample(types, math.ceil(keep_percent * len(types))))
+
+    keep_src = keep_set(corpus.sources)
+    keep_tgt = keep_set(corpus.targets)
+
+    def transform(sentence, kept):
+        return re.sub(
+            r"\S+",
+            lambda m: m.group(0) if m.group(0) in kept else "".join(
+                cipher_char(c) if c.isalpha() else c for c in m.group(0)
+            ),
+            sentence,
+        )
+
+    return ParallelCorpus(
+        tuple(transform(s, keep_src) for s in corpus.sources), tuple(transform(t, keep_tgt) for t in corpus.targets)
+    )
+
+
+# Letters whose case maps are longer than one character (ß, İ, ǰ, ŉ), final
+# and medial sigma, runs of several kinds of whitespace, digits and
+# punctuation, and any other character but a newline.
+PSEUDO_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(["ß", "İ", "ǰ", "ŉ", "Σς", "a", "Ab", "ab", " ", "  ", "\t", "\u3000", "\x1c", "7,5", "!"]),
+        st.characters(exclude_categories=("Cs",), exclude_characters="\n"),
+    ),
+    max_size=12,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(PSEUDO_TEXT, PSEUDO_TEXT), max_size=6),
+    keep=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32),
+)
+def test_pseudo_related_matches_per_occurrence_oracle(pairs, keep, seed):
+    corpus = corpus_of(pairs)
+    assert make_pseudo_related(corpus, keep, seed) == oracle_pseudo_related(corpus, keep, seed)
+
+
+@pytest.mark.parametrize("keep", [0.0, 0.5, 0.9])
+def test_pseudo_related_matches_per_occurrence_oracle_on_desk_corpora(keep):
+    sources = desk_sentences(11, CYRILLIC, 400, 300)
+    latin = desk_sentences(12, LATIN, 400, 300)
+    targets = [s.title() if i % 3 == 0 else s.replace(" ", "  ", 1) for i, s in enumerate(latin)]
+    corpus = corpus_of(list(zip(sources, targets)))
+    for seed in (1, 2):
+        assert make_pseudo_related(corpus, keep, seed) == oracle_pseudo_related(corpus, keep, seed)
 
 
 def test_corrupt_sort_target():

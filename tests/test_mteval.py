@@ -5,6 +5,7 @@ and the stopping criterion."""
 import math
 import random
 import string
+import tracemalloc
 import unicodedata
 from collections import Counter
 
@@ -291,6 +292,63 @@ def test_resample_rows_match_one_draw_at_odd_sizes(n_sentences):
         assert all(np.array_equal(got, want) for got, want in zip(scores, expected))
 
 
+@pytest.mark.parametrize("rows", [0, 1, 2, 5])
+def test_resample_blocks_match_one_draw_across_block_boundaries(monkeypatch, rows):
+    """A budget of `rows` resamples per block (0: less than one row, so one
+    row per block): sample counts on, just before and just after block
+    boundaries give the same scores as one whole draw."""
+    sys_a, sys_b, refs = near_equal_systems(True)
+    stats = [sentence_stats(cand, refs, 4) for cand in (sys_a, sys_b)]
+    monkeypatch.setattr(mteval, "_BLOCK_BYTES", rows * 8 * len(refs) + 7)
+    for samples in sorted({1, max(rows - 1, 1), max(rows, 1), rows + 1, 3 * rows + 5}):
+        for smoothing in ("none", "exponential"):
+            scores = _resample_scores(stats, samples, 4, smoothing)
+            expected = oracle_resample_scores(stats, samples, 4, smoothing)
+            assert all(np.array_equal(got, want) for got, want in zip(scores, expected, strict=True))
+
+
+def test_resample_memory_does_not_grow_with_samples():
+    """At 5000 sentences a samples x sentences float64 matrix would be 40 MB
+    at 1000 samples and 400 MB at 10 000; the blocked resample holds only a
+    row of sums and of scores per sample beyond its fixed block."""
+    rng = np.random.default_rng(0)
+    lengths = rng.integers(1, 30, 5000)
+    stats = []
+    for _ in range(2):
+        totals = np.maximum(lengths[:, None] - np.arange(4), 0)
+        matches = rng.integers(0, totals + 1)
+        stats.append(np.column_stack([matches, totals, lengths, rng.integers(1, 30, 5000)]))
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            _resample_scores(stats, samples, 0, "exponential")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(1000), peak(10_000)
+    assert small < mteval._BLOCK_BYTES + (4 << 20)
+    assert large - small < 4 << 20
+
+
+@pytest.mark.parametrize("tokenization", TOKENIZATIONS)
+def test_corpora_stats_rows_around_empty_and_blank_lines(tokenization):
+    """Empty and whitespace-only lines between non-empty ones, as references
+    and as candidates, keep every later row's length and n-grams in place."""
+    refs = [["a b"], [""], ["a ,"], ["   "], ["b a b", " \t"]]
+    cand_a = ["a b", "   ", "a,", "", "b a"]
+    cand_b = ["", "a", "a , a", "\t", "b"]
+    # Columns: matches_1, matches_2, totals_1, totals_2, sys_len, ref_len.
+    # "a," is one token without tokenization and "a", "," with intl.
+    sentence_2_a = {"none": [0, 0, 1, 0, 1, 2], "intl": [2, 1, 2, 1, 2, 2]}[tokenization]
+    expected_a = [[2, 1, 2, 1, 2, 2], [0, 0, 0, 0, 0, 0], sentence_2_a, [0, 0, 0, 0, 0, 0], [2, 1, 2, 1, 2, 3]]
+    expected_b = [[0, 0, 0, 0, 0, 2], [0, 0, 1, 0, 1, 0], [2, 1, 3, 2, 3, 2], [0, 0, 0, 0, 0, 0], [1, 0, 1, 0, 1, 0]]
+    got = _corpora_stats([cand_a, cand_b], refs, 2, tokenization)
+    assert got.tolist() == [expected_a, expected_b]
+    assert np.array_equal(got, oracle_counter_corpora_stats([cand_a, cand_b], refs, 2, tokenization))
+
+
 def test_bootstrap_needs_an_explicit_seed():
     refs = ["a b c", "d e f"]
     with pytest.raises(TypeError):
@@ -449,6 +507,22 @@ def test_bootstrap_alpha_outside_open_unit_interval_raises(alpha):
     refs = [f"sentence number {i} about things" for i in range(10)]
     with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
         paired_bootstrap(refs, [""] * len(refs), refs, samples=50, alpha=alpha, seed=3)
+
+
+@pytest.mark.parametrize("n_max", [0, -2])
+def test_n_max_below_one_raises(n_max):
+    with pytest.raises(ValueError, match="n_max must be at least 1"):
+        sentence_stats(["a b"], ["a b"], n_max=n_max)
+    with pytest.raises(ValueError, match="n_max must be at least 1"):
+        bleu(["a b"], ["a b"], n_max=n_max)
+    with pytest.raises(ValueError, match="n_max must be at least 1"):
+        paired_bootstrap(["a b"], ["a"], ["a b"], samples=5, seed=0, n_max=n_max)
+
+
+def test_bootstrap_negative_seed_raises():
+    refs = [f"sentence number {i} about things" for i in range(10)]
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        paired_bootstrap(refs, [""] * len(refs), refs, samples=50, seed=-1)
 
 
 def test_should_stop_hand_curve():
