@@ -260,19 +260,22 @@ def _resample_scores(stats: Sequence[np.ndarray], samples: int, seed: int, smoot
     how often it drew each sentence.  The rows fill a reused block of at most
     _BLOCK_BYTES (one row, if a row is larger), and block @ stats gives those
     resamples' summed statistics, exactly: each sum is an integer below 2**53,
-    so neither the block's shape nor the summation order moves a bit.  Beyond
-    the block and the stats, memory is a row of sums and the scores per resample."""
+    so neither the block's shape nor the summation order moves a bit.  Each
+    block's sums are scored as soon as they exist, and a score depends on its
+    own row only, so beyond the block and the stats, memory is the scores:
+    8 bytes per resample and system."""
     n_sentences = len(stats[0])
     table = np.hstack(stats).astype(np.float64)
     rng = np.random.default_rng(seed)
     block = np.empty((max(1, min(samples, _BLOCK_BYTES // (8 * n_sentences))), n_sentences))
-    sums = np.empty((samples, table.shape[1]))
+    scores = np.empty((samples, len(stats)))
     for start in range(0, samples, len(block)):
         counts = block[: samples - start]
         for row in counts:
             row[:] = np.bincount(rng.integers(0, n_sentences, n_sentences), minlength=n_sentences)
-        np.matmul(counts, table, out=sums[start : start + len(counts)])
-    return [_scores_from_sums(part, smoothing)[0] for part in np.hsplit(sums, len(stats))]
+        sums = (counts @ table).reshape(len(counts), len(stats), -1)  # one row of sums per resample and system
+        scores[start : start + len(counts)] = _scores_from_sums(sums, smoothing)[0]
+    return list(scores.T)
 
 
 def paired_bootstrap(

@@ -39,8 +39,9 @@ _UNIT_CACHE_SIZE = 1 << 16
 _ESCAPE_RE = re.compile(r"\\(\d+);")
 # A letter or digit: [^\W_] is exactly Unicode categories L and N.
 _ALNUM_RE = re.compile(r"[^\W_]")
-# Maximal runs of letters/digits or of the rest.
-_RUN_RE = re.compile(_ALNUM_RE.pattern + r"+|[\W_]+")
+# Maximal runs of letters/digits or of the rest, skipping a run that is
+# one space between two letters/digits.
+_UNIT_RE = re.compile(r"[^\W_]+|(?!(?<=[^\W_]) (?=[^\W_]))[\W_]+")
 
 
 def pretokenize(text: str) -> list[str]:
@@ -50,10 +51,7 @@ def pretokenize(text: str) -> list[str]:
     re-inserts it.  This keeps punctuation attached to no word, so a word
     like "doma." becomes the two units "doma" and ".".
     """
-    units = _RUN_RE.findall(text)
-    if len(units) > 2:
-        units[1:-1] = [unit for unit in units[1:-1] if unit != " "]
-    return units
+    return _UNIT_RE.findall(text)
 
 
 def _escape_char(ch: str) -> list[str]:
@@ -274,11 +272,8 @@ def _decode_escapes(text: str) -> str:
 
 def _count_units(corpora: Iterable[Iterable[str]], max_sentences: int) -> Counter:
     """Frequency of word-level units over the first max_sentences sentences."""
-    counts: Counter = Counter()
-    sentences = itertools.chain.from_iterable(corpora)
-    for sentence in itertools.islice(sentences, max_sentences):
-        counts.update(pretokenize(sentence))
-    return counts
+    sentences = itertools.islice(itertools.chain.from_iterable(corpora), max_sentences)
+    return Counter(itertools.chain.from_iterable(map(pretokenize, sentences)))
 
 
 def __getattr__(name: str):

@@ -3,18 +3,24 @@
 The threshold ladder is incremental but yields exactly what recounting from
 scratch at every pass of every threshold yields.  The first pass starts
 from the base alphabet at every threshold, so its counts are computed once;
-they are also the threshold-1 build.  Its candidates (every substring of a
-safe run, plus the base) get fixed ids, sorted by length then token, and
-counts and prefix discounts are array sums over those ids.  A refinement
-pass that reproduces its token set is a fixed point and ends the threshold.
-Moving to a new token set walks every unit's greedy segmentation at once, as
-a few array passes over the base segment starts, and recounts only the
-starts whose activity flipped.  No per-threshold state is kept, and the
-counting state is dropped once the ranking exists.
+they are also the threshold-1 build.  Its candidates are every prefix of
+every run suffix at a base segment start, plus the base.  Sorting the
+distinct run suffixes and taking each one's common prefix with its sorted
+neighbour (Manber & Myers 1993; Kasai et al. 2001) gives each candidate as a
+(suffix, length) pair with no string of its own, its fixed id in (-length,
+token) order, its parent and its lexical rank.  Counts and prefix discounts
+are array sums over those ids.  A refinement pass that reproduces its token
+set is a fixed point and ends the threshold.  Moving to a new token set
+walks every unit's greedy segmentation at once, as a few array passes over
+the base segment starts, and recounts only the starts whose activity
+flipped.  No per-threshold state is kept, and the counting state is dropped
+once the ranking exists.  The ranking stays (suffix, length) pairs: `learn`
+renders only the tokens a vocabulary keeps.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 from array import array
 from collections import Counter
@@ -23,10 +29,27 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .wordpiece import ESCAPE_TOKENS, MAX_TRAIN_SENTENCES, WORD_MARKER, VocabSpec, Vocabulary, _count_units
-from .wordpiece import _segment_boundaries, _unsafe_mask
 
 # Counting passes per threshold, the default of Tensor2Tensor's SubwordTextEncoder.
 _REFINE_ITERATIONS = 4
+
+# The characters `wordpiece._unsafe_mask` marks inside a unit; they end a safe run.
+_UNSAFE_RE = re.compile(r"[\\_]")
+
+
+def _common_prefixes(codes: np.ndarray, begins: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Length of each string's common prefix with the string before it (0
+    for the first), for non-empty strings laid end to end as code points.
+    One step per shared character, over the pairs still equal so far."""
+    shared = np.zeros(len(lens), np.int32)
+    limit = np.minimum(lens[1:], lens[:-1])
+    alive = np.arange(1, len(lens))
+    while len(alive):
+        at = shared[alive]
+        alive = alive[codes[begins[alive - 1] + at] == codes[begins[alive] + at]]
+        shared[alive] += 1
+        alive = alive[shared[alive] < limit[alive - 1]]
+    return shared
 
 
 class _CandidateBuilder:
@@ -35,11 +58,16 @@ class _CandidateBuilder:
     A unit contributes its frequency to every substring that starts at one
     of its segment starts and ends within that start's safe run: a chain of
     prefixes ending at the whole run suffix.  Every segment start under any
-    token set is also a start of the base segmentation, so the substrings
-    counted there form a fixed universe.  Each gets an id in (-length,
-    token) order, with its immediate prefix as its parent.  A count is then
-    the subtree sum over the run suffixes of the active starts, and the
-    prefix discount is one carry pushed to the parent, one length block at a
+    token set is also a start of the base segmentation, so the prefixes of
+    the run suffixes there form a fixed universe.  It is built from the
+    sorted distinct suffixes: at length L, suffix k holds a candidate no
+    earlier suffix holds iff it is at least L long and shares fewer than L
+    characters with suffix k - 1.  Each candidate gets an id in (-length,
+    token) order, with its immediate prefix as its parent, and is rendered
+    as strings[owner[id]][:length] only when asked for.  The strings a
+    candidate prefixes form one range of the sorted order, so its count is
+    a range sum over the run suffixes of the active starts, and the prefix
+    discount is one carry pushed to the parent, one length block at a
     time.  A move to a new token set walks every unit's greedy segmentation
     at once over the base starts, and recounts only the starts whose
     activity flipped.
@@ -47,74 +75,98 @@ class _CandidateBuilder:
 
     def __init__(self, unit_counts: Counter, base: list[str]):
         units = sorted(unit_counts)
-        index = set(base)
-        # Segment starts of the threshold-1 (base) segmentation, the only
-        # positions any later segmentation can start at, and the ends of
-        # their safe runs.
-        universe = set(base)
-        starts, stops = array("i"), array("i")
-        unit_offsets = array("i", [0])
+        # The run suffix at every base segment start, unit by unit.  A base
+        # start is every safe position except a word-final marker after a
+        # safe character, which the base segmentation fuses onto it.
+        suffixes = []
+        offsets = array("i", [0])
         for unit in units:
-            marked = unit + WORD_MARKER
-            unsafe = _unsafe_mask(unit)
-            for start, _end in _segment_boundaries(marked, unsafe, index, 1):
-                if unsafe[start]:
-                    continue
-                stop = start
-                while stop < len(marked) and not unsafe[stop]:
-                    stop += 1
-                starts.append(start)
-                stops.append(stop)
-                universe.update(marked[start:end] for end in range(start + 1, stop + 1))
-            unit_offsets.append(len(starts))
+            *inner, last = _UNSAFE_RE.split(unit)
+            for run in inner:
+                suffixes += [run[i:] for i in range(len(run))]
+            last += WORD_MARKER
+            suffixes += [last[i:] for i in range(max(len(last) - 1, 1))]
+            offsets.append(len(suffixes))
 
-        # Each temporary goes before the next is built: what the learner
-        # holds at its peak adds to the peak of the step that calls it.
-        lexical = sorted(universe)
-        del universe
-        lengths = np.fromiter(map(len, lexical), np.int32, len(lexical))
-        order = np.argsort(-lengths, kind="stable")
-        self.tokens = [lexical[i] for i in order.tolist()]
-        del lexical
-        self.lex_rank = order.astype(np.int32)
-        lengths = lengths[order]
-        cuts = np.flatnonzero(np.diff(lengths)) + 1
-        bounds = [0, *cuts.tolist(), len(lengths)]
+        # The universe is every prefix of these suffixes, plus the base (of
+        # length 1, so a base token adds itself and no other prefix).  Sorted,
+        # string k holds the prefixes longer than its common prefix with
+        # string k - 1 that no earlier string holds, in lexical order.  Each
+        # temporary goes once used: what the learner holds at its peak adds
+        # to the peak of the step that calls it.
+        strings = sorted(set(suffixes).union(base))
+        rank = dict(zip(strings, range(len(strings))))
+        start_rank = np.fromiter(map(rank.__getitem__, suffixes), np.int32, len(suffixes))
+        del suffixes
+        lens = np.fromiter(map(len, strings), np.int32, len(strings))
+        codes = np.frombuffer("".join(strings).encode("utf-32-le", "surrogatepass"), np.uint32)
+        ends = np.cumsum(lens, dtype=np.int64)
+        shared = _common_prefixes(codes, ends - lens, lens)
+        # Only a final run ends with the marker.
+        final = codes[ends - 1] == ord(WORD_MARKER)
+        del codes, ends
+        fresh = lens - shared
+        lex_first = np.cumsum(fresh) - fresh
+        top = int(lens.max())
+        per_length = np.cumsum(np.bincount(shared + 1, minlength=top + 2) - np.bincount(lens + 1, minlength=top + 2))
+        total = int(fresh.sum())
+        # after[L]: the candidates longer than L, so the first id of length L.
+        after = (total - np.cumsum(per_length[: top + 1])).tolist()
         # (first, last) id of each length block, longest first, length >= 2.
-        self._blocks = [(a, b) for a, b in zip(bounds, bounds[1:]) if lengths[a] >= 2]
-        self._lengths = lengths
-        id_of = {tok: i for i, tok in enumerate(self.tokens)}
-        self._parent = np.fromiter(
-            (id_of[tok[:-1]] if len(tok) > 1 else -1 for tok in self.tokens), np.int32, len(self.tokens)
-        )
+        self._blocks = [(after[n], after[n - 1]) for n in range(top, 1, -1)]
+        self._lengths = np.repeat(np.arange(top, 0, -1, dtype=np.int32), per_length[top:0:-1])
+
+        # One step per length over the strings at least that long: string k
+        # starts a new candidate iff its common prefix with string k - 1 is
+        # shorter, so ids in (-length, token) order follow from one cumsum,
+        # and each candidate's parent is the id one step before on its string.
+        self._parent = np.empty(total, np.int32)
+        self.lex_rank = np.empty(total, np.int32)
+        # The strings a candidate prefixes are a range of the sorted order,
+        # [owner, end): the first renders it, and its count sums the range.
+        self.owner = np.empty(total, np.int32)
+        self._end = np.empty(total, np.int32)
+        whole_id = np.empty(len(strings), np.int32)
+        active = np.arange(len(strings), dtype=np.int32)
+        active_lens, ids = lens, np.full(len(strings), -1, np.int32)
+        for length in range(1, top + 1):
+            keep = active_lens >= length
+            active, active_lens, above = active[keep], active_lens[keep], ids[keep]
+            new = shared[active] < length
+            ids = np.cumsum(new, dtype=np.int32) + np.int32(after[length] - 1)
+            heads = np.flatnonzero(new)
+            made, k = ids[heads], active[heads]
+            self._parent[made] = above[heads]
+            self.lex_rank[made] = lex_first[k] + (length - 1 - shared[k])
+            self.owner[made] = k
+            self._end[made] = active[np.append(heads[1:], len(active)) - 1] + 1
+            whole = active_lens == length
+            whole_id[active[whole]] = ids[whole]
+        self.strings = strings
+        self._whole = whole_id
+        self.base_ids = whole_id[[rank[tok] for tok in base]].tolist()
+        del rank
+
         # Id of the run suffix of each start (the deepest candidate it
         # counts), and whether that run ends its unit.
-        suffix, final = array("i"), bytearray()
-        for u, unit in enumerate(units):
-            marked = unit + WORD_MARKER
-            for j in range(unit_offsets[u], unit_offsets[u + 1]):
-                suffix.append(id_of[marked[starts[j] : stops[j]]])
-                final.append(stops[j] == len(marked))
-        self._suffix = np.frombuffer(suffix, np.int32)
-        self._final = np.frombuffer(final, bool)
-        self.base_ids = [id_of[tok] for tok in base]
-        del id_of, starts, stops
-        offsets = np.frombuffer(unit_offsets, np.int32)
+        self._suffix = whole_id[start_rank]
+        self._final = final[start_rank]
+        offsets = np.frombuffer(offsets, np.int32)
         self._first = offsets[:-1]
         freqs = [unit_counts[unit] for unit in units]
         self._weights = np.repeat(np.asarray(freqs, np.min_scalar_type(max(freqs))), np.diff(offsets))
 
         # Summed frequency of the active starts whose run suffix each id is.
-        self._suffix_counts = np.zeros(len(self.tokens), np.int64)
+        self._suffix_counts = np.zeros(total, np.int64)
         np.add.at(self._suffix_counts, self._suffix, self._weights)
         self._active = np.ones(len(self._suffix), bool)
 
     def counts(self) -> np.ndarray:
-        """Candidate counts under the current segmentation."""
-        counts = self._suffix_counts.copy()
-        for first, last in self._blocks:
-            np.add.at(counts, self._parent[first:last], counts[first:last])
-        return counts
+        """Candidate counts under the current segmentation: the summed
+        suffix counts of the strings each candidate prefixes."""
+        running = np.zeros(len(self._whole) + 1, np.int64)
+        np.cumsum(self._suffix_counts[self._whole], out=running[1:])
+        return running[self._end] - running[self.owner]
 
     def select(self, counts: np.ndarray, min_count: int | None) -> tuple[np.ndarray, np.ndarray]:
         """Candidates of length >= 2 whose count, discounted by the selected
@@ -145,7 +197,7 @@ class _CandidateBuilder:
         index j to j + match until a match consumes the final run."""
         # deep[i]: the deepest id in the set on i's prefix chain.  Every
         # length-1 id is a base token, so only longer blocks can miss.
-        deep = np.arange(len(self.tokens), dtype=np.int32)
+        deep = np.arange(len(self._lengths), dtype=np.int32)
         for first, last in reversed(self._blocks):
             np.copyto(deep[first:last], deep[self._parent[first:last]], where=~selected[first:last])
         suffix = self._suffix
@@ -186,7 +238,11 @@ class WordpieceLearner:
         self._base = sorted(chars.union(ESCAPE_TOKENS))
         self._unit_counts: Counter | None = unit_counts
         self._max_count = max(unit_counts.values())
-        self._ranking: list[str] | None = None
+        # The ranking as (string, length) pairs: token i is
+        # self._strings[self._ranked_string[i]][: self._ranked_length[i]].
+        self._strings: list[str] = []
+        self._ranked_string: np.ndarray | None = None
+        self._ranked_length: np.ndarray | None = None
         # Threshold-1 counts, aligned with the ranking and with the base.
         self._ranked_raw: np.ndarray | None = None
         self._base_raw: list[int] = []
@@ -212,9 +268,9 @@ class WordpieceLearner:
         ladder.append(1)
         return ladder
 
-    def _canonical_ranking(self) -> list[str]:
-        if self._ranking is not None:
-            return self._ranking
+    def _canonical_ranking(self) -> None:
+        if self._ranked_raw is not None:
+            return
         builder = _CandidateBuilder(self._unit_counts, self._base)
         # Pass 1 starts from the base at every threshold, so its counts are
         # shared; selecting everything from them is the threshold-1 build.
@@ -241,20 +297,27 @@ class WordpieceLearner:
             ranked[new] = True
             levels.append(new)
         order = np.concatenate(levels)
-        self._ranking = [builder.tokens[i] for i in order.tolist()]
+        self._strings = builder.strings
+        self._ranked_string = builder.owner[order]
+        self._ranked_length = builder._lengths[order]
         self._ranked_raw = raw[order]
         self._base_raw = raw[builder.base_ids].tolist()
         self._unit_counts = None  # no counting state outlives the ranking
-        return self._ranking
+
+    def _ranked_tokens(self, stop: int | None = None) -> list[str]:
+        """The first `stop` tokens of the ranking (all of them when None)."""
+        self._canonical_ranking()
+        strings = self._strings
+        pairs = zip(self._ranked_string[:stop].tolist(), self._ranked_length[:stop].tolist())
+        return [strings[k][:n] for k, n in pairs]
 
     def learn(self, spec: VocabSpec) -> Vocabulary:
-        ranking = self._canonical_ranking()
         base = self._base
         target = spec.target_size
         if target < len(base):
             raise ValueError(f"target_size {target} is below the alphabet size {len(base)}")
         wanted = target - len(base)
-        selected = ranking[:wanted]
+        selected = self._ranked_tokens(wanted)
         size = len(base) + len(selected)
         within = abs(size - target) <= spec.tolerance * target
         if not within:

@@ -1,7 +1,11 @@
 """Command-line driver: subcommands, exit codes, manifests, reproducibility."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -522,6 +526,43 @@ def test_manifest_records_each_command_shape(desk, argv, inputs, outputs, seed, 
     assert set(manifest["outputs"]) == {str(desk / name) for name in outputs}
     assert manifest["seed"] == seed
     assert manifest["argv"] == [arg.format(d=desk) for arg in argv]
+
+
+# Runs every shape in one process and prints its stdout, then the digest of
+# every file in the desk (inputs, outputs and manifests) as the last line.
+ALL_SHAPES_SCRIPT = """
+import hashlib, json, sys
+from pathlib import Path
+from tests.test_cli import MANIFEST_SHAPES
+from xfervocab.cli import main
+d = Path(sys.argv[1])
+for case in MANIFEST_SHAPES:
+    assert main([arg.format(d=d) for arg in case[1]]) == 0, case[0]
+files = sorted(p for p in d.rglob("*") if p.is_file())
+print(json.dumps({str(p.relative_to(d)): hashlib.sha256(p.read_bytes()).hexdigest() for p in files}))
+"""
+
+
+def test_every_command_shape_ignores_the_hash_seed(desk, tmp_path):
+    """A set or dict of strings iterates in hash-seed order; no output, printed
+    report or manifest may follow it.  Both runs use the same directory, so the
+    manifests' recorded paths agree too."""
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), str(root), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    d = tmp_path / "desk"
+    runs = []
+    for seed in ("1", "2"):
+        shutil.rmtree(d, ignore_errors=True)
+        shutil.copytree(desk, d)
+        run = subprocess.run(
+            [sys.executable, "-c", ALL_SHAPES_SCRIPT, str(d)], env=dict(env, PYTHONHASHSEED=seed),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        runs.append(run.stdout)
+    assert len(json.loads(runs[0].splitlines()[-1])) > len(MANIFEST_SHAPES)
+    assert runs[0] == runs[1]
 
 
 # Every command that prints a report, with the file its --out/--report names (None: add --out).

@@ -307,29 +307,61 @@ def test_resample_blocks_match_one_draw_across_block_boundaries(monkeypatch, row
             assert all(np.array_equal(got, want) for got, want in zip(scores, expected, strict=True))
 
 
-def test_resample_memory_does_not_grow_with_samples():
-    """At 5000 sentences a samples x sentences float64 matrix would be 40 MB
-    at 1000 samples and 400 MB at 10 000; the blocked resample holds only a
-    row of sums and of scores per sample beyond its fixed block."""
-    rng = np.random.default_rng(0)
-    lengths = rng.integers(1, 30, 5000)
+def random_stats(n_sentences, seed):
+    """Per-sentence statistics (n_max 4) of two systems against one reference."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, 30, n_sentences)
     stats = []
     for _ in range(2):
         totals = np.maximum(lengths[:, None] - np.arange(4), 0)
         matches = rng.integers(0, totals + 1)
-        stats.append(np.column_stack([matches, totals, lengths, rng.integers(1, 30, 5000)]))
+        stats.append(np.column_stack([matches, totals, lengths, rng.integers(1, 30, n_sentences)]))
+    return stats
 
-    def peak(samples):
-        tracemalloc.start()
-        try:
-            _resample_scores(stats, samples, 0, "exponential")
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    small, large = peak(1000), peak(10_000)
+def resample_peak(stats, samples):
+    """Peak traced memory of one `_resample_scores` call."""
+    tracemalloc.start()
+    try:
+        _resample_scores(stats, samples, 0, "exponential")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_resample_memory_does_not_grow_with_samples():
+    """At 5000 sentences a samples x sentences float64 matrix would be 40 MB
+    at 1000 samples and 400 MB at 10 000; the blocked resample holds only
+    the scores per sample beyond its fixed block."""
+    stats = random_stats(5000, 0)
+    small, large = resample_peak(stats, 1000), resample_peak(stats, 10_000)
     assert small < mteval._BLOCK_BYTES + (4 << 20)
     assert large - small < 4 << 20
+
+
+@pytest.mark.parametrize("n_max", [1, 4, 9])
+def test_per_block_scores_equal_all_rows_scores_bit_for_bit(monkeypatch, n_max):
+    """Blocks of 1 row, 7 rows and every row score each resample from its own
+    sums alone, so the three give the same bits."""
+    sys_a, sys_b, refs = near_equal_systems(True)
+    stats = [sentence_stats(cand, refs, n_max) for cand in (sys_a, sys_b)]
+    samples = 50
+    for smoothing in ("none", "exponential"):
+        results = []
+        for rows in (1, 7, samples):
+            monkeypatch.setattr(mteval, "_BLOCK_BYTES", rows * 8 * len(refs))
+            results.append([scores.tobytes() for scores in _resample_scores(stats, samples, 6, smoothing)])
+        assert results[0] == results[1] == results[2]
+
+
+def test_resample_memory_holds_only_the_scores_per_sample():
+    """On a 100-sentence table the fixed 4 MiB block holds over 5000
+    resamples, so from 10 000 to 100 000 samples only the two score arrays
+    grow: 16 bytes a resample, 1.44 MB in all.  Sums kept for every resample
+    would add about 320 bytes a resample, 29 MB."""
+    stats = random_stats(100, 1)
+    small, large = resample_peak(stats, 10_000), resample_peak(stats, 100_000)
+    assert large - small < 3 << 20
 
 
 @pytest.mark.parametrize("tokenization", TOKENIZATIONS)

@@ -7,9 +7,11 @@ import random
 import re
 import unicodedata
 import warnings
-from collections import defaultdict
+from array import array
+from collections import Counter, defaultdict
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ import xfervocab.wordpiece_learner as wordpiece_learner
 from xfervocab.errors import CorpusFormatError, EscapeDecodeError
 from xfervocab.wordpiece import (
     ESCAPE_TOKENS,
+    _CandidateBuilder,
     WORD_MARKER,
     VocabSpec,
     Vocabulary,
@@ -227,6 +230,25 @@ PRETOKENIZE_PIECES = st.one_of(
 @example("a_ b\\ c")
 def test_pretokenize_matches_character_loop(text):
     assert pretokenize(text) == oracle_pretokenize(text)
+
+
+def two_step_pretokenize(text):
+    """The two-step split the one-pattern pretokenize replaced: every
+    maximal run, then each one-space run between two others dropped."""
+    units = re.findall(r"[^\W_]+|[\W_]+", text)
+    if len(units) > 2:
+        units[1:-1] = [unit for unit in units[1:-1] if unit != " "]
+    return units
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(st.text(max_size=4), PRETOKENIZE_PIECES), max_size=20).map("".join))
+@example(" a b ")
+@example("\ta b\r\n c")
+@example("a  b c_d\\e f ")
+@example("a b_ c")
+def test_one_pattern_pretokenize_matches_two_step_split(text):
+    assert pretokenize(text) == two_step_pretokenize(text)
 
 
 @settings(max_examples=200, deadline=None)
@@ -491,7 +513,7 @@ def check_ladder_against_oracle(sentences, refine_iterations, extra):
     learner = WordpieceLearner(counts)
     assert learner.base_tokens == base
     with mock.patch.object(wordpiece_learner, "_REFINE_ITERATIONS", refine_iterations):
-        assert learner._canonical_ranking() == ranking
+        assert learner._ranked_tokens() == ranking
     learned_raw = dict(zip(ranking, learner._ranked_raw.tolist())) | dict(zip(base, learner._base_raw))
     assert learned_raw == {tok: raw.get(tok, 0) for tok in learned_raw}
     assert set(learned_raw) == set(raw) | set(base)
@@ -520,6 +542,101 @@ def test_incremental_ladder_matches_recount_oracle_at_desk_scale():
     counts = _count_units([desk_sentences(7, LATIN, 300, 200)], 300)
     base, ranking, raw = oracle_ranking(counts)
     learner = WordpieceLearner(counts)
-    assert learner._canonical_ranking() == ranking
+    assert learner._ranked_tokens() == ranking
     assert learner._ranked_raw.tolist() == [raw.get(tok, 0) for tok in ranking]
     assert learner._base_raw == [raw.get(tok, 0) for tok in base]
+
+
+def oracle_candidates(unit_counts, base):
+    """The substring-enumeration set-up `_CandidateBuilder` replaced: base
+    starts from the greedy base segmentation, every substring of every safe
+    run from them stored as a string, ids sorted by (-length, token)."""
+    units = sorted(unit_counts)
+    index = set(base)
+    universe = set(base)
+    starts, stops = array("i"), array("i")
+    unit_offsets = array("i", [0])
+    for unit in units:
+        marked = unit + WORD_MARKER
+        unsafe = _unsafe_mask(unit)
+        for start, _end in _segment_boundaries(marked, unsafe, index, 1):
+            if unsafe[start]:
+                continue
+            stop = start
+            while stop < len(marked) and not unsafe[stop]:
+                stop += 1
+            starts.append(start)
+            stops.append(stop)
+            universe.update(marked[start:end] for end in range(start + 1, stop + 1))
+        unit_offsets.append(len(starts))
+    lexical = sorted(universe)
+    lengths = np.fromiter(map(len, lexical), np.int32, len(lexical))
+    order = np.argsort(-lengths, kind="stable")
+    tokens = [lexical[i] for i in order.tolist()]
+    lengths = lengths[order]
+    cuts = np.flatnonzero(np.diff(lengths)) + 1
+    bounds = [0, *cuts.tolist(), len(lengths)]
+    id_of = {tok: i for i, tok in enumerate(tokens)}
+    suffix, final = [], []
+    for u, unit in enumerate(units):
+        marked = unit + WORD_MARKER
+        for j in range(unit_offsets[u], unit_offsets[u + 1]):
+            suffix.append(id_of[marked[starts[j] : stops[j]]])
+            final.append(stops[j] == len(marked))
+    offsets = np.frombuffer(unit_offsets, np.int32)
+    freqs = [unit_counts[unit] for unit in units]
+    return {
+        "tokens": tokens,
+        "lex_rank": order.astype(np.int32),
+        "_lengths": lengths,
+        "_blocks": [(a, b) for a, b in zip(bounds, bounds[1:]) if lengths[a] >= 2],
+        "_parent": np.array([id_of[tok[:-1]] if len(tok) > 1 else -1 for tok in tokens], np.int32),
+        "_suffix": np.array(suffix, np.int32),
+        "_final": np.array(final, bool),
+        "_first": offsets[:-1],
+        "_weights": np.repeat(np.asarray(freqs, np.min_scalar_type(max(freqs))), np.diff(offsets)),
+        "base_ids": [id_of[tok] for tok in base],
+    }
+
+
+# Units as the learner sees them, and beyond: runs of up to 40 characters
+# repeating shared pieces, units of only "_" and "\", "_" and "\" inside
+# runs, and characters outside the Basic Multilingual Plane.
+builder_units = st.dictionaries(
+    st.one_of(
+        st.lists(st.sampled_from(["ab", "ba", "abc", "a", "\U0001f600", "é"]), min_size=1, max_size=20)
+        .map("".join)
+        .map(lambda unit: unit[:40]),
+        st.text("_\\", min_size=1, max_size=6),
+        st.text("ab._\\", min_size=1, max_size=40),
+        st.text(ORACLE_ALPHABET, min_size=1, max_size=8),
+    ),
+    st.integers(1, 70_000),
+    min_size=1,
+    max_size=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_counts=builder_units)
+@example(unit_counts={"_": 1})
+@example(unit_counts={"\\": 2, "a": 3})
+@example(unit_counts={"a" * 40: 1, "a": 5})
+def test_candidate_builder_matches_substring_enumeration(unit_counts):
+    unit_counts = Counter(unit_counts)
+    base = WordpieceLearner(unit_counts).base_tokens
+    builder = _CandidateBuilder(unit_counts, base)
+    want = oracle_candidates(unit_counts, base)
+    for name in ("_parent", "_lengths", "lex_rank", "_suffix", "_final", "_first", "_weights"):
+        got = getattr(builder, name)
+        assert got.dtype == want[name].dtype and np.array_equal(got, want[name]), name
+    assert builder._blocks == want["_blocks"]
+    assert builder.base_ids == want["base_ids"]
+    rendered = [builder.strings[k][:n] for k, n in zip(builder.owner.tolist(), builder._lengths.tolist())]
+    assert rendered == want["tokens"]
+    # Counts as subtree sums pushed to the parent one length block at a time.
+    counts = np.zeros(len(want["tokens"]), np.int64)
+    np.add.at(counts, want["_suffix"], want["_weights"])
+    for first, last in want["_blocks"]:
+        np.add.at(counts, want["_parent"][first:last], counts[first:last])
+    assert np.array_equal(builder.counts(), counts)
