@@ -1,6 +1,6 @@
 """Scale tier for the wordpiece learner: time and peak memory of each phase.
 
-    python3 scale/learner.py [--src DIR] [--repeat N] [CASE ...]
+    python3 scale/learner.py [--src DIR] [CASE ...]
 
 Run it from the repository root.  Each case runs `learn_wordpiece`'s phases
 in a fresh Python process, importing the package from DIR (default `src/`,
@@ -97,7 +97,6 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("cases", nargs="*", default=list(CASES), help=f"any of {', '.join(CASES)} (default: all)")
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--repeat", type=int, default=1)
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     unknown = sorted(set(args.cases) - set(CASES))
@@ -106,13 +105,12 @@ def main(argv: list[str]) -> int:
     if args.child:
         print(json.dumps(measure(args.cases[0], args.src.resolve())))
         return 0
-    for _ in range(args.repeat):
-        for case in args.cases:
-            run = subprocess.run(
-                [sys.executable, __file__, "--child", "--src", str(args.src), case],
-                capture_output=True, text=True, check=True,
-            )
-            print(run.stdout.strip(), flush=True)
+    for case in args.cases:
+        run = subprocess.run(
+            [sys.executable, __file__, "--child", "--src", str(args.src), case],
+            capture_output=True, text=True, check=True,
+        )
+        print(run.stdout.strip(), flush=True)
     return 0
 
 

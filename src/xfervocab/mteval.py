@@ -31,7 +31,7 @@ _PUNCT_NORMALIZATION = {
 
 
 _NORMALIZE = str.maketrans(_PUNCT_NORMALIZATION)
-_BLOCK_BYTES = 4 << 20  # the bootstrap's resample counts block; bounds memory, never changes a score
+_BLOCK_BYTES = 4 << 20  # the bootstrap's resample block; bounds memory, never changes a score
 _WORD_CACHE_SIZE = 1 << 16
 _WORD_TOKENS: dict[str, list[str]] = {}  # whitespace word -> its tokens, up to _WORD_CACHE_SIZE words
 
@@ -253,21 +253,31 @@ def bleu(
     )
 
 
+def _row_bytes(n_sentences: int, n_columns: int) -> int:
+    """Bytes one resample takes in a bootstrap block: its float64 counts row,
+    or its sums with _scores_from_sums' temporaries (measured at under four
+    times the sums' width), whichever is more."""
+    return 8 * max(n_sentences, 4 * n_columns)
+
+
 def _resample_scores(stats: Sequence[np.ndarray], samples: int, seed: int, smoothing: str) -> list[np.ndarray]:
     """BLEU of every system in stats on every resample.
 
     Resample k is the k-th row drawn from one seeded generator, as counts of
-    how often it drew each sentence.  The rows fill a reused block of at most
-    _BLOCK_BYTES (one row, if a row is larger), and block @ stats gives those
-    resamples' summed statistics, exactly: each sum is an integer below 2**53,
-    so neither the block's shape nor the summation order moves a bit.  Each
-    block's sums are scored as soon as they exist, and a score depends on its
-    own row only, so beyond the block and the stats, memory is the scores:
-    8 bytes per resample and system."""
+    how often it drew each sentence.  The rows fill a reused block, and
+    block @ stats gives those resamples' summed statistics, exactly: each sum
+    is an integer below 2**53, so neither the block's shape nor the summation
+    order moves a bit.  Each block's sums are scored as soon as they exist,
+    and a score depends on its own row only.  A block holds as many rows as
+    fit in _BLOCK_BYTES (one, if a row is larger), a row counting its counts
+    or its sums and their scoring temporaries, whichever is wider, so beyond
+    one block and the stats, memory is the scores: 8 bytes per resample and
+    system."""
     n_sentences = len(stats[0])
     table = np.hstack(stats).astype(np.float64)
     rng = np.random.default_rng(seed)
-    block = np.empty((max(1, min(samples, _BLOCK_BYTES // (8 * n_sentences))), n_sentences))
+    rows = _BLOCK_BYTES // _row_bytes(n_sentences, table.shape[1])
+    block = np.empty((max(1, min(samples, rows)), n_sentences))
     scores = np.empty((samples, len(stats)))
     for start in range(0, samples, len(block)):
         counts = block[: samples - start]

@@ -33,6 +33,11 @@ VARIANTS = ("frequency", "everything_random", "unmatched_random", "levenshtein")
 # Sentences a learner counts unless told otherwise.
 MAX_TRAIN_SENTENCES = 20_000_000
 
+# Characters a unit's own text must escape, since they would collide with
+# the escape and marker syntax; the marker appended to a unit is safe.
+_UNSAFE_CHARS = "\\" + WORD_MARKER
+_UNSAFE_RE = re.compile("[" + re.escape(_UNSAFE_CHARS) + "]")
+
 # Units whose tokens one Vocabulary remembers; later new units are not stored.
 _UNIT_CACHE_SIZE = 1 << 16
 
@@ -59,10 +64,8 @@ def _escape_char(ch: str) -> list[str]:
 
 
 def _unsafe_mask(unit: str) -> list[bool]:
-    # Literal backslashes and underscores in the original text must be
-    # escaped, otherwise they collide with the escape and marker syntax.
     # The appended marker itself (last position) is always safe.
-    mask = [c in ("\\", WORD_MARKER) for c in unit]
+    mask = [c in _UNSAFE_CHARS for c in unit]
     mask.append(False)
     return mask
 

@@ -20,7 +20,6 @@ renders only the tokens a vocabulary keeps.
 
 from __future__ import annotations
 
-import re
 import warnings
 from array import array
 from collections import Counter
@@ -28,13 +27,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .wordpiece import ESCAPE_TOKENS, MAX_TRAIN_SENTENCES, WORD_MARKER, VocabSpec, Vocabulary, _count_units
+from .wordpiece import (
+    ESCAPE_TOKENS,
+    MAX_TRAIN_SENTENCES,
+    WORD_MARKER,
+    _UNSAFE_RE,
+    VocabSpec,
+    Vocabulary,
+    _count_units,
+)
 
 # Counting passes per threshold, the default of Tensor2Tensor's SubwordTextEncoder.
 _REFINE_ITERATIONS = 4
-
-# The characters `wordpiece._unsafe_mask` marks inside a unit; they end a safe run.
-_UNSAFE_RE = re.compile(r"[\\_]")
 
 
 def _common_prefixes(codes: np.ndarray, begins: np.ndarray, lens: np.ndarray) -> np.ndarray:

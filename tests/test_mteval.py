@@ -292,6 +292,11 @@ def test_resample_rows_match_one_draw_at_odd_sizes(n_sentences):
         assert all(np.array_equal(got, want) for got, want in zip(scores, expected))
 
 
+def block_bytes(rows, stats):
+    """A `_BLOCK_BYTES` that holds `rows` resamples of stats per block."""
+    return rows * mteval._row_bytes(len(stats[0]), sum(table.shape[1] for table in stats))
+
+
 @pytest.mark.parametrize("rows", [0, 1, 2, 5])
 def test_resample_blocks_match_one_draw_across_block_boundaries(monkeypatch, rows):
     """A budget of `rows` resamples per block (0: less than one row, so one
@@ -299,7 +304,7 @@ def test_resample_blocks_match_one_draw_across_block_boundaries(monkeypatch, row
     boundaries give the same scores as one whole draw."""
     sys_a, sys_b, refs = near_equal_systems(True)
     stats = [sentence_stats(cand, refs, 4) for cand in (sys_a, sys_b)]
-    monkeypatch.setattr(mteval, "_BLOCK_BYTES", rows * 8 * len(refs) + 7)
+    monkeypatch.setattr(mteval, "_BLOCK_BYTES", block_bytes(rows, stats) + 7)
     for samples in sorted({1, max(rows - 1, 1), max(rows, 1), rows + 1, 3 * rows + 5}):
         for smoothing in ("none", "exponential"):
             scores = _resample_scores(stats, samples, 4, smoothing)
@@ -349,19 +354,23 @@ def test_per_block_scores_equal_all_rows_scores_bit_for_bit(monkeypatch, n_max):
     for smoothing in ("none", "exponential"):
         results = []
         for rows in (1, 7, samples):
-            monkeypatch.setattr(mteval, "_BLOCK_BYTES", rows * 8 * len(refs))
+            monkeypatch.setattr(mteval, "_BLOCK_BYTES", block_bytes(rows, stats))
             results.append([scores.tobytes() for scores in _resample_scores(stats, samples, 6, smoothing)])
         assert results[0] == results[1] == results[2]
 
 
-def test_resample_memory_holds_only_the_scores_per_sample():
-    """On a 100-sentence table the fixed 4 MiB block holds over 5000
-    resamples, so from 10 000 to 100 000 samples only the two score arrays
-    grow: 16 bytes a resample, 1.44 MB in all.  Sums kept for every resample
-    would add about 320 bytes a resample, 29 MB."""
-    stats = random_stats(100, 1)
-    small, large = resample_peak(stats, 10_000), resample_peak(stats, 100_000)
-    assert large - small < 3 << 20
+@pytest.mark.parametrize("n_sentences", [1, 3, 100])
+def test_resample_memory_holds_only_the_scores_per_sample(monkeypatch, n_sentences):
+    """With a 256 KiB block, from 1000 to 10 000 samples only the two score
+    arrays grow: 16 bytes a resample, 144 kB in all.  Sums kept for every
+    resample would add about 460 bytes a resample with their scoring
+    temporaries, 4 MB; so would a block sized by the counts row alone, which
+    for one sentence holds every resample."""
+    monkeypatch.setattr(mteval, "_BLOCK_BYTES", 1 << 18)
+    stats = random_stats(n_sentences, 1)
+    small, large = resample_peak(stats, 1000), resample_peak(stats, 10_000)
+    assert large - small < 9000 * 32
+    assert large < 2 * mteval._BLOCK_BYTES + 10_000 * 16 + (1 << 16)
 
 
 @pytest.mark.parametrize("tokenization", TOKENIZATIONS)
