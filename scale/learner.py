@@ -7,9 +7,9 @@ in a fresh Python process, importing the package from DIR (default `src/`,
 so an older checkout's `src/` can be measured the same way), and prints one
 JSON line per run:
 
-* `count_s` - `WordpieceLearner.from_corpora` (unit counting);
+* `count_s` - `wordpiece._count_units` (unit counting);
 * `build_s` - `_CandidateBuilder.__init__`;
-* `rank_s` - the rest of the ranking (the threshold ladder);
+* `rank_s` - the rest of `WordpieceLearner.__init__` (the threshold ladder);
 * `learn_s` - `learn(spec)` on the finished ranking;
 * `maxrss_mb` - the process's `ru_maxrss` at the end, and `corpus_maxrss_mb`
   the same once the corpus exists, before any learner code runs;
@@ -62,28 +62,29 @@ def measure(case: str, src: Path) -> dict:
     from xfervocab.wordpiece import VocabSpec
 
     phases = {}
-    builder = wordpiece_learner._CandidateBuilder
 
-    def timed_builder(*args):
-        start = time.perf_counter()
-        built = builder(*args)
-        phases["build_s"] = time.perf_counter() - start
-        return built
+    def timed(phase, func):
+        def run(*args):
+            start = time.perf_counter()
+            result = func(*args)
+            phases[phase] = time.perf_counter() - start
+            return result
 
-    wordpiece_learner._CandidateBuilder = timed_builder
+        return run
+
+    wordpiece_learner._count_units = timed("count_s", wordpiece_learner._count_units)
+    wordpiece_learner._CandidateBuilder = timed("build_s", wordpiece_learner._CandidateBuilder)
     start = time.perf_counter()
     learner = wordpiece_learner.WordpieceLearner.from_corpora([lines])
-    counted = time.perf_counter()
-    learner._canonical_ranking()
     ranked = time.perf_counter()
     vocab = learner.learn(VocabSpec(target_size=TARGET))
     learned = time.perf_counter()
     text = f"{vocab.within_tolerance}\n" + "\n".join(vocab.tokens) + "\n"
     return {
         "case": case,
-        "count_s": round(counted - start, 4),
+        "count_s": round(phases["count_s"], 4),
         "build_s": round(phases["build_s"], 4),
-        "rank_s": round(ranked - counted - phases["build_s"], 4),
+        "rank_s": round(ranked - start - phases["count_s"] - phases["build_s"], 4),
         "learn_s": round(learned - ranked, 4),
         "total_s": round(learned - start, 4),
         "maxrss_mb": round(maxrss_mb(), 1),

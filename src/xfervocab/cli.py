@@ -590,7 +590,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         target = _manifest_target(args)
         if target is not None:
-            target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            write_text(target, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return 0
     except (XfervocabError, OSError, ValueError) as exc:
         print(f"xfervocab: error: {exc}", file=sys.stderr)

@@ -32,10 +32,14 @@ def write_text(path: str | Path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+def render_lines(lines: Iterable[str]) -> str:
+    """The text `read_lines` splits back into `lines`: each line ends with
+    "\\n", so no lines is an empty text."""
+    return "\n".join([*lines, ""])
+
+
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """The inverse of `read_lines`: each line ends with "\\n", so no lines
-    is an empty file."""
-    write_text(path, "\n".join([*lines, ""]))
+    write_text(path, render_lines(lines))
 
 
 def _cell(value: object) -> str:
@@ -59,5 +63,4 @@ def render_tsv(rows: Iterable[Iterable[object]]) -> str:
     bool renders as `true`/`false`, a float (numpy's too) as `repr(float(x))`
     and any other cell as `str(x)`; a cell holding a tab or newline raises
     `CorpusFormatError`."""
-    lines = ["\t".join(map(_cell, row)) for row in rows]
-    return "\n".join([*lines, ""])
+    return render_lines("\t".join(map(_cell, row)) for row in rows)

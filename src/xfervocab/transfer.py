@@ -243,7 +243,7 @@ def emit_transfer_bundle(
     parent embeddings, the unchanged embedding matrix and the unused-parent
     report.  Every text is rendered before out_dir is created, so a failed
     render writes nothing."""
-    vocab = Vocabulary(mapping.output_tokens())
+    vocab_text = Vocabulary(mapping.output_tokens()).render()
     mapping_tsv = mapping.to_tsv()
     unused_tsv = None
     if parent_embeddings is not None:
@@ -260,7 +260,7 @@ def emit_transfer_bundle(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     vocab_path, mapping_path = out_dir / "vocabulary.txt", out_dir / "mapping.tsv"
-    vocab.save(vocab_path)
+    write_text(vocab_path, vocab_text)
     write_text(mapping_path, mapping_tsv)
     if unused_tsv is None:
         return TransferBundle(vocab_path, None, mapping_path, None)

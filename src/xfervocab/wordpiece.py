@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Container, Iterable, Iterator, Sequence
 
 from .errors import CorpusFormatError, EscapeDecodeError
-from .textio import read_lines, write_lines
+from .textio import read_lines, render_lines, write_text
 
 # End-of-unit marker appended to every word-level unit before matching.
 WORD_MARKER = "_"
@@ -112,12 +112,16 @@ class Vocabulary:
             index, message = _first_bad_token(tokens)
             raise CorpusFormatError(f"{path}: line {index + 1}: {message}") from None
 
-    def save(self, path: str | Path) -> None:
+    def render(self) -> str:
+        """The text of the vocabulary file, one token a line."""
         # `load` strips a trailing "\r" as a CRLF line end, so such a token would not come back.
         for tok in self._tokens:
             if tok.endswith("\r"):
                 raise CorpusFormatError(f"token {tok!r} ends with a carriage return; a vocabulary file cannot keep it")
-        write_lines(path, self._tokens)
+        return render_lines(self._tokens)
+
+    def save(self, path: str | Path) -> None:
+        write_text(path, self.render())
 
     @property
     def tokens(self) -> list[str]:

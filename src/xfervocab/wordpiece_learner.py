@@ -1,21 +1,23 @@
 """Size-targeted wordpiece learning, the part of the wordpiece code that needs numpy.
 
-The threshold ladder is incremental but yields exactly what recounting from
-scratch at every pass of every threshold yields.  The first pass starts
-from the base alphabet at every threshold, so its counts are computed once;
-they are also the threshold-1 build.  Its candidates are every prefix of
-every run suffix at a base segment start, plus the base.  Sorting the
-distinct run suffixes and taking each one's common prefix with its sorted
-neighbour (Manber & Myers 1993; Kasai et al. 2001) gives each candidate as a
-(suffix, length) pair with no string of its own, its fixed id in (-length,
-token) order, its parent and its lexical rank.  Counts and prefix discounts
-are array sums over those ids.  A refinement pass that reproduces its token
-set is a fixed point and ends the threshold.  Moving to a new token set
-walks every unit's greedy segmentation at once, as a few array passes over
-the base segment starts, and recounts only the starts whose activity
-flipped.  No per-threshold state is kept, and the counting state is dropped
-once the ranking exists.  The ranking stays (suffix, length) pairs: `learn`
-renders only the tokens a vocabulary keeps.
+The learner ranks every candidate once, when it is built, and keeps only the
+ranking.  The threshold ladder is incremental but yields exactly what
+recounting from scratch at every pass of every threshold yields.  The first
+pass starts from the base alphabet at every threshold, so its counts are
+computed once.  The threshold-1 build selects every candidate from them, so
+its discounted counts have a closed form: each candidate's count less its
+children's.  The candidates are every prefix of every run suffix at a base
+segment start, plus the base.  Sorting the distinct run suffixes and taking
+each one's common prefix with its sorted neighbour (Manber & Myers 1993;
+Kasai et al. 2001) gives each candidate as a (suffix, length) pair with no
+string of its own, its fixed id in (-length, token) order, its parent and
+its lexical rank.  Counts and prefix discounts are array sums over those
+ids.  A refinement pass that reproduces its token set is a fixed point and
+ends the threshold.  Moving to a new token set walks every unit's greedy
+segmentation at once, as a few array passes over the base segment starts,
+and recounts only the starts whose activity flipped.  No per-threshold state
+is kept, and no counting state outlives the constructor.  The ranking stays
+(suffix, length) pairs: `learn` renders only the tokens a vocabulary keeps.
 """
 
 from __future__ import annotations
@@ -172,23 +174,17 @@ class _CandidateBuilder:
         np.cumsum(self._suffix_counts[self._whole], out=running[1:])
         return running[self._end] - running[self.owner]
 
-    def select(self, counts: np.ndarray, min_count: int | None) -> tuple[np.ndarray, np.ndarray]:
+    def select(self, counts: np.ndarray, min_count: int) -> tuple[np.ndarray, np.ndarray]:
         """Candidates of length >= 2 whose count, discounted by the selected
-        candidates they prefix, reaches min_count (all of them when None),
-        and the discounted counts."""
+        candidates they prefix, reaches min_count, and the discounted counts."""
         carry = np.zeros_like(counts)
         adjusted = np.zeros_like(counts)
         selected = np.zeros(len(counts), bool)
         for first, last in self._blocks:
             block = slice(first, last)
             np.subtract(counts[block], carry[block], out=adjusted[block])
-            if min_count is None:
-                selected[block] = True
-                pushed = counts[block]
-            else:
-                np.greater_equal(adjusted[block], min_count, out=selected[block])
-                pushed = carry[block] + adjusted[block] * selected[block]
-            np.add.at(carry, self._parent[block], pushed)
+            np.greater_equal(adjusted[block], min_count, out=selected[block])
+            np.add.at(carry, self._parent[block], carry[block] + adjusted[block] * selected[block])
         return selected, adjusted
 
     def move_to(self, selected: np.ndarray) -> None:
@@ -240,53 +236,25 @@ class WordpieceLearner:
             chars.update(unit)
         chars -= {"\\", WORD_MARKER}
         self._base = sorted(chars.union(ESCAPE_TOKENS))
-        self._unit_counts: Counter | None = unit_counts
-        self._max_count = max(unit_counts.values())
-        # The ranking as (string, length) pairs: token i is
-        # self._strings[self._ranked_string[i]][: self._ranked_length[i]].
-        self._strings: list[str] = []
-        self._ranked_string: np.ndarray | None = None
-        self._ranked_length: np.ndarray | None = None
-        # Threshold-1 counts, aligned with the ranking and with the base.
-        self._ranked_raw: np.ndarray | None = None
-        self._base_raw: list[int] = []
-
-    @classmethod
-    def from_corpora(
-        cls, corpora: Sequence[Iterable[str]], max_train_sentences: int = MAX_TRAIN_SENTENCES
-    ) -> "WordpieceLearner":
-        if not corpora:
-            raise ValueError("cannot learn a vocabulary from an empty corpus")
-        return cls(_count_units(corpora, max_train_sentences))
-
-    @property
-    def base_tokens(self) -> list[str]:
-        return list(self._base)
-
-    def _thresholds(self) -> list[int]:
-        ladder = []
-        level = self._max_count
-        while level >= 2:
-            ladder.append(level)
-            level //= 2
-        ladder.append(1)
-        return ladder
-
-    def _canonical_ranking(self) -> None:
-        if self._ranked_raw is not None:
-            return
-        builder = _CandidateBuilder(self._unit_counts, self._base)
+        builder = _CandidateBuilder(unit_counts, self._base)
         # Pass 1 starts from the base at every threshold, so its counts are
-        # shared; selecting everything from them is the threshold-1 build.
+        # shared.  The threshold-1 build selects every candidate of length
+        # >= 2 from them, so each one's discounted count is its count less
+        # its children's; the base keeps its full counts.
         first_counts = builder.counts()
-        everything, raw = builder.select(first_counts, None)
-        raw[builder.base_ids] = first_counts[builder.base_ids]
+        raw = first_counts.copy()
+        children = builder._lengths >= 3
+        np.subtract.at(raw, builder._parent[children], first_counts[children])
+        thresholds, level = [], max(unit_counts.values())
+        while level >= 2:
+            thresholds.append(level)
+            level //= 2
         ranked = np.zeros(len(raw), bool)
         ranked[builder.base_ids] = True
         levels = []
-        for threshold in self._thresholds():
-            if threshold <= 1:
-                selected, adjusted = everything, raw
+        for threshold in thresholds + [1]:
+            if threshold == 1:
+                selected, adjusted = builder._lengths >= 2, raw
             else:
                 selected, adjusted = builder.select(first_counts, threshold)
                 previous = np.zeros_like(selected)
@@ -301,16 +269,27 @@ class WordpieceLearner:
             ranked[new] = True
             levels.append(new)
         order = np.concatenate(levels)
+        # The ranking as (string, length) pairs: token i is
+        # self._strings[self._ranked_string[i]][: self._ranked_length[i]].
         self._strings = builder.strings
         self._ranked_string = builder.owner[order]
         self._ranked_length = builder._lengths[order]
+        # Threshold-1 counts, aligned with the ranking and with the base.
         self._ranked_raw = raw[order]
         self._base_raw = raw[builder.base_ids].tolist()
-        self._unit_counts = None  # no counting state outlives the ranking
+
+    @classmethod
+    def from_corpora(
+        cls, corpora: Sequence[Iterable[str]], max_train_sentences: int = MAX_TRAIN_SENTENCES
+    ) -> "WordpieceLearner":
+        return cls(_count_units(corpora, max_train_sentences))
+
+    @property
+    def base_tokens(self) -> list[str]:
+        return list(self._base)
 
     def _ranked_tokens(self, stop: int | None = None) -> list[str]:
         """The first `stop` tokens of the ranking (all of them when None)."""
-        self._canonical_ranking()
         strings = self._strings
         pairs = zip(self._ranked_string[:stop].tolist(), self._ranked_length[:stop].tolist())
         return [strings[k][:n] for k, n in pairs]

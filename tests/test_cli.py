@@ -123,6 +123,18 @@ def test_learn_wordpiece_on_crlf_corpus_refuses_unloadable_vocabulary(tmp_path, 
     assert not (tmp_path / "wp.vocab.manifest.json").exists()
 
 
+def test_transform_vocab_on_crlf_child_leaves_no_out_dir(texts, capsys):
+    parent_vocab, out_dir = texts / "parent.vocab", texts / "bundle"
+    assert main(["learn-wp", "--input", str(texts / "train.txt"), "--target-size", "40", "--out", str(parent_vocab)]) == 0
+    child = texts / "crlf.txt"
+    child.write_bytes(b"the cat sat on the mat\r\nthe dog ran to the cat\r\n")
+    code = main(["transform-vocab", "--parent-vocab", str(parent_vocab), "--child", str(child), "--out-dir", str(out_dir)])
+    assert code == 1
+    assert "xfervocab: error: token '\\r' ends with a carriage return" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert not (texts / "bundle.manifest.json").exists()
+
+
 def test_learn_and_apply_bpe_on_crlf_corpus(tmp_path):
     # BPE splits words on whitespace, "\r" included, so the table loads and
     # the output is the input with LF line ends.
@@ -562,6 +574,33 @@ def test_every_command_shape_ignores_the_hash_seed(desk, tmp_path):
         assert run.returncode == 0, run.stderr
         runs.append(run.stdout)
     assert len(json.loads(runs[0].splitlines()[-1])) > len(MANIFEST_SHAPES)
+    assert runs[0] == runs[1]
+
+
+# Each tuning constant at its least legal value: one-row bootstrap blocks and
+# no memo in any of the three caches.
+SHRUNK_CONSTANTS = """
+from xfervocab import bpe, mteval, wordpiece
+mteval._BLOCK_BYTES = 0
+wordpiece._UNIT_CACHE_SIZE = mteval._WORD_CACHE_SIZE = bpe._WORD_CACHE_SIZE = 0
+"""
+
+
+def test_every_command_shape_ignores_the_tuning_constants(desk, tmp_path):
+    """A block or memo size bounds memory and time, never a byte: every shape
+    prints and writes the same with each one shrunk.  Each run is a fresh
+    process, because the tokenizer's memo is module-global."""
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), str(root), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), PYTHONHASHSEED="1")
+    d = tmp_path / "desk"
+    runs = []
+    for script in (ALL_SHAPES_SCRIPT, SHRUNK_CONSTANTS + ALL_SHAPES_SCRIPT + "assert not mteval._WORD_TOKENS\n"):
+        shutil.rmtree(d, ignore_errors=True)
+        shutil.copytree(desk, d)
+        run = subprocess.run([sys.executable, "-c", script, str(d)], env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        runs.append(run.stdout)
     assert runs[0] == runs[1]
 
 

@@ -510,10 +510,10 @@ long_oracle_corpora = st.lists(st.text("abc", min_size=1, max_size=5), min_size=
 def check_ladder_against_oracle(sentences, refine_iterations, extra):
     counts = _count_units([sentences], len(sentences))
     base, ranking, raw = oracle_ranking(counts, refine_iterations)
-    learner = WordpieceLearner(counts)
-    assert learner.base_tokens == base
     with mock.patch.object(wordpiece_learner, "_REFINE_ITERATIONS", refine_iterations):
-        assert learner._ranked_tokens() == ranking
+        learner = WordpieceLearner(counts)
+    assert learner.base_tokens == base
+    assert learner._ranked_tokens() == ranking
     learned_raw = dict(zip(ranking, learner._ranked_raw.tolist())) | dict(zip(base, learner._base_raw))
     assert learned_raw == {tok: raw.get(tok, 0) for tok in learned_raw}
     assert set(learned_raw) == set(raw) | set(base)
