@@ -3,9 +3,8 @@
     python3 scale/learner.py [--src DIR] [CASE ...]
 
 Run it from the repository root.  Each case runs `learn_wordpiece`'s phases
-in a fresh Python process, importing the package from DIR (default `src/`,
-so an older checkout's `src/` can be measured the same way), and prints one
-JSON line per run:
+in a fresh Python process, importing the package from DIR (default `src/`;
+see `tier.py`), and prints one JSON line per run:
 
 * `count_s` - `wordpiece._count_units` (unit counting);
 * `build_s` - `_CandidateBuilder.__init__`;
@@ -24,39 +23,30 @@ Cases (corpora from `perfbench/gen.py`'s desk generator, target 8000):
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
 import random
-import resource
-import subprocess
 import sys
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import tier
+
 TARGET = 8000
 CASES = ("desk-50k", "long-300", "long-800")
 
 
 def corpus(case: str) -> list[str]:
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from gen import LATIN, desk_sentences
-
+    gen = tier.desk_generator()
     if case == "desk-50k":
-        return desk_sentences(5, LATIN, 50_000, 20_000)
+        return gen.desk_sentences(5, gen.LATIN, 50_000, 20_000)
     length = int(case.removeprefix("long-"))
-    word = "".join(random.Random(length).choices(LATIN, k=length))
-    return desk_sentences(5, LATIN, 5000, 1500) + [word]
-
-
-def maxrss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    word = "".join(random.Random(length).choices(gen.LATIN, k=length))
+    return gen.desk_sentences(5, gen.LATIN, 5000, 1500) + [word]
 
 
 def measure(case: str, src: Path) -> dict:
     lines = corpus(case)
-    corpus_mb = maxrss_mb()
+    corpus_mb = tier.maxrss_mb()
     sys.path.insert(0, str(src))
     import xfervocab.wordpiece_learner as wordpiece_learner
     from xfervocab.wordpiece import VocabSpec
@@ -87,33 +77,12 @@ def measure(case: str, src: Path) -> dict:
         "rank_s": round(ranked - start - phases["count_s"] - phases["build_s"], 4),
         "learn_s": round(learned - ranked, 4),
         "total_s": round(learned - start, 4),
-        "maxrss_mb": round(maxrss_mb(), 1),
+        "maxrss_mb": round(tier.maxrss_mb(), 1),
         "corpus_maxrss_mb": round(corpus_mb, 1),
         "digest": hashlib.sha256(text.encode("utf-8")).hexdigest(),
         "src": str(src),
     }
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("cases", nargs="*", default=list(CASES), help=f"any of {', '.join(CASES)} (default: all)")
-    parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    unknown = sorted(set(args.cases) - set(CASES))
-    if unknown:
-        parser.error(f"unknown case {unknown[0]!r}; choose from {', '.join(CASES)}")
-    if args.child:
-        print(json.dumps(measure(args.cases[0], args.src.resolve())))
-        return 0
-    for case in args.cases:
-        run = subprocess.run(
-            [sys.executable, __file__, "--child", "--src", str(args.src), case],
-            capture_output=True, text=True, check=True,
-        )
-        print(run.stdout.strip(), flush=True)
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(tier.main(sys.argv[1:], __file__, __doc__, CASES, measure))

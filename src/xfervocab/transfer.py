@@ -47,37 +47,114 @@ class VocabMapping:
         return [e.child_token for e in self.entries]
 
 
-def _levenshtein_matrix(parent_tokens: Sequence[str], child_tokens: Sequence[str]) -> np.ndarray:
-    """Pairwise edit distances, computed with a DP vectorized over all pairs.
+_BLOCK_BYTES = 4 << 20  # the edit-distance DP's row block and the walk's row chunk; bounds memory, never changes a slot
 
-    Characters compare as code points, zero-padded to the longest token; the
-    padding is never read, because each parent's row is captured at its own
-    length and each child's column at its own length.  The layers hold the
-    narrowest unsigned integer that fits every cell (at most max_p + max_c).
+
+def _levenshtein_matrix(parent_tokens: Sequence[str], child_tokens: Sequence[str]) -> np.ndarray:
+    """Pairwise edit distances, in the narrowest unsigned integer that holds
+    max_p + max_c.
+
+    Parents and children are sorted by length, longest first.  At DP row i
+    (a parent's i-th character) only the first kp[i] parents still run, and
+    at column j only the first kc[j] children, so a layer is one array per
+    column j, kc[j] children wide, and a cell is computed only when both
+    tokens reach it.  Each parent's row is captured at its own length, and
+    each child's column at its own length.  Parents run in row blocks that
+    fit in _BLOCK_BYTES (one row, if a row is larger), a row counting its two
+    layers, its distances and one cell's scratch; only the (n_p, n_c) result
+    outlives a block.  Characters compare as dense per-call codes.
     """
     len_p = np.array([len(t) for t in parent_tokens])
     len_c = np.array([len(t) for t in child_tokens])
     max_p, max_c = int(len_p.max()), int(len_c.max())
     dtype = np.min_scalar_type(max_p + max_c)
-    enc_p = np.array([[ord(ch) for ch in t.ljust(max_p, "\0")] for t in parent_tokens])
-    enc_c = np.array([[ord(ch) for ch in t.ljust(max_c, "\0")] for t in child_tokens])
+    order_p = np.argsort(-len_p, kind="stable")
+    order_c = np.argsort(-len_c, kind="stable")
+    len_p, len_c = len_p[order_p], len_c[order_c]
+    enc_p = np.array([[ord(ch) for ch in parent_tokens[k].ljust(max_p, "\0")] for k in order_p.tolist()])
+    enc_c = np.array([[ord(ch) for ch in child_tokens[k].ljust(max_c, "\0")] for k in order_c.tolist()])
+    # Dense character codes in the narrowest type compare fastest; the padding is never read.
+    _, codes = np.unique(np.concatenate([enc_p.ravel(), enc_c.ravel()]), return_inverse=True)
+    codes = codes.astype(np.min_scalar_type(codes.max()))
+    enc_p, enc_c = codes[: enc_p.size].reshape(enc_p.shape).T, codes[enc_p.size :].reshape(enc_c.shape).T
+    # kc[j]: children of length >= j, j = 0..max_c+1; the same for parents
+    kc = np.searchsorted(-len_c, -np.arange(max_c + 2), side="right").tolist()
+    kp = np.searchsorted(-len_p, -np.arange(max_p + 2), side="right").tolist()
+    unsort_c = np.argsort(order_c)
 
     n_p, n_c = len(parent_tokens), len(child_tokens)
-    result = np.zeros((n_p, n_c), dtype=dtype)
-    # prev[j] holds dp row (i) for all pairs at once, shape (max_c + 1, n_p, n_c)
-    prev = np.broadcast_to(np.arange(max_c + 1, dtype=dtype)[:, None, None], (max_c + 1, n_p, n_c)).copy()
-    cols = np.arange(n_c)
-    for i in range(1, max_p + 1):
-        cur = np.empty_like(prev)
-        cur[0] = i
-        chars_p = enc_p[:, i - 1][:, None]  # (n_p, 1)
-        for j in range(1, max_c + 1):
-            sub = prev[j - 1] + (chars_p != enc_c[:, j - 1][None, :])
-            cur[j] = np.minimum(np.minimum(prev[j] + 1, cur[j - 1] + 1), sub)
-        prev = cur
-        at_end = len_p == i
-        result[at_end] = prev[len_c, :, cols].T[at_end]
+    result = np.empty((n_p, n_c), dtype=dtype)
+    # A block row: two layers, its distances before and after unsorting, and one cell's scratch.
+    rows = max(1, _BLOCK_BYTES // (dtype.itemsize * (2 * sum(kc) + 4 * n_c)))
+    prev = [np.empty((min(rows, n_p), k), dtype=dtype) for k in kc[:-1]]
+    cur = [np.empty_like(layer) for layer in prev]
+    mismatch, step = np.empty(cur[1].shape, dtype=bool), np.empty_like(cur[1])  # scratch for one cell
+    for lo in range(0, n_p, rows):
+        hi = min(lo + rows, n_p)
+        block = np.empty((hi - lo, n_c), dtype=dtype)
+        for j, layer in enumerate(prev):
+            layer.fill(j)
+        for i in range(int(len_p[lo]) + 1):
+            running = min(kp[i], hi) - lo
+            if i:
+                cur[0][:running] = i
+                chars = enc_p[i - 1, lo : lo + running, None]
+                for j in range(1, max_c + 1):
+                    k = kc[j]
+                    cell, differ, gap = cur[j][:running], mismatch[:running, :k], step[:running, :k]
+                    np.not_equal(chars, enc_c[j - 1, :k], out=differ)
+                    np.add(prev[j - 1][:running, :k], differ.view(np.uint8), out=cell)
+                    np.minimum(prev[j][:running], cur[j - 1][:running, :k], out=gap)
+                    gap += 1
+                    np.minimum(cell, gap, out=cell)
+                prev, cur = cur, prev
+            # parents of length i are the block rows [kp[i+1], kp[i]), children of length j columns [kc[j+1], kc[j])
+            ending = slice(max(kp[i + 1] - lo, 0), running)
+            for j in range(max_c + 1):
+                if kc[j + 1] < kc[j]:
+                    block[ending, kc[j + 1] : kc[j]] = prev[j][ending, kc[j + 1] :]
+        result[order_p[lo:hi]] = block[:, unsort_c]
     return result
+
+
+def _greedy_pairs(distances: np.ndarray) -> list[tuple[int, int]]:
+    """(row, column) pairs taken by the greedy assignment: pairs in ascending
+    distance, ties in row order then column order (a stable argsort of the
+    flattened matrix), each taken while its row and column are both open.
+
+    The walk goes one distance level at a time over row chunks whose
+    distances and mask fit in _BLOCK_BYTES; a chunk masks out the rows and
+    columns taken before it, and each open row takes its first hit whose
+    column is still open.
+    Freedom only decreases, so this is the argsort's order without the sort.
+    """
+    n_rows, n_cols = distances.shape
+    row_open, col_open = bytearray(b"\1") * n_rows, bytearray(b"\1") * n_cols
+    rows_view, cols_view = np.frombuffer(row_open, dtype=bool), np.frombuffer(col_open, dtype=bool)
+    chunk = max(1, _BLOCK_BYTES // ((distances.itemsize + 1) * n_cols))  # a chunk's distances and its mask
+    pairs: list[tuple[int, int]] = []
+    left = min(n_rows, n_cols)
+    for level in range(int(distances.max()) + 1):
+        for lo in range(0, n_rows, chunk):
+            rows = lo + np.flatnonzero(rows_view[lo : lo + chunk])
+            if not len(rows):
+                continue
+            hits = distances[rows] == level
+            hits &= cols_view
+            first = hits.argmax(axis=1)
+            found = np.flatnonzero(hits[np.arange(len(rows)), first])
+            for k, row, col in zip(found.tolist(), rows[found].tolist(), first[found].tolist()):
+                if not col_open[col]:  # taken earlier in this chunk: the row's next open hit
+                    hit_row = hits[k] & cols_view
+                    col = int(hit_row.argmax())
+                    if not hit_row[col]:
+                        continue
+                row_open[row] = col_open[col] = 0
+                pairs.append((row, col))
+                left -= 1
+                if not left:
+                    return pairs
+    return pairs
 
 
 def map_vocabularies(
@@ -129,19 +206,8 @@ def map_vocabularies(
             if free_slots and remaining:
                 free_parents = [parent_tokens[slot] for slot in free_slots]
                 distances = _levenshtein_matrix(free_parents, remaining)
-                # Ascending distance, ties in slot order then child order.
-                order = np.argsort(distances, axis=None, kind="stable").tolist()
-                taken = [False] * len(remaining)
-                open_count = min(len(free_slots), len(remaining))
-                for flat in order:
-                    si, ci = divmod(flat, len(remaining))
-                    slot = free_slots[si]
-                    if assignment[slot] is None and not taken[ci]:
-                        assignment[slot] = remaining[ci]
-                        taken[ci] = True
-                        open_count -= 1
-                        if open_count == 0:
-                            break
+                for si, ci in _greedy_pairs(distances):
+                    assignment[free_slots[si]] = remaining[ci]
 
     entries = []
     for slot, token in enumerate(assignment):

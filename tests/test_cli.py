@@ -421,6 +421,12 @@ def desk(tmp_path_factory):
     write(d / "table.merges", ["#version: xfervocab-1", "a b", "ab c"])
     write(d / "refs.txt", ["the cat sat on the mat", "a quick brown fox"])
     write(d / "worse.txt", ["the cat sat", "a fox"])
+    # Two close systems: each drops the last word of every other sentence, so
+    # bootstrap wins split and the report depends on how resamples are drawn.
+    refs = lt[:20]
+    write(d / "sys_refs.txt", refs)
+    write(d / "sys_a.txt", [s.rsplit(" ", 1)[0] if i % 2 == 0 else s for i, s in enumerate(refs)])
+    write(d / "sys_b.txt", [s.rsplit(" ", 1)[0] if i % 2 == 1 else s for i, s in enumerate(refs)])
     write(d / "curve.tsv", ["step\tscore", "1\t10", "2\t15", "3\t16", "4\t16.01", "5\t16.02"])
     write(d / "tsv.conf", [f"tsv = {d}/pair.tsv"])
     write(d / "range.conf", ["char_range = 0x0400"])
@@ -506,9 +512,9 @@ MANIFEST_SHAPES = [
     ("eval-bleu", ["eval", "bleu", "--candidates", "{d}/worse.txt", "--references", "{d}/refs.txt",
                    "--out", "{d}/bleu.tsv"],
      {"worse.txt", "refs.txt"}, {"bleu.tsv"}, None, "bleu.tsv.manifest.json"),
-    ("eval-bootstrap", ["eval", "bootstrap", "--candidates-a", "{d}/refs.txt", "--candidates-b", "{d}/worse.txt",
-                        "--references", "{d}/refs.txt", "--samples", "50", "--seed", "4", "--out", "{d}/sig.tsv"],
-     {"refs.txt", "worse.txt"}, {"sig.tsv"}, 4, "sig.tsv.manifest.json"),
+    ("eval-bootstrap", ["eval", "bootstrap", "--candidates-a", "{d}/sys_a.txt", "--candidates-b", "{d}/sys_b.txt",
+                        "--references", "{d}/sys_refs.txt", "--samples", "50", "--seed", "4", "--out", "{d}/sig.tsv"],
+     {"sys_a.txt", "sys_b.txt", "sys_refs.txt"}, {"sig.tsv"}, 4, "sig.tsv.manifest.json"),
     ("eval-stop", ["eval", "stop", "--curve", "{d}/curve.tsv", "--out", "{d}/stop.tsv"],
      {"curve.tsv"}, {"stop.tsv"}, None, "stop.tsv.manifest.json"),
     ("eval-token-analysis", ["eval", "token-analysis", "--child", "{d}/worse.txt", "--baseline", "{d}/refs.txt",
@@ -577,11 +583,11 @@ def test_every_command_shape_ignores_the_hash_seed(desk, tmp_path):
     assert runs[0] == runs[1]
 
 
-# Each tuning constant at its least legal value: one-row bootstrap blocks and
-# no memo in any of the three caches.
+# Each tuning constant at its least legal value: one-row bootstrap blocks,
+# one-row edit-distance blocks and no memo in any of the three caches.
 SHRUNK_CONSTANTS = """
-from xfervocab import bpe, mteval, wordpiece
-mteval._BLOCK_BYTES = 0
+from xfervocab import bpe, mteval, transfer, wordpiece
+mteval._BLOCK_BYTES = transfer._BLOCK_BYTES = 0
 wordpiece._UNIT_CACHE_SIZE = mteval._WORD_CACHE_SIZE = bpe._WORD_CACHE_SIZE = 0
 """
 

@@ -2,12 +2,15 @@
 a brute-force edit-distance oracle, and transfer bundle emission."""
 
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from xfervocab import transfer
 from xfervocab.errors import CorpusFormatError, EmbeddingShapeError
 from xfervocab.transfer import (
     MappingEntry,
@@ -164,17 +167,61 @@ LEV_VOCABS = st.lists(LEV_TOKENS, min_size=1, max_size=24, unique=True).map(Voca
 LONG = "ab" * 130  # 260 characters: distances above 255 need uint16
 
 
-@settings(max_examples=300, deadline=None)
-@given(parent=LEV_VOCABS, child=LEV_VOCABS)
-@example(parent=Vocabulary([LONG, "a", "b"]), child=Vocabulary(["c", "b", LONG[:-1] + " "]))
-@example(parent=Vocabulary(["a \U0001F600", "b"]), child=Vocabulary(["\U0001F600", "a", "bb", "c", "é"]))
-def test_levenshtein_mapping_matches_per_distance_oracle(parent, child):
+def oracle_examples(test):
+    """300 generated vocabulary pairs, and two picked ones: a distance above
+    255, and astral code points with a space."""
+    test = example(parent=Vocabulary(["a \U0001F600", "b"]), child=Vocabulary(["\U0001F600", "a", "bb", "c", "é"]))(test)
+    test = example(parent=Vocabulary([LONG, "a", "b"]), child=Vocabulary(["c", "b", LONG[:-1] + " "]))(test)
+    return settings(max_examples=300, deadline=None)(given(parent=LEV_VOCABS, child=LEV_VOCABS)(test))
+
+
+def assert_matches_oracle(parent, child):
     mapping = map_vocabularies(parent, child, "levenshtein")
     oracle = oracle_levenshtein_mapping(parent, child)
     assert mapping.to_tsv() == oracle.to_tsv()
     assert [e.filled_from_parent for e in mapping.entries] == [e.filled_from_parent for e in oracle.entries]
     matrix = _levenshtein_matrix(parent.tokens, child.tokens)
     assert np.array_equal(matrix, oracle_levenshtein_matrix(parent.tokens, child.tokens))
+
+
+@oracle_examples
+def test_levenshtein_mapping_matches_per_distance_oracle(parent, child):
+    assert_matches_oracle(parent, child)
+
+
+# One row per DP block and walk chunk; one-row DP blocks with walk chunks of a
+# few rows; DP blocks of a few rows with the walk in one chunk.  Block
+# boundaries then fall inside the examples.
+BLOCK_SIZES = {"one-row": 0, "few-chunk-rows": 100, "few-dp-rows": 2000}
+
+
+@pytest.mark.parametrize("block_bytes", BLOCK_SIZES.values(), ids=BLOCK_SIZES.keys())
+@oracle_examples
+def test_levenshtein_mapping_ignores_the_block_size(block_bytes, parent, child):
+    with mock.patch.object(transfer, "_BLOCK_BYTES", block_bytes):
+        assert_matches_oracle(parent, child)
+
+
+def test_levenshtein_peak_grows_only_by_the_distance_matrix(monkeypatch):
+    """With small blocks, the DP's layers and the walk's chunks stay small:
+    doubling the free tokens grows the call's peak by the added one-byte
+    distance cells and the added slots' entries, not by full-height layers."""
+    monkeypatch.setattr(transfer, "_BLOCK_BYTES", 1 << 14)
+
+    def peak_and_free(size):
+        rng = random.Random(size)
+        parent, child = random_vocab(rng, size, "abcdefgh"), random_vocab(rng, size, "ijklmnop")
+        tracemalloc.start()
+        try:
+            mapping = map_vocabularies(parent, child, "levenshtein")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, sum(not e.shared for e in mapping.entries)
+
+    (small, free_small), (large, free_large) = (peak_and_free(n + len(ESCAPE_TOKENS)) for n in (300, 600))
+    assert (free_small, free_large) == (300, 600)
+    assert large - small < (free_large**2 - free_small**2) + (200 << 10)
 
 
 def test_levenshtein_matrix_widens_for_long_tokens():
