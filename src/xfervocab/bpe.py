@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CorpusFormatError
-from .textio import read_lines, write_lines
+from .textio import read_model_lines, write_lines
 
 END_OF_WORD = "</w>"
 MERGE_FILE_HEADER = "#version: xfervocab-1"
@@ -71,8 +71,7 @@ class MergeTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "MergeTable":
-        # CRLF line ends are accepted.
-        lines = [line.removesuffix("\r") for line in read_lines(path)]
+        lines = read_model_lines(path)
         if not lines or lines[0] != MERGE_FILE_HEADER:
             raise CorpusFormatError(f"{path}: missing merge file header {MERGE_FILE_HEADER!r}")
         rules = []

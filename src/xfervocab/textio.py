@@ -28,6 +28,12 @@ def read_lines(path: str | Path) -> list[str]:
     return lines
 
 
+def read_model_lines(path: str | Path) -> list[str]:
+    """`read_lines` less a trailing "\\r", for a vocabulary or merge table, so a
+    CRLF copy reads the same; in a corpus "\\r" is data."""
+    return [line.removesuffix("\r") for line in read_lines(path)]
+
+
 def write_text(path: str | Path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 

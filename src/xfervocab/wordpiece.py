@@ -1,11 +1,15 @@
 """Wordpiece vocabularies: greedy segmentation, escapes, exact detokenization.
 
 Segmentation follows the greedy longest-match scheme with a trailing
-underscore marking the end of every word-level unit.  Characters that have
-no path through the vocabulary are escaped as a backslash, the decimal
-digits of their code point, and a semicolon, each emitted as its own token,
-so any Unicode text is representable.  The learner is in `wordpiece_learner`,
-which needs numpy; its public names still import from here.
+underscore marking the end of every word-level unit.  `_runs` cuts a unit,
+for the matcher and the learner alike, into safe runs with one unsafe
+character ("\\" or the marker) between two of them, and puts the marker on
+the last run.  Each safe run is matched longest token first; a token that
+ends the last run without the marker takes it ("me" ends "budeme_" as
+"me_").  An unsafe character, and one no token matches, is escaped as a
+backslash, the decimal digits of its code point, and a semicolon, each its
+own token, so any Unicode text is representable.  The learner, which needs
+numpy, is in `wordpiece_learner`; its public names still import from here.
 """
 
 from __future__ import annotations
@@ -15,10 +19,10 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Container, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CorpusFormatError, EscapeDecodeError
-from .textio import read_lines, render_lines, write_text
+from .textio import read_model_lines, render_lines, write_text
 
 # End-of-unit marker appended to every word-level unit before matching.
 WORD_MARKER = "_"
@@ -34,9 +38,10 @@ VARIANTS = ("frequency", "everything_random", "unmatched_random", "levenshtein")
 MAX_TRAIN_SENTENCES = 20_000_000
 
 # Characters a unit's own text must escape, since they would collide with
-# the escape and marker syntax; the marker appended to a unit is safe.
+# the escape and marker syntax; the marker appended to a unit is safe.  The
+# group keeps each unsafe character in what `split` returns.
 _UNSAFE_CHARS = "\\" + WORD_MARKER
-_UNSAFE_RE = re.compile("[" + re.escape(_UNSAFE_CHARS) + "]")
+_UNSAFE_RE = re.compile("([" + re.escape(_UNSAFE_CHARS) + "])")
 
 # Units whose tokens one Vocabulary remembers; later new units are not stored.
 _UNIT_CACHE_SIZE = 1 << 16
@@ -63,11 +68,38 @@ def _escape_char(ch: str) -> list[str]:
     return ["\\", *str(ord(ch)), ";"]
 
 
-def _unsafe_mask(unit: str) -> list[bool]:
-    # The appended marker itself (last position) is always safe.
-    mask = [c in _UNSAFE_CHARS for c in unit]
-    mask.append(False)
-    return mask
+def _runs(unit: str) -> list[str]:
+    """The unit's safe runs, possibly empty, at even indices and the unsafe
+    character between two of them at odd ones; the marker ends the last run."""
+    parts = _UNSAFE_RE.split(unit)
+    parts[-1] += WORD_MARKER
+    return parts
+
+
+def _segment_unit(unit: str, index: dict[str, int], max_len: int) -> tuple[str, ...]:
+    """The tokens of one unit: each unsafe character escaped, each safe run
+    matched greedily, and a character no token matches escaped."""
+    parts = _runs(unit)
+    last = len(parts) - 1
+    out = []
+    for p, part in enumerate(parts):
+        if p % 2:
+            out += _escape_char(part)
+            continue
+        n = len(part)
+        fuse = p == last  # only the last run can end in a fused marker, one past max_len
+        i = 0
+        while i < n:
+            for length in range(min(max_len + fuse, n - i), 0, -1):
+                cand = part[i : i + length]
+                if cand in index or (fuse and i + length == n and length > 1 and cand[:-1] in index):
+                    out.append(cand)
+                    i += length
+                    break
+            else:
+                out += _escape_char(part[i])
+                i += 1
+    return tuple(out)
 
 
 class Vocabulary:
@@ -85,6 +117,8 @@ class Vocabulary:
         self._max_len = max((len(t) for t in tokens), default=0)
         self.within_tolerance = within_tolerance
         self._units: dict[str, tuple[str, ...]] = {}
+        # `apply_wordpiece` refuses a vocabulary that cannot escape every character.
+        self._missing_escape = next((tok for tok in ESCAPE_TOKENS if tok not in self._index), None)
 
     @classmethod
     def with_ascii_fallback(cls, tokens: Iterable[str]) -> "Vocabulary":
@@ -94,7 +128,7 @@ class Vocabulary:
         closure = dict.fromkeys(extra)
         for code in range(32, 127):
             ch = chr(code)
-            if ch in ("\\", WORD_MARKER):
+            if ch in _UNSAFE_CHARS:
                 continue
             closure.setdefault(ch)
             closure.setdefault(ch + WORD_MARKER)
@@ -104,8 +138,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        # CRLF line ends are accepted.
-        tokens = [line.removesuffix("\r") for line in read_lines(path)]
+        tokens = read_model_lines(path)
         try:
             return cls(tokens)
         except ValueError:  # only validation raises; find the line again
@@ -187,57 +220,15 @@ class VocabSpec:
             raise ValueError("target_size must be positive")
 
 
-def _segment_boundaries(marked: str, unsafe: list[bool], index: Container[str], max_len: int) -> list[tuple[int, int]]:
-    """(start, end) spans of the greedy longest match over a marked unit.
-
-    An unsafe or unmatched character spans one position, to be escaped.  A
-    token may also match word-finally without carrying the marker itself,
-    in which case the marker fuses onto it ("me" matching at the end of
-    "budeme_" spans "me_").
-    """
-    n = len(marked)
-    spans = []
-    i = 0
-    while i < n:
-        if unsafe[i]:
-            spans.append((i, i + 1))
-            i += 1
-            continue
-        stop = i
-        while stop < n and not unsafe[stop]:
-            stop += 1
-        limit = min(max_len + 1, stop - i)  # +1 allows marker fusion
-        consumed = 1
-        for length in range(limit, 0, -1):
-            cand = marked[i : i + length]
-            if cand in index or (i + length == n and length > 1 and cand[:-1] in index):
-                consumed = length
-                break
-        spans.append((i, i + consumed))
-        i += consumed
-    return spans
-
-
 def apply_wordpiece(vocab: Vocabulary, sentence: str) -> list[str]:
     """Segment a sentence into wordpiece tokens under the given vocabulary."""
-    for tok in ESCAPE_TOKENS:
-        if tok not in vocab:
-            raise ValueError(f"vocabulary lacks escape token {tok!r}; cannot segment arbitrary text")
+    if vocab._missing_escape is not None:
+        raise ValueError(f"vocabulary lacks escape token {vocab._missing_escape!r}; cannot segment arbitrary text")
     out = []
     for unit in pretokenize(sentence):
         tokens = vocab._units.get(unit)
         if tokens is None:
-            marked = unit + WORD_MARKER
-            unsafe = _unsafe_mask(unit)
-            rendered = []
-            for start, end in _segment_boundaries(marked, unsafe, vocab._index, vocab._max_len):
-                token = marked[start:end]
-                # Only a one-character span can be unsafe or unmatched.
-                if end - start > 1 or (not unsafe[start] and token in vocab._index):
-                    rendered.append(token)
-                else:
-                    rendered.extend(_escape_char(token))
-            tokens = tuple(rendered)
+            tokens = _segment_unit(unit, vocab._index, vocab._max_len)
             if len(vocab._units) < _UNIT_CACHE_SIZE:
                 vocab._units[unit] = tokens
         out.extend(tokens)

@@ -7,7 +7,8 @@ pass starts from the base alphabet at every threshold, so its counts are
 computed once.  The threshold-1 build selects every candidate from them, so
 its discounted counts have a closed form: each candidate's count less its
 children's.  The candidates are every prefix of every run suffix at a base
-segment start, plus the base.  Sorting the distinct run suffixes and taking
+segment start, plus the base, over the safe runs `wordpiece._runs` cuts for
+the matcher too.  Sorting the distinct run suffixes and taking
 each one's common prefix with its sorted neighbour (Manber & Myers 1993;
 Kasai et al. 2001) gives each candidate as a (suffix, length) pair with no
 string of its own, its fixed id in (-length, token) order, its parent and
@@ -33,10 +34,11 @@ from .wordpiece import (
     ESCAPE_TOKENS,
     MAX_TRAIN_SENTENCES,
     WORD_MARKER,
-    _UNSAFE_RE,
+    _UNSAFE_CHARS,
     VocabSpec,
     Vocabulary,
     _count_units,
+    _runs,
 )
 
 # Counting passes per threshold, the default of Tensor2Tensor's SubwordTextEncoder.
@@ -81,16 +83,15 @@ class _CandidateBuilder:
 
     def __init__(self, unit_counts: Counter, base: list[str]):
         units = sorted(unit_counts)
-        # The run suffix at every base segment start, unit by unit.  A base
-        # start is every safe position except a word-final marker after a
-        # safe character, which the base segmentation fuses onto it.
+        # The run suffix at every base segment start, unit by unit, over `_runs`.
+        # A base start is every safe position except a word-final marker after
+        # a safe character, which the base segmentation fuses onto it.
         suffixes = []
         offsets = array("i", [0])
         for unit in units:
-            *inner, last = _UNSAFE_RE.split(unit)
+            *inner, last = _runs(unit)[::2]
             for run in inner:
                 suffixes += [run[i:] for i in range(len(run))]
-            last += WORD_MARKER
             suffixes += [last[i:] for i in range(max(len(last) - 1, 1))]
             offsets.append(len(suffixes))
 
@@ -234,7 +235,7 @@ class WordpieceLearner:
         chars = set()
         for unit in unit_counts:
             chars.update(unit)
-        chars -= {"\\", WORD_MARKER}
+        chars -= set(_UNSAFE_CHARS)
         self._base = sorted(chars.union(ESCAPE_TOKENS))
         builder = _CandidateBuilder(unit_counts, self._base)
         # Pass 1 starts from the base at every threshold, so its counts are

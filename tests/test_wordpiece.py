@@ -30,8 +30,6 @@ from xfervocab.wordpiece import (
     _count_units,
     _escape_char,
     _ALNUM_RE,
-    _segment_boundaries,
-    _unsafe_mask,
     apply_wordpiece,
     detokenize,
     learn_wordpiece,
@@ -101,6 +99,49 @@ def test_roundtrip_random_sentences():
         if not text:
             continue
         assert detokenize(apply_wordpiece(vocab, text)) == text
+
+
+# A frozen copy of the span matcher `apply_wordpiece` once used, kept as an
+# oracle that shares no code with the unit decomposition it checks.
+ORACLE_UNSAFE = "\\_"
+
+
+def _unsafe_mask(unit):
+    # The appended marker itself (last position) is always safe.
+    mask = [c in ORACLE_UNSAFE for c in unit]
+    mask.append(False)
+    return mask
+
+
+def _segment_boundaries(marked, unsafe, index, max_len):
+    """(start, end) spans of the greedy longest match over a marked unit.
+
+    An unsafe or unmatched character spans one position, to be escaped.  A
+    token may also match word-finally without carrying the marker itself,
+    in which case the marker fuses onto it ("me" matching at the end of
+    "budeme_" spans "me_").
+    """
+    n = len(marked)
+    spans = []
+    i = 0
+    while i < n:
+        if unsafe[i]:
+            spans.append((i, i + 1))
+            i += 1
+            continue
+        stop = i
+        while stop < n and not unsafe[stop]:
+            stop += 1
+        limit = min(max_len + 1, stop - i)  # +1 allows marker fusion
+        consumed = 1
+        for length in range(limit, 0, -1):
+            cand = marked[i : i + length]
+            if cand in index or (i + length == n and length > 1 and cand[:-1] in index):
+                consumed = length
+                break
+        spans.append((i, i + consumed))
+        i += consumed
+    return spans
 
 
 def oracle_segment_unit(unit, index, max_len):
@@ -289,8 +330,10 @@ def test_vocabulary_validation():
 
 
 def test_apply_requires_escape_tokens():
-    with pytest.raises(ValueError):
-        apply_wordpiece(Vocabulary(["a", "b"]), "ab")
+    # Checked before any unit is read, so an empty sentence raises too.
+    for sentence in ("ab", ""):
+        with pytest.raises(ValueError, match=r"lacks escape token '\\\\'"):
+            apply_wordpiece(Vocabulary(["a", "b"]), sentence)
 
 
 def test_vocabulary_file_roundtrip(tmp_path):
