@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("learn-wp", help="learn a wordpiece vocabulary")
     p.add_argument("--input", type=_In, nargs="+", required=True, help="training text files")
     p.add_argument("--target-size", type=int, required=True)
-    p.add_argument("--tolerance", type=float, default=0.01)
+    p.add_argument("--tolerance", type=float, default=VocabSpec.tolerance)
     p.add_argument("--max-train-sentences", type=int, default=MAX_TRAIN_SENTENCES)
     p.add_argument("--out", type=_Out, required=True, help="vocabulary file")
 
@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     _corpus_in_args(p, "parent")
     _corpus_in_args(p, "child")
     p.add_argument("--target-size", type=int, help="search per-side sizes for this merged size")
-    p.add_argument("--tolerance", type=float, help="relative size tolerance (default 0.01)")
+    p.add_argument("--tolerance", type=float, help=f"relative size tolerance (default {VocabSpec.tolerance})")
     p.add_argument("--out", type=_Out, required=True)
     p.add_argument("--report", type=_Out, help="build report TSV")
 
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     _corpus_in_args(p, "parent")
     _corpus_in_args(p, "child")
     p.add_argument("--target-size", type=int, required=True)
-    p.add_argument("--tolerance", type=float, default=0.01)
+    p.add_argument("--tolerance", type=float, default=VocabSpec.tolerance)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", type=_Out, required=True)
 
@@ -411,7 +411,7 @@ def _cmd_merge_vocab(args):
             raise XfervocabError("corpus mode needs --target-size")
         parent_corpus = _read_corpus(args, "parent")
         child_corpus = _read_corpus(args, "child")
-        tolerance = 0.01 if args.tolerance is None else args.tolerance
+        tolerance = VocabSpec.tolerance if args.tolerance is None else args.tolerance
         merged, report = build_merged_vocab(parent_corpus, child_corpus, args.target_size, tolerance)
         merged.save(args.out)
         _report(args.report, report.to_tsv())

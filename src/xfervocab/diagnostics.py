@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .corpus import FilterReport, ParallelCorpus, filter_by_subword_length
@@ -42,6 +43,12 @@ def unicode_range_predicate(ranges: Sequence[tuple[int, int]]) -> Callable[[str]
     return predicate
 
 
+def _token_counts(vocab: Vocabulary, sentences: Iterable[str]) -> Counter:
+    """Each token's count in the corpus segmented under `vocab`: the one count
+    behind the usage, overlap and unused-parent reports."""
+    return Counter(chain.from_iterable(apply_wordpiece(vocab, sentence) for sentence in sentences))
+
+
 def vocab_usage(
     vocab: Vocabulary,
     sentences: Iterable[str],
@@ -52,15 +59,8 @@ def vocab_usage(
     considered = [tok for tok in vocab if token_filter is None or token_filter(tok)]
     if not considered:
         return 0.0
-    wanted = set(considered)
-    observed: set[str] = set()
-    for sentence in sentences:
-        for token in apply_wordpiece(vocab, sentence):
-            if token in wanted:
-                observed.add(token)
-        if len(observed) == len(wanted):
-            break
-    return len(observed) / len(considered)
+    counts = _token_counts(vocab, sentences)
+    return sum(1 for tok in considered if counts[tok]) / len(considered)
 
 
 @dataclass(frozen=True)
@@ -112,19 +112,9 @@ def overlap_breakdown(
         if lang not in corpora:
             raise ValueError(f"role language {lang!r} has no labeled corpus")
 
-    token_langs: dict[str, set[str]] = {}
-    for lang, sentences in corpora.items():
-        counts: Counter = Counter()
-        for sentence in sentences:
-            counts.update(apply_wordpiece(vocab, sentence))
-        for token in vocab:
-            if counts[token] >= min_count:
-                token_langs.setdefault(token, set()).add(lang)
-
-    classes: dict[frozenset[str], int] = {}
-    for langs in token_langs.values():
-        key = frozenset(langs)
-        classes[key] = classes.get(key, 0) + 1
+    counts = {lang: _token_counts(vocab, sentences) for lang, sentences in corpora.items()}
+    classes = Counter(frozenset(lang for lang, count in counts.items() if count[tok] >= min_count) for tok in vocab)
+    never_observed = classes.pop(frozenset(), 0)
 
     parent_set, child_set = set(parent_langs), set(child_langs)
     reused = None
@@ -140,7 +130,7 @@ def overlap_breakdown(
         classes=classes,
         reused_parent=reused,
         unused_by_child=unused,
-        never_observed=len(vocab) - len(token_langs),
+        never_observed=never_observed,
         vocabulary_size=len(vocab),
     )
 

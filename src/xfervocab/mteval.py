@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import __version__
 from .evallite import SMOOTHINGS, TOKENIZATIONS
 from .evallite import LearningCurve, TokenOverlap, should_stop, token_overlap_analysis  # noqa: F401 (re-exported)
 from .textio import render_tsv
@@ -84,7 +85,7 @@ class BleuReport:
     def signature(self) -> str:
         return (
             f"BLEU+case.mixed+numrefs.{self.num_refs}+smooth.{self.smoothing}"
-            f"+tok.{self.tokenization}+nmax.{self.n_max}+version.xfervocab-0.1.0"
+            f"+tok.{self.tokenization}+nmax.{self.n_max}+version.xfervocab-{__version__}"
         )
 
     def to_tsv(self) -> str:

@@ -41,10 +41,11 @@ def build_merged_vocab(
     parent_corpus: ParallelCorpus,
     child_corpus: ParallelCorpus,
     target_size: int,
-    tolerance: float = 0.01,
+    tolerance: float = VocabSpec.tolerance,
 ) -> tuple[Vocabulary, MergedBuildReport]:
     """Search the per-side vocabulary size so the deduplicated merge of the
     two side vocabularies hits target_size within tolerance."""
+    spec = VocabSpec(target_size, tolerance)
     parent_learner = WordpieceLearner.from_corpora([parent_corpus.sources, parent_corpus.targets])
     child_learner = WordpieceLearner.from_corpora([child_corpus.sources, child_corpus.targets])
     floor = max(len(parent_learner.base_tokens), len(child_learner.base_tokens))
@@ -55,7 +56,6 @@ def build_merged_vocab(
         side_spec = VocabSpec(target_size=size, tolerance=0.49)
         return merge_vocabs(parent_learner.learn(side_spec), child_learner.learn(side_spec))
 
-    slack = tolerance * target_size
     lo = max(floor, target_size // 2)
     hi = target_size
     initial = (lo + hi) // 2
@@ -68,7 +68,7 @@ def build_merged_vocab(
         gap = abs(len(merged) - target_size)
         if best is None or gap < best[0]:
             best = (gap, merged)
-        if gap <= slack:
+        if spec.within(len(merged)):
             break
         if len(merged) > target_size:
             hi = size - 1
@@ -76,8 +76,8 @@ def build_merged_vocab(
             lo = size + 1
 
     assert best is not None
-    gap, merged = best
-    within = gap <= slack
+    _, merged = best
+    within = spec.within(len(merged))
     report = MergedBuildReport(initial, len(merged), iterations, within)
     return Vocabulary(merged.tokens, within_tolerance=within), report
 
@@ -86,7 +86,7 @@ def build_balanced_vocab(
     parent_corpus: ParallelCorpus,
     child_corpus: ParallelCorpus,
     target_size: int,
-    tolerance: float = 0.01,
+    tolerance: float = VocabSpec.tolerance,
     *,
     seed: int,
 ) -> Vocabulary:

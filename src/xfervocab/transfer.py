@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .diagnostics import _token_counts
 from .errors import EmbeddingShapeError
 from .textio import read_lines, render_tsv, write_text
-from .wordpiece import VARIANTS, Vocabulary, VocabSpec, apply_wordpiece
+from .wordpiece import VARIANTS, Vocabulary, VocabSpec
 from .wordpiece_learner import learn_wordpiece
 
 
@@ -228,19 +230,16 @@ def transform_vocab(
 ) -> tuple[Vocabulary, VocabMapping]:
     """Learn a child vocabulary sized to the parent and remap parent slots.
 
-    Also records which parent tokens ever occur in the child corpus under
-    the parent segmentation, for the unused-parent report.
+    Also records which parent slots the child corpus uses under the parent
+    segmentation (`diagnostics._token_counts`), for the unused-parent report.
     """
     sentences = [list(part) for part in child_corpus]
     spec = VocabSpec(target_size=len(parent))
     child = learn_wordpiece(sentences, spec)
     mapping = map_vocabularies(parent, child, variant, seed)
 
-    observed: set[str] = set()
-    for part in sentences:
-        for sentence in part:
-            observed.update(apply_wordpiece(parent, sentence))
-    used = frozenset(e.slot for e in mapping.entries if e.parent_token in observed)
+    counts = _token_counts(parent, chain.from_iterable(sentences))
+    used = frozenset(e.slot for e in mapping.entries if counts[e.parent_token])
     mapping = VocabMapping(mapping.entries, used)
     out_tokens = mapping.output_tokens()
     return Vocabulary(out_tokens, within_tolerance=child.within_tolerance), mapping

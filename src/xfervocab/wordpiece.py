@@ -219,6 +219,10 @@ class VocabSpec:
         if self.target_size < 1:
             raise ValueError("target_size must be positive")
 
+    def within(self, size: int) -> bool:
+        """Whether a vocabulary of `size` tokens meets the size contract."""
+        return abs(size - self.target_size) <= self.tolerance * self.target_size
+
 
 def apply_wordpiece(vocab: Vocabulary, sentence: str) -> list[str]:
     """Segment a sentence into wordpiece tokens under the given vocabulary."""
@@ -270,6 +274,8 @@ def _decode_escapes(text: str) -> str:
 
 def _count_units(corpora: Iterable[Iterable[str]], max_sentences: int) -> Counter:
     """Frequency of word-level units over the first max_sentences sentences."""
+    if max_sentences < 0:
+        raise ValueError(f"max_train_sentences must be non-negative, got {max_sentences}")
     sentences = itertools.islice(itertools.chain.from_iterable(corpora), max_sentences)
     return Counter(itertools.chain.from_iterable(map(pretokenize, sentences)))
 

@@ -303,7 +303,7 @@ class WordpieceLearner:
         wanted = target - len(base)
         selected = self._ranked_tokens(wanted)
         size = len(base) + len(selected)
-        within = abs(size - target) <= spec.tolerance * target
+        within = spec.within(size)
         if not within:
             warnings.warn(
                 f"vocabulary size {size} misses target {target} beyond tolerance "

@@ -561,26 +561,39 @@ print(json.dumps({str(p.relative_to(d)): hashlib.sha256(p.read_bytes()).hexdiges
 """
 
 
-def test_every_command_shape_ignores_the_hash_seed(desk, tmp_path):
-    """A set or dict of strings iterates in hash-seed order; no output, printed
-    report or manifest may follow it.  Both runs use the same directory, so the
-    manifests' recorded paths agree too."""
+@pytest.fixture(scope="module")
+def run_all_shapes(desk, tmp_path_factory):
+    """Run a script over every shape in a fresh process, on a fresh copy of the
+    desk at one fixed path, so the manifests' recorded paths agree between runs."""
     root = Path(__file__).resolve().parents[1]
     paths = [str(root / "src"), str(root), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    d = tmp_path / "desk"
-    runs = []
-    for seed in ("1", "2"):
+    d = tmp_path_factory.mktemp("shapes") / "desk"
+
+    def run(script: str, hash_seed: str) -> str:
         shutil.rmtree(d, ignore_errors=True)
         shutil.copytree(desk, d)
-        run = subprocess.run(
-            [sys.executable, "-c", ALL_SHAPES_SCRIPT, str(d)], env=dict(env, PYTHONHASHSEED=seed),
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(d)], env=dict(env, PYTHONHASHSEED=hash_seed),
             capture_output=True, text=True, timeout=300,
         )
-        assert run.returncode == 0, run.stderr
-        runs.append(run.stdout)
-    assert len(json.loads(runs[0].splitlines()[-1])) > len(MANIFEST_SHAPES)
-    assert runs[0] == runs[1]
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    return run
+
+
+@pytest.fixture(scope="module")
+def seed1_shapes(run_all_shapes):
+    """Every shape's printed reports and file digests, unshrunk, at hash seed 1."""
+    return run_all_shapes(ALL_SHAPES_SCRIPT, "1")
+
+
+def test_every_command_shape_ignores_the_hash_seed(run_all_shapes, seed1_shapes):
+    """A set or dict of strings iterates in hash-seed order; no output, printed
+    report or manifest may follow it."""
+    assert len(json.loads(seed1_shapes.splitlines()[-1])) > len(MANIFEST_SHAPES)
+    assert run_all_shapes(ALL_SHAPES_SCRIPT, "2") == seed1_shapes
 
 
 # Each tuning constant at its least legal value: one-row bootstrap blocks,
@@ -592,22 +605,12 @@ wordpiece._UNIT_CACHE_SIZE = mteval._WORD_CACHE_SIZE = bpe._WORD_CACHE_SIZE = 0
 """
 
 
-def test_every_command_shape_ignores_the_tuning_constants(desk, tmp_path):
+def test_every_command_shape_ignores_the_tuning_constants(run_all_shapes, seed1_shapes):
     """A block or memo size bounds memory and time, never a byte: every shape
     prints and writes the same with each one shrunk.  Each run is a fresh
     process, because the tokenizer's memo is module-global."""
-    root = Path(__file__).resolve().parents[1]
-    paths = [str(root / "src"), str(root), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), PYTHONHASHSEED="1")
-    d = tmp_path / "desk"
-    runs = []
-    for script in (ALL_SHAPES_SCRIPT, SHRUNK_CONSTANTS + ALL_SHAPES_SCRIPT + "assert not mteval._WORD_TOKENS\n"):
-        shutil.rmtree(d, ignore_errors=True)
-        shutil.copytree(desk, d)
-        run = subprocess.run([sys.executable, "-c", script, str(d)], env=env, capture_output=True, text=True, timeout=300)
-        assert run.returncode == 0, run.stderr
-        runs.append(run.stdout)
-    assert runs[0] == runs[1]
+    shrunk = run_all_shapes(SHRUNK_CONSTANTS + ALL_SHAPES_SCRIPT + "assert not mteval._WORD_TOKENS\n", "1")
+    assert shrunk == seed1_shapes
 
 
 # Every command that prints a report, with the file its --out/--report names (None: add --out).
@@ -735,6 +738,13 @@ def test_each_report_command_prints_the_bytes_of_its_report_file(desk, tmp_path,
         (["eval", "bootstrap", "--candidates-a", "{d}/worse.txt", "--candidates-b", "{d}/refs.txt",
           "--references", "{d}/refs.txt", "--samples", "50", "--seed", "-1", "--out", "{d}/e39.tsv"],
          "seed must be a non-negative integer, got -1"),
+        # A tolerance outside VocabSpec's (0, 0.5), in the merge search too, and a negative training cap.
+        (["merge-vocab", "--parent-tsv", "{d}/pair.tsv", "--child-tsv", "{d}/pair.tsv", "--target-size", "90",
+          "--tolerance", "0.7", "--out", "{d}/e40.vocab"], "tolerance must be in (0, 0.5)"),
+        (["merge-vocab", "--parent-tsv", "{d}/pair.tsv", "--child-tsv", "{d}/pair.tsv", "--target-size", "90",
+          "--tolerance", "-1", "--out", "{d}/e41.vocab"], "tolerance must be in (0, 0.5)"),
+        (["learn-wp", "--input", "{d}/lt.txt", "--target-size", "80", "--max-train-sentences", "-1", "--out",
+          "{d}/e42.vocab"], "max_train_sentences must be non-negative, got -1"),
     ],
 )
 def test_cli_error_paths_exit_1(desk, capsys, argv, message):

@@ -3,6 +3,7 @@ done by hand or by an independent per-token construction."""
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from xfervocab.corpus import ParallelCorpus
@@ -13,6 +14,7 @@ from xfervocab.diagnostics import (
     unicode_range_predicate,
     vocab_usage,
 )
+from xfervocab.transfer import emit_transfer_bundle, transform_vocab
 from xfervocab.wordpiece import Vocabulary, apply_wordpiece
 
 SENTENCE = "O víkendu budeme doma."
@@ -153,6 +155,30 @@ def test_overlap_reused_parent_arithmetic():
 def test_overlap_requires_two_corpora(czech_vocab):
     with pytest.raises(ValueError):
         overlap_breakdown(czech_vocab, {"only": ["x"]})
+
+
+@pytest.mark.filterwarnings("ignore:vocabulary size")
+def test_reports_agree_on_a_token_used_only_fused(tmp_path):
+    """`me` occurs only fused with the word marker, as `me_`, which has no row.
+    The usage, overlap and unused-parent reports all charge a token by its
+    string, so none of them sees `me` in use, and each sees `x_`."""
+    parent = Vocabulary.with_ascii_fallback(["me"])
+    corpus = ["me me me x"]
+    assert apply_wordpiece(parent, corpus[0]) == ["me_", "me_", "me_", "x_"]
+
+    assert vocab_usage(parent, corpus, lambda tok: tok == "me") == 0.0
+    assert vocab_usage(parent, corpus, lambda tok: tok == "x_") == 1.0
+
+    breakdown = overlap_breakdown(parent, {"A": corpus, "B": corpus}, min_count=1)
+    assert breakdown.classes == {frozenset({"A", "B"}): 1}  # x_ alone
+    assert breakdown.never_observed == len(parent) - 1
+
+    _, mapping = transform_vocab(parent, [corpus])
+    bundle = emit_transfer_bundle(mapping, np.zeros((len(parent), 1), dtype=np.float32), tmp_path)
+    rows = bundle.unused_parent_path.read_text(encoding="utf-8").splitlines()[1:]
+    unused = {row.split("\t")[1] for row in rows}
+    assert "me" in unused and "x_" not in unused
+    assert len(unused) == len(parent) - 1
 
 
 def test_filter_impact_quarter():
