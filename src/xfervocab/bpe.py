@@ -6,17 +6,21 @@ higher current corpus frequency of the left symbol, then by lexicographic
 pair order in which the bare end-of-word symbol sorts after every ordinary
 symbol, so learning is deterministic.
 
+A merge recounts each word that holds its pair: the word's frequency comes
+off every adjacent pair of the old word and goes onto every adjacent pair of
+the new one.  Every adjacency of the new word without the merged symbol was
+one of the old word, so only a pair holding the merged symbol can rise.
 Each merge is taken from a heap keyed by exactly that order, and heap
 entries go stale lazily: a popped entry is dropped if its pair was already
-merged or is no longer live, and pushed back with the pair's current key if
+merged or its count is zero, and pushed back with the pair's current key if
 that key has changed.  This picks the true minimum as long as every live
-pair keeps an entry no worse than its current key, so every change that
-improves a key pushes a fresh entry: a pair count that rises, and a rise in
-the count of the merged symbol, which improves every live pair with that
-symbol on the left.  Such pairs can predate the merge, because one string
-can be built by two merge paths: "a<" + "/w>" inside a word, then "a" plus
-the end-of-word marker.  Entries are pushed after each merge has rewritten
-all its words, when the counts it moves are final.
+pair keeps an entry no worse than its current key, so a merge pushes a
+fresh entry for each pair holding the merged symbol, and for each live pair
+with that symbol on the left, which the symbol's rising count improves.
+Such pairs can predate the merge, because one string can be built by two
+merge paths: "a<" + "/w>" inside a word, then "a" plus the end-of-word
+marker.  Entries are pushed after the merge has recounted all its words,
+when its counts are final, so the order of the words does not matter.
 
 Application replays the merges by learned priority and renders continuation
 tokens with a trailing "@@".  Each table memoizes the tokens of the words it
@@ -118,10 +122,6 @@ def _merge_word(symbols: list[str], left: str, right: str) -> list[str]:
     return out
 
 
-def _adjacent_pairs(symbols: list[str]) -> Counter:
-    return Counter(zip(symbols, symbols[1:]))
-
-
 def _symbol_key(symbol: str):
     return (1,) if symbol == END_OF_WORD else (0, symbol)
 
@@ -133,9 +133,10 @@ def _pair_key(pair: tuple[str, str]):
 def learn_bpe(corpora: Sequence[Iterable[str]], num_merges: int) -> MergeTable:
     """Learn num_merges merge rules jointly over the given corpora.
 
-    Pair counts are maintained incrementally: only words containing the
-    merged pair are rewritten and their pair deltas applied.  Each merge is
-    the top of a lazily revalidated heap (see the module docstring).
+    Pair counts are maintained incrementally: only the words holding the
+    merged pair are recounted, and only the pairs holding the merged symbol
+    are pushed as risen.  Each merge is the top of a lazily revalidated heap
+    (see the module docstring).
     """
     if num_merges < 1:
         raise ValueError("num_merges must be at least 1")
@@ -171,13 +172,13 @@ def learn_bpe(corpora: Sequence[Iterable[str]], num_merges: int) -> MergeTable:
     heapq.heapify(heap)
 
     rules = []
-    # A pair can re-emerge when a later merge rebuilds its left symbol;
-    # it must not be recorded twice.
+    # A pair can re-emerge when a later merge rebuilds one of its symbols
+    # ("<" + "/w>" rebuilds "</w>"); it must not be recorded twice.
     used = set()
     while heap and len(rules) < num_merges:
         entry = heapq.heappop(heap)
         best = entry[3]
-        if best in used or best not in pair_counts:
+        if best in used or not pair_counts[best]:
             continue
         current = key(best)
         if entry != current:
@@ -188,37 +189,28 @@ def learn_bpe(corpora: Sequence[Iterable[str]], num_merges: int) -> MergeTable:
         rules.append(MergeRule(left, right))
         merged = left + right
         risen = set()
-        for idx in sorted(occurrences[best]):
+        for idx in list(occurrences[best]):
             old = words[idx]
             new = _merge_word(old, left, right)
-            if new == old:
-                continue
             freq = freqs[idx]
-            k = (len(old) - len(new))  # number of merges performed in this word
+            k = len(old) - len(new)  # number of merges performed in this word
             symbol_counts[left] -= k * freq
             symbol_counts[right] -= k * freq
             symbol_counts[merged] += k * freq
-            old_pairs = _adjacent_pairs(old)
-            new_pairs = _adjacent_pairs(new)
-            for pair in old_pairs.keys() | new_pairs.keys():
-                delta = new_pairs.get(pair, 0) - old_pairs.get(pair, 0)
-                if delta > 0:
-                    pair_counts[pair] += delta * freq
-                    by_left[pair[0]].add(pair)
+            for pair in zip(old, old[1:]):
+                pair_counts[pair] -= freq
+                occurrences[pair].discard(idx)
+            for pair in zip(new, new[1:]):
+                pair_counts[pair] += freq
+                occurrences[pair].add(idx)
+                if merged in pair:
                     risen.add(pair)
-                elif delta < 0:
-                    pair_counts[pair] += delta * freq
-                    if pair_counts[pair] <= 0:
-                        del pair_counts[pair]
-                if new_pairs.get(pair, 0):
-                    occurrences[pair].add(idx)
-                elif idx in occurrences[pair]:
-                    occurrences[pair].discard(idx)
             words[idx] = new
-        occurrences.pop(best, None)
-        pair_counts.pop(best, None)
+        del occurrences[best]
+        for pair in risen:
+            by_left[pair[0]].add(pair)
         for pair in risen | by_left[merged]:
-            if pair in pair_counts and pair not in used:
+            if pair_counts[pair]:
                 heapq.heappush(heap, key(pair))
     return MergeTable(rules)
 

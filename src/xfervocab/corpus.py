@@ -141,6 +141,8 @@ def filter_by_subword_length(
 def sample_equal(a: ParallelCorpus, b: ParallelCorpus, per_side: int, seed: int) -> ParallelCorpus:
     """Draw per_side pairs uniformly without replacement from each corpus and
     concatenate the two samples (a's sample first)."""
+    if per_side < 0:
+        raise SampleSizeError(f"per_side must be non-negative, got {per_side}")
     if per_side > min(len(a), len(b)):
         raise SampleSizeError(
             f"per_side {per_side} exceeds the smaller corpus size {min(len(a), len(b))}"
@@ -154,6 +156,8 @@ def sample_equal(a: ParallelCorpus, b: ParallelCorpus, per_side: int, seed: int)
 def subsample(corpus: ParallelCorpus, size: int, seed: int) -> ParallelCorpus:
     """Downscale to `size` pairs drawn uniformly without replacement, kept in
     their original relative order (a subsequence, like the filters)."""
+    if size < 0:
+        raise SampleSizeError(f"size must be non-negative, got {size}")
     if size > len(corpus):
         raise SampleSizeError(f"size {size} exceeds the corpus size {len(corpus)}")
     indices = sorted(random.Random(seed).sample(range(len(corpus)), size))

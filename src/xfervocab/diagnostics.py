@@ -108,6 +108,8 @@ def overlap_breakdown(
     """
     if len(corpora) < 2:
         raise ValueError("overlap breakdown needs at least two labeled corpora")
+    if min_count < 1:
+        raise ValueError(f"min_count must be at least 1, got {min_count}")
     for lang in list(parent_langs) + list(child_langs):
         if lang not in corpora:
             raise ValueError(f"role language {lang!r} has no labeled corpus")

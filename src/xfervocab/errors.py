@@ -22,7 +22,7 @@ class EscapeDecodeError(XfervocabError):
 
 
 class SampleSizeError(XfervocabError):
-    """A sampling request exceeds the available population."""
+    """A sampling request is negative or exceeds the available population."""
 
 
 class EmbeddingShapeError(XfervocabError):

@@ -121,6 +121,9 @@ oracle_corpora = st.lists(
 # Merge 5, "a" + "</w>", raises the count of "a</w>", which merge 4 built as
 # "a<" + "/w>"; the left-symbol tie-break then prefers "a</w>" + "<".
 @example(corpora=[["a</w>a a</w>< a w>a< /"]], num_merges=6)
+# Merge 4, "<" + "/w>", builds the symbol "</w>" after "a" again, so the pair
+# of merge 1, "a" + "</w>", comes back with the highest count of all.
+@example(corpora=[["a a a a a a a a a</w>b a</w>b a</w>c a</w>c"]], num_merges=30)
 def test_learn_matches_oracle_on_two_path_and_marker_alphabets(corpora, num_merges):
     # Up to 60 merges is past exhaustion for most of these corpora.
     assert learn_bpe(corpora, num_merges).rules == oracle_learn(corpora, num_merges)

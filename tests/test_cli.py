@@ -745,6 +745,15 @@ def test_each_report_command_prints_the_bytes_of_its_report_file(desk, tmp_path,
           "--tolerance", "-1", "--out", "{d}/e41.vocab"], "tolerance must be in (0, 0.5)"),
         (["learn-wp", "--input", "{d}/lt.txt", "--target-size", "80", "--max-train-sentences", "-1", "--out",
           "{d}/e42.vocab"], "max_train_sentences must be non-negative, got -1"),
+        # An overlap threshold below one and negative sample sizes.
+        (["diag", "overlap", "--vocab", "{d}/toy.vocab", "--corpus", "A={d}/lt.txt", "--corpus", "B={d}/cy.txt",
+          "--min-count", "0", "--out", "{d}/e43.tsv"], "min_count must be at least 1, got 0"),
+        (["diag", "overlap", "--vocab", "{d}/toy.vocab", "--corpus", "A={d}/lt.txt", "--corpus", "B={d}/cy.txt",
+          "--min-count", "-1", "--out", "{d}/e44.tsv"], "min_count must be at least 1, got -1"),
+        (["corpus", "sample", *CORPUS_LT, "--size", "-1", "--seed", "1", "--out-tsv", "{d}/e45.tsv"],
+         "size must be non-negative, got -1"),
+        (["corpus", "sample", "--a-tsv", "{d}/pair.tsv", "--b-tsv", "{d}/pair.tsv", "--per-side", "-1", "--seed",
+          "1", "--out-tsv", "{d}/e46.tsv"], "per_side must be non-negative, got -1"),
     ],
 )
 def test_cli_error_paths_exit_1(desk, capsys, argv, message):
