@@ -19,7 +19,7 @@ learned jointly):
 * `bpe-8000` - 20 000 sentences over 8000 word types per alphabet, 8000
   merges;
 * `bpe-32000` - 100 000 sentences over 60 000 word types per alphabet,
-  32 000 merges, the thesis's vocabulary size (about 10 s and 375 MB).
+  32 000 merges, the thesis's vocabulary size (about 10 s and 356 MB).
 """
 
 from __future__ import annotations

@@ -122,14 +122,6 @@ def _merge_word(symbols: list[str], left: str, right: str) -> list[str]:
     return out
 
 
-def _symbol_key(symbol: str):
-    return (1,) if symbol == END_OF_WORD else (0, symbol)
-
-
-def _pair_key(pair: tuple[str, str]):
-    return (_symbol_key(pair[0]), _symbol_key(pair[1]))
-
-
 def learn_bpe(corpora: Sequence[Iterable[str]], num_merges: int) -> MergeTable:
     """Learn num_merges merge rules jointly over the given corpora.
 
@@ -166,7 +158,8 @@ def learn_bpe(corpora: Sequence[Iterable[str]], num_merges: int) -> MergeTable:
         by_left[pair[0]].add(pair)
 
     def key(pair):
-        return (-pair_counts[pair], -symbol_counts[pair[0]], _pair_key(pair), pair)
+        left, right = pair  # False sorts first: the bare marker after every other symbol
+        return (-pair_counts[pair], -symbol_counts[left], left == END_OF_WORD, left, right == END_OF_WORD, right)
 
     heap = [key(pair) for pair in pair_counts]
     heapq.heapify(heap)
@@ -177,7 +170,7 @@ def learn_bpe(corpora: Sequence[Iterable[str]], num_merges: int) -> MergeTable:
     used = set()
     while heap and len(rules) < num_merges:
         entry = heapq.heappop(heap)
-        best = entry[3]
+        best = entry[3], entry[5]
         if best in used or not pair_counts[best]:
             continue
         current = key(best)

@@ -128,6 +128,8 @@ def filter_by_subword_length(
     corpus: ParallelCorpus, vocab: Vocabulary, max_tokens: int
 ) -> tuple[ParallelCorpus, FilterReport]:
     """Keep pairs segmenting to at most max_tokens wordpieces on both sides."""
+    if max_tokens < 0:
+        raise ValueError(f"max_tokens must be non-negative, got {max_tokens}")
     kept = [
         (src, tgt)
         for src, tgt in corpus

@@ -6,15 +6,16 @@ recounting from scratch at every pass of every threshold yields.  The first
 pass starts from the base alphabet at every threshold, so its counts are
 computed once.  The threshold-1 build selects every candidate from them, so
 its discounted counts have a closed form: each candidate's count less its
-children's.  The candidates are every prefix of every run suffix at a base
-segment start, plus the base, over the safe runs `wordpiece._runs` cuts for
-the matcher too.  Sorting the distinct run suffixes and taking
-each one's common prefix with its sorted neighbour (Manber & Myers 1993;
-Kasai et al. 2001) gives each candidate as a (suffix, length) pair with no
-string of its own, its fixed id in (-length, token) order, its parent and
-its lexical rank.  Counts and prefix discounts are array sums over those
-ids.  A refinement pass that reproduces its token set is a fixed point and
-ends the threshold.  Moving to a new token set walks every unit's greedy
+children's, which is the frequency of the starts whose whole run suffix it
+is.  The candidates are every prefix of every run suffix at a base segment
+start, plus the base, over the safe runs `wordpiece._runs` cuts for the
+matcher too.  Sorting the distinct run suffixes and taking each one's common
+prefix with its sorted neighbour (Manber & Myers 1993; Kasai et al. 2001)
+gives each candidate as a (suffix, length) pair with no string of its own,
+its fixed id in (-length, token) order and its parent; its lexical order is
+its (suffix, length) order.  Counts and prefix discounts are array sums over
+those ids.  A refinement pass that reproduces its token set is a fixed point
+and ends the threshold.  Moving to a new token set walks every unit's greedy
 segmentation at once, as a few array passes over the base segment starts,
 and recounts only the starts whose activity flipped.  No per-threshold state
 is kept, and no counting state outlives the constructor.  The ranking stays
@@ -112,11 +113,9 @@ class _CandidateBuilder:
         # Only a final run ends with the marker.
         final = codes[ends - 1] == ord(WORD_MARKER)
         del codes, ends
-        fresh = lens - shared
-        lex_first = np.cumsum(fresh) - fresh
         top = int(lens.max())
         per_length = np.cumsum(np.bincount(shared + 1, minlength=top + 2) - np.bincount(lens + 1, minlength=top + 2))
-        total = int(fresh.sum())
+        total = int((lens - shared).sum())
         # after[L]: the candidates longer than L, so the first id of length L.
         after = (total - np.cumsum(per_length[: top + 1])).tolist()
         # (first, last) id of each length block, longest first, length >= 2.
@@ -128,7 +127,6 @@ class _CandidateBuilder:
         # shorter, so ids in (-length, token) order follow from one cumsum,
         # and each candidate's parent is the id one step before on its string.
         self._parent = np.empty(total, np.int32)
-        self.lex_rank = np.empty(total, np.int32)
         # The strings a candidate prefixes are a range of the sorted order,
         # [owner, end): the first renders it, and its count sums the range.
         self.owner = np.empty(total, np.int32)
@@ -142,10 +140,9 @@ class _CandidateBuilder:
             new = shared[active] < length
             ids = np.cumsum(new, dtype=np.int32) + np.int32(after[length] - 1)
             heads = np.flatnonzero(new)
-            made, k = ids[heads], active[heads]
+            made = ids[heads]
             self._parent[made] = above[heads]
-            self.lex_rank[made] = lex_first[k] + (length - 1 - shared[k])
-            self.owner[made] = k
+            self.owner[made] = active[heads]
             self._end[made] = active[np.append(heads[1:], len(active)) - 1] + 1
             whole = active_lens == length
             whole_id[active[whole]] = ids[whole]
@@ -241,11 +238,12 @@ class WordpieceLearner:
         # Pass 1 starts from the base at every threshold, so its counts are
         # shared.  The threshold-1 build selects every candidate of length
         # >= 2 from them, so each one's discounted count is its count less
-        # its children's; the base keeps its full counts.
+        # its children's.  Its children's strings cover its own but the one
+        # equal to it, so that is the frequency of the starts whose whole
+        # run suffix it is: its suffix count before the first move_to.  The
+        # base keeps its full counts.
         first_counts = builder.counts()
-        raw = first_counts.copy()
-        children = builder._lengths >= 3
-        np.subtract.at(raw, builder._parent[children], first_counts[children])
+        raw = np.where(builder._lengths >= 2, builder._suffix_counts, first_counts)
         thresholds, level = [], max(unit_counts.values())
         while level >= 2:
             thresholds.append(level)
@@ -266,7 +264,10 @@ class WordpieceLearner:
                     previous = selected
                     selected, adjusted = builder.select(builder.counts(), threshold)
             new = np.flatnonzero(selected & ~ranked)
-            new = new[np.lexsort((builder.lex_rank[new], -adjusted[new]))]
+            # (owner, length) order is lexical order: the owner is the first
+            # sorted string a candidate prefixes, and of two candidates with
+            # one owner the shorter prefixes the longer.
+            new = new[np.lexsort((builder._lengths[new], builder.owner[new], -adjusted[new]))]
             ranked[new] = True
             levels.append(new)
         order = np.concatenate(levels)

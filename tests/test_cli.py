@@ -754,6 +754,11 @@ def test_each_report_command_prints_the_bytes_of_its_report_file(desk, tmp_path,
          "size must be non-negative, got -1"),
         (["corpus", "sample", "--a-tsv", "{d}/pair.tsv", "--b-tsv", "{d}/pair.tsv", "--per-side", "-1", "--seed",
           "1", "--out-tsv", "{d}/e46.tsv"], "per_side must be non-negative, got -1"),
+        # A negative subword-length limit, when filtering and when measuring the filter.
+        (["corpus", "filter", *CORPUS_LT, "--vocab", "{d}/toy.vocab", "--max-subwords", "-1", "--out-tsv",
+          "{d}/e47.tsv"], "max_tokens must be non-negative, got -1"),
+        (["diag", "filter-impact", "--vocab", "{d}/toy.vocab", *CORPUS_LT, "--threshold", "-1", "--out",
+          "{d}/e48.tsv"], "max_tokens must be non-negative, got -1"),
     ],
 )
 def test_cli_error_paths_exit_1(desk, capsys, argv, message):

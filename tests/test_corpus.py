@@ -126,6 +126,14 @@ def test_subword_filter_threshold(ascii_vocab):
     assert report.dropped_fraction == 0.0 and len(kept_all) == 1
 
 
+def test_subword_filter_limit_zero_keeps_empty_pairs_and_negative_raises(ascii_vocab):
+    corpus = corpus_of([("", ""), ("the", ""), ("", "cat")])
+    kept, report = filter_by_subword_length(corpus, ascii_vocab, 0)
+    assert kept.pairs == [("", "")] and report.dropped == 2
+    with pytest.raises(ValueError, match="max_tokens must be non-negative, got -1"):
+        filter_by_subword_length(corpus, ascii_vocab, -1)
+
+
 def test_sample_equal_counts_and_determinism():
     a = corpus_of([(f"a{i}", f"A{i}") for i in range(50)])
     b = corpus_of([(f"b{i}", f"B{i}") for i in range(80)])

@@ -670,11 +670,13 @@ def test_candidate_builder_matches_substring_enumeration(unit_counts):
     base = WordpieceLearner(unit_counts).base_tokens
     builder = _CandidateBuilder(unit_counts, base)
     want = oracle_candidates(unit_counts, base)
-    for name in ("_parent", "_lengths", "lex_rank", "_suffix", "_final", "_first", "_weights"):
+    for name in ("_parent", "_lengths", "_suffix", "_final", "_first", "_weights"):
         got = getattr(builder, name)
         assert got.dtype == want[name].dtype and np.array_equal(got, want[name]), name
     assert builder._blocks == want["_blocks"]
     assert builder.base_ids == want["base_ids"]
+    # The learner's tie-break: (owner, length) order is lexical order.
+    assert np.array_equal(np.lexsort((builder._lengths, builder.owner)), np.argsort(want["lex_rank"]))
     rendered = [builder.strings[k][:n] for k, n in zip(builder.owner.tolist(), builder._lengths.tolist())]
     assert rendered == want["tokens"]
     # Counts as subtree sums pushed to the parent one length block at a time.
