@@ -14,7 +14,7 @@ from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .errors import AlignmentError, CorpusFormatError, SampleSizeError
+from .errors import AlignmentError, CorpusFormatError, SampleSizeError, check_seed
 from .textio import read_lines, render_tsv, write_lines, write_text
 from .wordpiece import Vocabulary, apply_wordpiece
 
@@ -149,7 +149,7 @@ def sample_equal(a: ParallelCorpus, b: ParallelCorpus, per_side: int, seed: int)
         raise SampleSizeError(
             f"per_side {per_side} exceeds the smaller corpus size {min(len(a), len(b))}"
         )
-    rng = random.Random(seed)
+    rng = random.Random(check_seed(seed))
     picked_a = [(a.sources[i], a.targets[i]) for i in rng.sample(range(len(a)), per_side)]
     picked_b = [(b.sources[i], b.targets[i]) for i in rng.sample(range(len(b)), per_side)]
     return ParallelCorpus.from_pairs(picked_a + picked_b)
@@ -162,7 +162,7 @@ def subsample(corpus: ParallelCorpus, size: int, seed: int) -> ParallelCorpus:
         raise SampleSizeError(f"size must be non-negative, got {size}")
     if size > len(corpus):
         raise SampleSizeError(f"size {size} exceeds the corpus size {len(corpus)}")
-    indices = sorted(random.Random(seed).sample(range(len(corpus)), size))
+    indices = sorted(random.Random(check_seed(seed)).sample(range(len(corpus)), size))
     pairs = [(corpus.sources[i], corpus.targets[i]) for i in indices]
     return ParallelCorpus.from_pairs(pairs)
 
@@ -175,7 +175,7 @@ def mix_with_oversample(
     if factor < 1:
         raise ValueError("factor must be at least 1")
     combined = authentic.pairs * factor + synthetic.pairs
-    random.Random(seed).shuffle(combined)
+    random.Random(check_seed(seed)).shuffle(combined)
     return ParallelCorpus.from_pairs(combined)
 
 
@@ -213,26 +213,29 @@ def make_pseudo_related(corpus: ParallelCorpus, keep_percent: float, seed: int) 
     """
     if not 0.0 <= keep_percent <= 1.0:
         raise ValueError("keep_percent must be within [0, 1]")
-    rng = random.Random(seed)
+    rng = random.Random(check_seed(seed))
 
-    chars = set().union(*map(set, corpus.sources), *map(set, corpus.targets))
+    # Letters occur only inside whitespace words, so the two sides' word types hold every one.
+    src_types, tgt_types = (
+        sorted({word for sentence in side for word in sentence.split()}) for side in (corpus.sources, corpus.targets)
+    )
+    chars = set("".join(src_types)).union("".join(tgt_types))
     letters = {ch if len(ch.lower()) != 1 else ch.lower() for ch in chars if ch.isalpha()}
     mapping = _sample_derangement(sorted(letters), rng) if letters else {}
     cipher = str.maketrans({ch: _cipher_char(ch, mapping) for ch in chars if ch.isalpha()})
 
-    def rendering(side: tuple[str, ...]) -> dict[str, str]:
-        """Each word type of the side -> itself if kept, else its ciphered form."""
-        types = sorted({word for sentence in side for word in sentence.split()})
-        kept = set(rng.sample(types, math.ceil(keep_percent * len(types))))
-        return {word: word if word in kept else word.translate(cipher) for word in types}
+    def rendering(side_types: list[str]) -> dict[str, str]:
+        """Each word type of a side -> itself if kept, else its ciphered form."""
+        kept = set(rng.sample(side_types, math.ceil(keep_percent * len(side_types))))
+        return {word: word if word in kept else word.translate(cipher) for word in side_types}
 
     def transform(sentence: str, rendered: dict[str, str]) -> str:
         parts = _SPACE_RE.split(sentence)  # words at even indices, the whitespace between them at odd ones
         parts[::2] = [rendered.get(word, word) for word in parts[::2]]  # the "" beside edge whitespace is no type
         return "".join(parts)
 
-    rendered_src = rendering(corpus.sources)  # draws after the cipher, and before the target's keep set
-    rendered_tgt = rendering(corpus.targets)
+    rendered_src = rendering(src_types)  # draws after the cipher, and before the target's keep set
+    rendered_tgt = rendering(tgt_types)
     sources = tuple(transform(s, rendered_src) for s in corpus.sources)
     targets = tuple(transform(t, rendered_tgt) for t in corpus.targets)
     return ParallelCorpus(sources, targets)
@@ -244,7 +247,7 @@ def corrupt_word_order(corpus: ParallelCorpus, mode: str, seed: int) -> Parallel
     target words by code point, shuffle_pairing permutes the target column."""
     if mode not in CORRUPTION_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {CORRUPTION_MODES}")
-    rng = random.Random(seed)
+    rng = random.Random(check_seed(seed))
 
     def shuffle_words(sentence: str) -> str:
         words = sentence.split()

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the one seed check every seeded operation makes."""
 
 
 class XfervocabError(Exception):
@@ -27,3 +27,12 @@ class SampleSizeError(XfervocabError):
 
 class EmbeddingShapeError(XfervocabError):
     """An embedding matrix does not match the vocabulary it is paired with."""
+
+
+def check_seed(seed: int) -> int:
+    """`seed` itself, or a ValueError if it is negative: `random.Random(-n)`
+    draws the same stream as `random.Random(n)`, so a negative seed would
+    record a value that reproduces nothing of its own."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed

@@ -120,17 +120,25 @@ def token_overlap_analysis(
             f"sentence counts differ: child {len(child_out)}, baseline {len(baseline_out)}, "
             f"reference {len(reference)}"
         )
-    both = base_only = ref_only = neither = 0
+    # Per sentence, over the child's token counts c: B = sum(min(c, b)), R = sum(min(c, r))
+    # and O = sum(min(c, b, r)).  Then both = O, baseline_only = B - O, reference_only = R - O,
+    # and, since max(x, y) = x + y - min(x, y), neither = len(child) - B - R + O.
+    tokens = clipped_base = clipped_ref = clipped_both = 0
     for child, base, ref in zip(child_out, baseline_out, reference):
-        child_counts = Counter(child)
-        base_counts = Counter(base)
-        ref_counts = Counter(ref)
-        for token, count in child_counts.items():
-            in_base = min(count, base_counts[token])
-            in_ref = min(count, ref_counts[token])
-            overlap = min(in_base, in_ref)
-            both += overlap
-            base_only += in_base - overlap
-            ref_only += in_ref - overlap
-            neither += count - max(in_base, in_ref)
-    return TokenOverlap(both, base_only, ref_only, neither)
+        base_counts, ref_counts = Counter(base), Counter(ref)
+        for token, count in Counter(child).items():
+            # Each min as a conditional expression: a call per token costs more than its sums.
+            in_base = base_counts.get(token, 0)
+            in_base = count if in_base > count else in_base
+            in_ref = ref_counts.get(token, 0)
+            in_ref = count if in_ref > count else in_ref
+            clipped_base += in_base
+            clipped_ref += in_ref
+            clipped_both += in_base if in_base < in_ref else in_ref
+        tokens += len(child)
+    return TokenOverlap(
+        clipped_both,
+        clipped_base - clipped_both,
+        clipped_ref - clipped_both,
+        tokens - clipped_base - clipped_ref + clipped_both,
+    )

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
+from .errors import check_seed
 from .evallite import SMOOTHINGS, TOKENIZATIONS
 from .evallite import LearningCurve, TokenOverlap, should_stop, token_overlap_analysis  # noqa: F401 (re-exported)
 from .textio import render_tsv
@@ -33,6 +34,7 @@ _PUNCT_NORMALIZATION = {
 
 _NORMALIZE = str.maketrans(_PUNCT_NORMALIZATION)
 _BLOCK_BYTES = 4 << 20  # the bootstrap's resample block; bounds memory, never changes a score
+_INT32_TOKENS = 2**31  # per-token positions are int32 below this many tokens, else int64; never changes a count
 _WORD_CACHE_SIZE = 1 << 16
 _WORD_TOKENS: dict[str, list[str]] = {}  # whitespace word -> its tokens, up to _WORD_CACHE_SIZE words
 
@@ -145,7 +147,7 @@ def _corpora_stats(corpora: Sequence[Sequence[str]], references, n_max: int, tok
         tok.extend(map(ids.__getitem__, tokens))
         lengths.append(len(tokens))
     tok, lengths = np.frombuffer(tok, np.int64), np.frombuffer(lengths, np.int64)
-    index = np.int32 if len(tok) < 2**31 else np.int64  # per-token positions; (row, gram) keys stay int64
+    index = np.int32 if len(tok) < _INT32_TOKENS else np.int64  # per-token positions; (row, gram) keys stay int64
     row = np.repeat(np.arange(len(lengths), dtype=index), lengths)
     room = np.repeat(np.cumsum(lengths, dtype=index), lengths) - np.arange(len(tok), dtype=index)  # to the row's end
     ref_sentence = np.repeat(np.arange(n_sentences), list(map(len, refs)))
@@ -309,8 +311,7 @@ def paired_bootstrap(
         raise ValueError("samples must be at least 1")
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    check_seed(seed)
     stats = _corpora_stats([cand_a, cand_b], references, n_max, tokenization)
     scores_a, scores_b = _resample_scores(stats, samples, seed, smoothing)
 

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .diagnostics import _token_counts
-from .errors import EmbeddingShapeError
+from .errors import EmbeddingShapeError, check_seed
 from .textio import read_lines, render_tsv, write_text
 from .wordpiece import VARIANTS, Vocabulary, VocabSpec
 from .wordpiece_learner import learn_wordpiece
@@ -175,6 +175,8 @@ def map_vocabularies(
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if variant in ("everything_random", "unmatched_random") and seed is None:
         raise ValueError(f"variant {variant!r} is stochastic and requires a seed")
+    if seed is not None:
+        check_seed(seed)
     parent_tokens = parent.tokens
     child_tokens = child.tokens[: len(parent_tokens)]
     parent_set = set(parent_tokens)

@@ -1,5 +1,6 @@
 """Command-line driver: subcommands, exit codes, manifests, reproducibility."""
 
+import gc
 import json
 import os
 import shutil
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from tests.test_imports import run_python
 from xfervocab.cli import _apply_config, build_parser, main
 from xfervocab.wordpiece import Vocabulary
 
@@ -55,6 +57,42 @@ def test_operation_error_exits_1(texts, capsys):
     write(texts / "short.txt", ["only one line"])
     code = main(["eval", "bleu", "--candidates", str(texts / "short.txt"), "--references", str(texts / "refs.txt")])
     assert code == 1
+
+
+def test_main_leaves_the_collector_unfrozen(texts, capsys):
+    # Only `run` may freeze: tests and tracers call `main` many times in one process.
+    frozen = gc.get_freeze_count()
+    bleu = ["eval", "bleu", "--candidates", str(texts / "cand.txt"), "--references", str(texts / "refs.txt")]
+    assert main([*bleu, "--out", str(texts / "bleu.tsv")]) == 0
+    assert main(["eval", "bleu", "--candidates", str(texts / "nope"), "--references", str(texts / "refs.txt")]) == 1
+    assert gc.get_freeze_count() == frozen
+
+
+def test_program_entry_keeps_exit_codes_and_streams(texts):
+    report = texts / "bleu.tsv"
+    bleu = ["-m", "xfervocab.cli", "eval", "bleu", "--references", str(texts / "refs.txt")]
+    ok = run_python([*bleu, "--candidates", str(texts / "worse.txt"), "--out", str(report)])
+    assert (ok.returncode, ok.stderr) == (0, "")
+    assert ok.stdout == report.read_text(encoding="utf-8") and ok.stdout.count("\n") == 2
+    manifest = json.loads((texts / "bleu.tsv.manifest.json").read_text(encoding="utf-8"))
+    assert list(manifest["outputs"]) == [str(report)]
+
+    failed = run_python([*bleu, "--candidates", str(texts / "nope")])
+    assert (failed.returncode, failed.stdout) == (1, "")
+    assert failed.stderr.startswith("xfervocab: error: ") and "nope" in failed.stderr
+
+    usage = run_python(["-m", "xfervocab.cli", "frobnicate"])
+    assert usage.returncode == 2 and "invalid choice: 'frobnicate'" in usage.stderr
+
+
+def test_run_freezes_the_collector_and_still_runs_atexit_handlers(texts):
+    script = (
+        "import atexit, gc; from xfervocab.cli import run; "
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); run()"
+    )
+    proc = run_python(["-c", script, "eval", "stop", "--curve", str(texts / "nope")])
+    assert proc.returncode == 1 and proc.stderr.startswith("xfervocab: error: ")
+    assert proc.stdout == "frozen True\n"
 
 
 def test_transform_vocab_toy_mapping(texts, capsys):
@@ -597,10 +635,11 @@ def test_every_command_shape_ignores_the_hash_seed(run_all_shapes, seed1_shapes)
 
 
 # Each tuning constant at its least legal value: one-row bootstrap blocks,
-# one-row edit-distance blocks and no memo in any of the three caches.
+# one-row edit-distance blocks, int64 token positions and no memo in any of
+# the three caches.
 SHRUNK_CONSTANTS = """
 from xfervocab import bpe, mteval, transfer, wordpiece
-mteval._BLOCK_BYTES = transfer._BLOCK_BYTES = 0
+mteval._BLOCK_BYTES = transfer._BLOCK_BYTES = mteval._INT32_TOKENS = 0
 wordpiece._UNIT_CACHE_SIZE = mteval._WORD_CACHE_SIZE = bpe._WORD_CACHE_SIZE = 0
 """
 
@@ -759,6 +798,23 @@ def test_each_report_command_prints_the_bytes_of_its_report_file(desk, tmp_path,
           "{d}/e47.tsv"], "max_tokens must be non-negative, got -1"),
         (["diag", "filter-impact", "--vocab", "{d}/toy.vocab", *CORPUS_LT, "--threshold", "-1", "--out",
           "{d}/e48.tsv"], "max_tokens must be non-negative, got -1"),
+        # A negative seed: random.Random(-7) draws what random.Random(7) draws.
+        (["corpus", "sample", "--tsv", "{d}/pair.tsv", "--size", "7", "--seed", "-7", "--out-tsv", "{d}/e49.tsv"],
+         "seed must be a non-negative integer, got -7"),
+        (["corpus", "sample", "--a-tsv", "{d}/pair.tsv", "--b-tsv", "{d}/pair.tsv", "--per-side", "5", "--seed",
+          "-7", "--out-tsv", "{d}/e50.tsv"], "seed must be a non-negative integer, got -7"),
+        (["corpus", "mix", "--authentic-tsv", "{d}/pair.tsv", "--synthetic-tsv", "{d}/pair.tsv", "--factor", "2",
+          "--seed", "-7", "--out-tsv", "{d}/e51.tsv"], "seed must be a non-negative integer, got -7"),
+        (["corpus", "pseudo", *CORPUS_LT, "--keep-percent", "0.5", "--seed", "-7", "--out-tsv", "{d}/e52.tsv"],
+         "seed must be a non-negative integer, got -7"),
+        (["corpus", "corrupt", "--tsv", "{d}/pair.tsv", "--mode", "shuffle_both", "--seed", "-7", "--out-tsv",
+          "{d}/e53.tsv"], "seed must be a non-negative integer, got -7"),
+        (["balanced-vocab", "--parent-tsv", "{d}/pair.tsv", "--child-tsv", "{d}/pair.tsv", "--target-size", "90",
+          "--seed", "-7", "--out", "{d}/e54.vocab"], "seed must be a non-negative integer, got -7"),
+        (["transform-vocab", "--parent-vocab", "{d}/parent.vocab", "--child-vocab", "{d}/child.vocab", "--variant",
+          "everything_random", "--seed", "-7", "--out-dir", "{d}/e55"], "seed must be a non-negative integer, got -7"),
+        (["transform-vocab", "--parent-vocab", "{d}/toy.vocab", "--child", "{d}/lt2.txt", "--variant",
+          "unmatched_random", "--seed", "-7", "--out-dir", "{d}/e56"], "seed must be a non-negative integer, got -7"),
     ],
 )
 def test_cli_error_paths_exit_1(desk, capsys, argv, message):

@@ -19,6 +19,7 @@ from tests.conftest import LATIN, desk_sentences
 from xfervocab.mteval import (
     TOKENIZATIONS,
     LearningCurve,
+    TokenOverlap,
     _corpora_stats,
     _normalize_references,
     _resample_scores,
@@ -522,6 +523,21 @@ def test_corpora_stats_matches_counter_oracle_on_desk_corpora(n_max, tokenizatio
     assert np.any(got[..., :n_max] < got[..., n_max : 2 * n_max])  # and clipping bites
 
 
+def test_int64_token_positions_change_no_statistic(monkeypatch):
+    """Positions are int32 below `_INT32_TOKENS` tokens; at 0 every position is
+    int64, and BLEU and the bootstrap must read the same."""
+    cand_a, cand_b, refs = desk_eval_set(4)
+
+    def statistics():
+        stats = _corpora_stats([cand_a, cand_b], refs, 4, "intl")
+        return stats, bleu(cand_a, refs), paired_bootstrap(cand_a, cand_b, refs, samples=200, seed=3)
+
+    int32 = statistics()
+    monkeypatch.setattr(mteval, "_INT32_TOKENS", 0)
+    int64 = statistics()
+    assert np.array_equal(int32[0], int64[0]) and int32[1:] == int64[1:]
+
+
 def test_bootstrap_tokenizes_each_reference_once(monkeypatch):
     tokenized = []
 
@@ -647,6 +663,29 @@ def test_token_overlap_partition():
         t = token_overlap_analysis(child, base, refs)
         assert t.total == sum(len(c) for c in child)
         assert min(t.baseline_and_reference, t.baseline_only, t.reference_only, t.neither) >= 0
+
+
+def oracle_token_overlap(child_out, baseline_out, reference):
+    """Each child token's four classes, branch by branch, with per-sentence clipped counts."""
+    both = base_only = ref_only = neither = 0
+    for child, base, ref in zip(child_out, baseline_out, reference):
+        base_counts, ref_counts = Counter(base), Counter(ref)
+        for token, count in Counter(child).items():
+            in_base = min(count, base_counts[token])
+            in_ref = min(count, ref_counts[token])
+            overlap = min(in_base, in_ref)
+            both += overlap
+            base_only += in_base - overlap
+            ref_only += in_ref - overlap
+            neither += count - max(in_base, in_ref)
+    return TokenOverlap(both, base_only, ref_only, neither)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(*[st.lists(st.sampled_from("abcd"), max_size=8)] * 3), max_size=6))
+def test_token_overlap_matches_branch_oracle(sentences):
+    child, base, refs = (list(side) for side in zip(*sentences)) if sentences else ([], [], [])
+    assert token_overlap_analysis(child, base, refs) == oracle_token_overlap(child, base, refs)
 
 
 def test_token_overlap_length_mismatch():
