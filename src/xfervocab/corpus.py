@@ -113,6 +113,8 @@ def filter_by_word_length(
 ) -> tuple[ParallelCorpus, FilterReport]:
     """Keep pairs whose sides both have more than min_words and at most
     max_words whitespace words ("3 or fewer" removed means min_words=3)."""
+    if math.isnan(max_words):  # no length compares true with NaN, so every pair would drop
+        raise ValueError(f"max_words must be a number, got {max_words}")
     if min_words > max_words:
         raise ValueError("min_words must not exceed max_words")
     kept = [

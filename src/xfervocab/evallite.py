@@ -76,6 +76,8 @@ def should_stop(
         raise ValueError("relative_to must be 'global' or 'prewindow'")
     if not 0 < window_frac <= 1:
         raise ValueError("window_frac must be in (0, 1]")
+    if not delta_frac >= 0:  # NaN too: every comparison with it is false, so the run never stops
+        raise ValueError(f"delta_frac must be non-negative, got {delta_frac}")
     scores = [score for _, score in points]
     best_index = max(range(len(scores)), key=lambda i: (scores[i], -i))
     best_step = points[best_index][0]

@@ -204,13 +204,10 @@ def _scores_from_sums(sums: np.ndarray, smoothing: str) -> tuple[np.ndarray, np.
     sys_len = sums[..., 2 * n_max]
     ref_len = sums[..., 2 * n_max + 1]
 
-    effective = matches.copy()
+    effective = matches
     if smoothing == "exponential":
-        inverse = np.ones_like(sys_len, dtype=np.float64)
-        for n in range(n_max):
-            zero = (matches[..., n] == 0) & (totals[..., n] > 0)
-            inverse = np.where(zero, inverse * 2.0, inverse)
-            effective[..., n] = np.where(zero, 1.0 / inverse, matches[..., n])
+        zero = (matches == 0) & (totals > 0)
+        effective = np.where(zero, 0.5 ** np.cumsum(zero, axis=-1), matches)  # powers of two: exact
     elif smoothing != "none":
         raise ValueError(f"unknown smoothing {smoothing!r}; expected one of {SMOOTHINGS}")
 

@@ -1,11 +1,14 @@
 """Cold-start vocabulary transformation and transfer-bundle emission.
 
 The transformation rewrites parent vocabulary slots with child subwords so
-that a child model can reuse the parent's embedding table: subwords common
-to both vocabularies keep their slot (and therefore their trained
-embedding row); the remaining child subwords take over the unused slots
-according to the selected assignment variant.  The embedding matrix itself
-is never reordered; the remap is purely a token-label rewrite.
+that a child model can reuse the parent's embedding table.  One rule covers
+every assignment variant: a subword common to both vocabularies keeps its
+slot (and therefore its trained embedding row), and the free slots take the
+remaining child subwords in child order (frequency), in seeded shuffled
+order (unmatched_random) or by the greedy edit-distance walk (levenshtein).
+everything_random keeps no slot: every slot is free and every child subword
+remains, shuffled.  The embedding matrix itself is never reordered; the
+remap is purely a token-label rewrite.
 """
 
 from __future__ import annotations
@@ -178,50 +181,31 @@ def map_vocabularies(
     if seed is not None:
         check_seed(seed)
     parent_tokens = parent.tokens
-    child_tokens = child.tokens[: len(parent_tokens)]
-    parent_set = set(parent_tokens)
-    child_set = set(child_tokens)
-    n = len(parent_tokens)
-    rng = random.Random(seed)
-
-    assignment: list[str | None] = [None] * n
-
+    remaining = child.tokens[: len(parent_tokens)]
     if variant == "everything_random":
-        shuffled = child_tokens[:]
-        rng.shuffle(shuffled)
-        for slot, token in enumerate(shuffled):
-            assignment[slot] = token
+        assignment: list[str | None] = [None] * len(parent_tokens)
     else:
-        for slot, token in enumerate(parent_tokens):
-            if token in child_set:
-                assignment[slot] = token
-        free_slots = [slot for slot in range(n) if assignment[slot] is None]
-        remaining = [tok for tok in child_tokens if tok not in parent_set]
-
-        if variant == "frequency":
-            for slot, token in zip(free_slots, remaining):
-                assignment[slot] = token
-        elif variant == "unmatched_random":
-            shuffled = remaining[:]
-            rng.shuffle(shuffled)
-            for slot, token in zip(free_slots, shuffled):
-                assignment[slot] = token
-        else:  # levenshtein
-            if free_slots and remaining:
-                free_parents = [parent_tokens[slot] for slot in free_slots]
-                distances = _levenshtein_matrix(free_parents, remaining)
-                for si, ci in _greedy_pairs(distances):
-                    assignment[free_slots[si]] = remaining[ci]
-
-    entries = []
-    for slot, token in enumerate(assignment):
-        parent_token = parent_tokens[slot]
-        if token is None:
-            # Child vocabulary exhausted: keep the parent token, flagged.
-            entries.append(MappingEntry(slot, parent_token, parent_token, False, True))
-        else:
-            entries.append(MappingEntry(slot, parent_token, token, token == parent_token))
-    return VocabMapping(tuple(entries))
+        child_set, parent_set = set(remaining), set(parent_tokens)
+        assignment = [token if token in child_set else None for token in parent_tokens]
+        remaining = [token for token in remaining if token not in parent_set]
+    free_slots = [slot for slot, token in enumerate(assignment) if token is None]
+    if variant in ("everything_random", "unmatched_random"):
+        random.Random(seed).shuffle(remaining)
+    pairs = zip(free_slots, remaining)
+    if variant == "levenshtein" and free_slots and remaining:
+        distances = _levenshtein_matrix([parent_tokens[slot] for slot in free_slots], remaining)
+        pairs = ((free_slots[si], remaining[ci]) for si, ci in _greedy_pairs(distances))
+    for slot, token in pairs:
+        assignment[slot] = token
+    # A slot left empty once the child runs out keeps its parent token, flagged.
+    return VocabMapping(
+        tuple(
+            MappingEntry(slot, parent_token, parent_token, False, True)
+            if token is None
+            else MappingEntry(slot, parent_token, token, token == parent_token)
+            for slot, (parent_token, token) in enumerate(zip(parent_tokens, assignment))
+        )
+    )
 
 
 def transform_vocab(

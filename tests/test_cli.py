@@ -815,6 +815,13 @@ def test_each_report_command_prints_the_bytes_of_its_report_file(desk, tmp_path,
           "everything_random", "--seed", "-7", "--out-dir", "{d}/e55"], "seed must be a non-negative integer, got -7"),
         (["transform-vocab", "--parent-vocab", "{d}/toy.vocab", "--child", "{d}/lt2.txt", "--variant",
           "unmatched_random", "--seed", "-7", "--out-dir", "{d}/e56"], "seed must be a non-negative integer, got -7"),
+        # A NaN word limit, and a NaN or negative stop delta: each would silently drop every pair or never stop.
+        (["corpus", "filter", *CORPUS_LT, "--max-words", "nan", "--out-tsv", "{d}/e57.tsv"],
+         "max_words must be a number, got nan"),
+        (["eval", "stop", "--curve", "{d}/curve.tsv", "--delta-frac", "nan", "--out", "{d}/e58.tsv"],
+         "delta_frac must be non-negative, got nan"),
+        (["eval", "stop", "--curve", "{d}/curve.tsv", "--delta-frac", "-0.5", "--out", "{d}/e59.tsv"],
+         "delta_frac must be non-negative, got -0.5"),
     ],
 )
 def test_cli_error_paths_exit_1(desk, capsys, argv, message):

@@ -102,6 +102,12 @@ def test_word_length_filter_identity():
     assert report.dropped == 0
 
 
+def test_word_length_filter_nan_limit_raises():
+    corpus = corpus_of([("a", "b"), ("c d", "e f")])
+    with pytest.raises(ValueError, match="max_words must be a number, got nan"):
+        filter_by_word_length(corpus, 0, float("nan"))
+
+
 def test_filters_preserve_order(latin_corpus):
     pairs = [(s, s) for s in latin_corpus[:200]]
     corpus = corpus_of(pairs)

@@ -17,7 +17,7 @@ from xfervocab.bpe import learn_bpe, segment_sentence
 from xfervocab.corpus import corrupt_word_order, make_pseudo_related
 from xfervocab.mteval import bleu, paired_bootstrap
 from xfervocab.sharedvocab import build_balanced_vocab, build_merged_vocab
-from xfervocab.transfer import transform_vocab
+from xfervocab.transfer import map_vocabularies, transform_vocab
 from xfervocab.wordpiece import VocabSpec, learn_wordpiece
 
 GREEK = "αβγδεζηθικλμνξο"
@@ -77,6 +77,23 @@ def test_transform_vocab_digest(parent, child):
     vocab, mapping = transform_vocab(parent_vocab, [child.sources, child.targets], variant="levenshtein", seed=5)
     assert sha(mapping.to_tsv()) == "cc672399466b2491f7789ff346a6673232d5d45f64f6c1293bfd30d5d2236bb4"
     assert sha(vocab_text(vocab)) == "ef0fcc5581d0e4be2940d69b8be207aa35030b69c2827cb61f55718e6c3196e8"
+
+
+@pytest.mark.parametrize(
+    "variant, seed, digest",
+    [
+        ("frequency", None, "6d116345e8ea9ead15258c68e04774ad6d388b71e45293cd5e231702fd8f6ec1"),
+        ("unmatched_random", 5, "80f9033888ac8f5eddd6b92ab04fc4b32f37a8fbddce248caf8017049a1d1acc"),
+        ("everything_random", 5, "21de45f9e02e7d4e908a61d8db2c9aa9c2a3bc1177b8c79155448420c72e7c1b"),
+    ],
+)
+def test_map_vocabularies_digest(parent, child, variant, seed, digest):
+    # The Levenshtein mapping is pinned through transform_vocab above; these
+    # pin which slot each other variant gives each child token, and so the
+    # random variants' draws.
+    parent_vocab = learn_wordpiece([parent.sources, parent.targets], VocabSpec(target_size=300))
+    child_vocab = learn_wordpiece([child.sources, child.targets], VocabSpec(target_size=len(parent_vocab)))
+    assert sha(map_vocabularies(parent_vocab, child_vocab, variant, seed).to_tsv()) == digest
 
 
 def joint_bpe_corpus():

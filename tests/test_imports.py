@@ -2,6 +2,7 @@
 the numpy-free evaluation names keep their old import paths, the steps that
 never compute with numpy start without it, and every demo runs."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -140,3 +141,15 @@ def test_handlers_call_the_names_set_on_the_cli_module(monkeypatch, tmp_path):
     files = ["--candidates", str(tmp_path / "c.txt"), "--references", str(tmp_path / "c.txt")]
     assert cli.main(["eval", "bleu", *files]) == 0
     assert calls == [["a b c"]]
+
+
+def test_every_source_file_parses_as_python_3_10():
+    """Best effort for the oldest supported Python: this checks grammar only
+    (`ast.parse`'s feature_version), not which stdlib APIs a file calls."""
+    tops = ("src", "tests", "scale", "demos", "perfbench")
+    files = sorted(path for top in tops for path in (ROOT / top).rglob("*.py"))
+    assert files
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

@@ -627,6 +627,14 @@ def test_should_stop_window_frac_outside_half_open_unit_interval_raises(window_f
     assert should_stop(points, window_frac=1.0) == (False, 8)
 
 
+@pytest.mark.parametrize("delta_frac", [-0.5, float("nan")])
+def test_should_stop_negative_or_nan_delta_frac_raises(delta_frac):
+    points = [(i, 10.0) for i in range(1, 9)]  # flat: any legal delta stops
+    with pytest.raises(ValueError, match=f"delta_frac must be non-negative, got {delta_frac}"):
+        should_stop(points, delta_frac=delta_frac)
+    assert should_stop(points, delta_frac=0.0) == (True, 1)
+
+
 def test_should_stop_empty_curve():
     with pytest.raises(ValueError):
         should_stop([])
