@@ -208,15 +208,19 @@ def learn_bpe(corpora: Sequence[Iterable[str]], num_merges: int) -> MergeTable:
     return MergeTable(rules)
 
 
+def _check_word(word: str) -> None:
+    if not word:
+        raise ValueError("word must be non-empty")
+    if any(c.isspace() for c in word):
+        raise ValueError(f"word {word!r} contains whitespace")
+
+
 def apply_bpe(table: MergeTable, word: str) -> list[str]:
     """Segment one word with learned merges, rendered with "@@" markers."""
     cached = table._words.get(word)
     if cached is not None:
         return list(cached)
-    if not word:
-        raise ValueError("word must be non-empty")
-    if any(c.isspace() for c in word):
-        raise ValueError(f"word {word!r} contains whitespace")
+    _check_word(word)
     symbols = list(word) + [END_OF_WORD]
     ranks = table._ranks
     while len(symbols) > 1:
@@ -228,10 +232,9 @@ def apply_bpe(table: MergeTable, word: str) -> list[str]:
         if best is None:
             break
         symbols = _merge_word(symbols, *best[1])
-    if symbols[-1] == END_OF_WORD:
-        symbols = symbols[:-1]
-    elif symbols[-1].endswith(END_OF_WORD):
-        symbols = symbols[:-1] + [symbols[-1][: -len(END_OF_WORD)]]
+    last = symbols.pop()[: -len(END_OF_WORD)]  # merges join neighbours, so the last symbol ends with the marker
+    if last:
+        symbols.append(last)
     tokens = [s + "@@" for s in symbols[:-1]] + [symbols[-1]]
     if len(table._words) < _WORD_CACHE_SIZE:
         table._words[word] = tuple(tokens)
@@ -248,10 +251,7 @@ def segment_sentence(table: MergeTable, sentence: str) -> list[str]:
 
 def enumerate_substrings(word: str) -> set[str]:
     """All length >= 2 substrings of the word decorated with ^ and $ markers."""
-    if not word:
-        raise ValueError("word must be non-empty")
-    if any(c.isspace() for c in word):
-        raise ValueError(f"word {word!r} contains whitespace")
+    _check_word(word)
     decorated = "^" + word + "$"
     n = len(decorated)
     return {decorated[i:j] for i in range(n) for j in range(i + 2, n + 1)}

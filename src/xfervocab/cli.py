@@ -491,12 +491,10 @@ def _cmd_corpus(args):
                 raise XfervocabError("--max-subwords needs --vocab")
             if args.vocab and args.max_subwords is None:
                 raise XfervocabError("--vocab needs --max-subwords")
-            out, report = filter_by_word_length(corpus, args.min_words, args.max_words)
+            out, _ = filter_by_word_length(corpus, args.min_words, args.max_words)
             if args.max_subwords is not None:
-                vocab = Vocabulary.load(args.vocab)
-                out, sub_report = filter_by_subword_length(out, vocab, args.max_subwords)
-                report = FilterReport.from_counts(sub_report.kept, report.dropped + sub_report.dropped)
-            _report(args.report, report.to_tsv())
+                out, _ = filter_by_subword_length(out, Vocabulary.load(args.vocab), args.max_subwords)
+            _report(args.report, FilterReport.from_counts(len(out), len(corpus) - len(out)).to_tsv())
         elif args.corpus_command == "pseudo":
             out = make_pseudo_related(corpus, args.keep_percent, args.seed)
         elif args.corpus_command == "corrupt":

@@ -1,8 +1,9 @@
 """Parallel corpus loading, filtering, sampling, mixing, and corruption.
 
 All operations are pure: they return new corpora and never mutate their
-inputs.  Every filter keeps surviving pairs in their original order, and
-every seeded operation is bit-reproducible for equal (input, seed).
+inputs.  Both filters apply one per-sentence test to both sides through
+one path (`_filtered`), keeping surviving pairs in their original order,
+and every seeded operation is bit-reproducible for equal (input, seed).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import random
 import re
 from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import AlignmentError, CorpusFormatError, SampleSizeError, check_seed
 from .textio import read_lines, render_tsv, write_lines, write_text
@@ -104,8 +105,10 @@ def write_parallel_tsv(corpus: ParallelCorpus, path: str | Path) -> None:
     write_text(path, render_tsv(corpus))
 
 
-def _word_count(sentence: str) -> int:
-    return len(sentence.split())
+def _filtered(corpus: ParallelCorpus, keep: Callable[[str], bool]) -> tuple[ParallelCorpus, FilterReport]:
+    """Keep, in order, the pairs whose source and then target pass keep."""
+    kept = [(src, tgt) for src, tgt in corpus if keep(src) and keep(tgt)]
+    return ParallelCorpus.from_pairs(kept), FilterReport.from_counts(len(kept), len(corpus) - len(kept))
 
 
 def filter_by_word_length(
@@ -117,13 +120,7 @@ def filter_by_word_length(
         raise ValueError(f"max_words must be a number, got {max_words}")
     if min_words > max_words:
         raise ValueError("min_words must not exceed max_words")
-    kept = [
-        (src, tgt)
-        for src, tgt in corpus
-        if min_words < _word_count(src) <= max_words and min_words < _word_count(tgt) <= max_words
-    ]
-    report = FilterReport.from_counts(len(kept), len(corpus) - len(kept))
-    return ParallelCorpus.from_pairs(kept), report
+    return _filtered(corpus, lambda sentence: min_words < len(sentence.split()) <= max_words)
 
 
 def filter_by_subword_length(
@@ -132,14 +129,7 @@ def filter_by_subword_length(
     """Keep pairs segmenting to at most max_tokens wordpieces on both sides."""
     if max_tokens < 0:
         raise ValueError(f"max_tokens must be non-negative, got {max_tokens}")
-    kept = [
-        (src, tgt)
-        for src, tgt in corpus
-        if len(apply_wordpiece(vocab, src)) <= max_tokens
-        and len(apply_wordpiece(vocab, tgt)) <= max_tokens
-    ]
-    report = FilterReport.from_counts(len(kept), len(corpus) - len(kept))
-    return ParallelCorpus.from_pairs(kept), report
+    return _filtered(corpus, lambda sentence: len(apply_wordpiece(vocab, sentence)) <= max_tokens)
 
 
 def sample_equal(a: ParallelCorpus, b: ParallelCorpus, per_side: int, seed: int) -> ParallelCorpus:
@@ -192,14 +182,10 @@ def _sample_derangement(letters: list[str], rng: random.Random) -> dict[str, str
             return dict(zip(letters, shuffled))
 
 
-def _cipher_char(ch: str, mapping: dict[str, str]) -> str:
+def _cipher_key(ch: str) -> str:
+    """The cipher's key for a letter: its lowercase form, when that is one character."""
     low = ch.lower()
-    if len(low) != 1:
-        low = ch
-    mapped = mapping.get(low)
-    if mapped is None:
-        return ch
-    return mapped.upper() if ch.isupper() else mapped
+    return low if len(low) == 1 else ch
 
 
 def make_pseudo_related(corpus: ParallelCorpus, keep_percent: float, seed: int) -> ParallelCorpus:
@@ -222,9 +208,9 @@ def make_pseudo_related(corpus: ParallelCorpus, keep_percent: float, seed: int) 
         sorted({word for sentence in side for word in sentence.split()}) for side in (corpus.sources, corpus.targets)
     )
     chars = set("".join(src_types)).union("".join(tgt_types))
-    letters = {ch if len(ch.lower()) != 1 else ch.lower() for ch in chars if ch.isalpha()}
-    mapping = _sample_derangement(sorted(letters), rng) if letters else {}
-    cipher = str.maketrans({ch: _cipher_char(ch, mapping) for ch in chars if ch.isalpha()})
+    keys = {ch: _cipher_key(ch) for ch in chars if ch.isalpha()}
+    mapping = _sample_derangement(sorted(set(keys.values())), rng) if keys else {}
+    cipher = str.maketrans({ch: mapping[key].upper() if ch.isupper() else mapping[key] for ch, key in keys.items()})
 
     def rendering(side_types: list[str]) -> dict[str, str]:
         """Each word type of a side -> itself if kept, else its ciphered form."""

@@ -25,34 +25,46 @@ class LearningCurve:
     points: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        steps = [step for step, _ in self.points]
-        if any(b <= a for a, b in zip(steps, steps[1:])):
-            raise ValueError("learning curve steps must be strictly increasing")
+        problem = _first_bad_point(self.points)
+        if problem is not None:
+            raise ValueError(problem[1])
 
     def __len__(self) -> int:
         return len(self.points)
 
     @classmethod
     def from_tsv(cls, path: str | Path) -> "LearningCurve":
+        lines = read_lines(path)
+        first = 2 if lines and lines[0].partition("\t")[0] == "step" else 1  # only line 1 may be a header
         points = []
-        for i, line in enumerate(read_lines(path), start=1):
+        for i, line in enumerate(lines[first - 1 :], start=first):
             step, _, score = line.partition("\t")
-            if step == "step":  # header
-                continue
             try:
-                point = (int(step), float(score))
+                points.append((int(step), float(score)))
             except ValueError:
                 raise CorpusFormatError(f"{path}: line {i}: expected step<TAB>score") from None
-            if points and point[0] <= points[-1][0]:
-                raise CorpusFormatError(
-                    f"{path}: line {i}: step {point[0]} does not follow step {points[-1][0]};"
-                    " learning curve steps must be strictly increasing"
-                )
-            points.append(point)
-        return cls(tuple(points))
+        try:
+            return cls(tuple(points))
+        except ValueError:  # only validation raises; find the line again
+            index, message = _first_bad_point(points)
+            raise CorpusFormatError(f"{path}: line {index + first}: {message}") from None
 
     def to_tsv(self) -> str:
         return render_tsv([("step", "score"), *self.points])
+
+
+def _first_bad_point(points: Sequence[tuple[int, float]]) -> tuple[int, str] | None:
+    """The index of the first point whose score is NaN (no comparison with it
+    holds) or whose step does not follow the step before it, and what is
+    wrong with it; None when every point is valid.  Infinite scores are legal."""
+    for i, (step, score) in enumerate(points):
+        if math.isnan(score):
+            return i, f"score at step {step} is not a number"
+        if i and step <= points[i - 1][0]:
+            return i, (
+                f"step {step} does not follow step {points[i - 1][0]}; learning curve steps must be strictly increasing"
+            )
+    return None
 
 
 def should_stop(
@@ -69,7 +81,7 @@ def should_stop(
     maximum.  relative_to selects the delta denominator: "global" (the
     maximum anywhere) or "prewindow" (the maximum before the window).
     """
-    points = list(curve.points if isinstance(curve, LearningCurve) else curve)
+    points = (curve if isinstance(curve, LearningCurve) else LearningCurve(tuple(curve))).points
     if not points:
         raise ValueError("cannot evaluate an empty learning curve")
     if relative_to not in RELATIVE_TO:

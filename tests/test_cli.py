@@ -233,6 +233,26 @@ def test_corpus_filter_with_report(texts, capsys):
     assert report == "kept\tdropped\tdropped_fraction\n1\t1\t0.5\n"
 
 
+def test_corpus_filter_word_then_subword_report(texts, capsys):
+    # Line 2 fails the word test; lines 3 and 5 pass it and fail only the subword test (source, then target).
+    write(texts / "fs.txt", ["the cat the cat", "one", "uno dos tres", "x y z", "the cat"])
+    write(texts / "ft.txt", ["a b c d", "x", "the cat", "the cat sat", "one two three"])
+    write(texts / "toy.vocab", [*"abcdefghijklmnopqrstuvwxyz", *"\\;0123456789", "_", "the_", "cat_"])
+    report_path = texts / "report.tsv"
+    code = main([
+        "corpus", "filter",
+        "--source", str(texts / "fs.txt"), "--target", str(texts / "ft.txt"),
+        "--min-words", "1", "--max-words", "4", "--vocab", str(texts / "toy.vocab"), "--max-subwords", "6",
+        "--out-source", str(texts / "ks.txt"), "--out-target", str(texts / "kt.txt"),
+        "--report", str(report_path),
+    ])
+    assert code == 0
+    assert (texts / "ks.txt").read_text(encoding="utf-8") == "the cat the cat\nx y z\n"
+    assert (texts / "kt.txt").read_text(encoding="utf-8") == "a b c d\nthe cat sat\n"
+    assert capsys.readouterr().out == "kept\tdropped\tdropped_fraction\n2\t3\t0.6\n"
+    assert report_path.read_bytes() == b"kept\tdropped\tdropped_fraction\n2\t3\t0.6\n"
+
+
 def test_corpus_sample_and_corrupt(texts):
     write(texts / "as.txt", [f"a{i} word" for i in range(20)])
     write(texts / "at.txt", [f"A{i} slovo" for i in range(20)])
@@ -466,6 +486,9 @@ def desk(tmp_path_factory):
     write(d / "sys_a.txt", [s.rsplit(" ", 1)[0] if i % 2 == 0 else s for i, s in enumerate(refs)])
     write(d / "sys_b.txt", [s.rsplit(" ", 1)[0] if i % 2 == 1 else s for i, s in enumerate(refs)])
     write(d / "curve.tsv", ["step\tscore", "1\t10", "2\t15", "3\t16", "4\t16.01", "5\t16.02"])
+    write(d / "nan_curve.tsv", ["1\tnan", "2\t11", "3\t12", "4\t12.01", "5\t12.0"])
+    write(d / "header3_curve.tsv", ["1\t10", "2\t15", "step\tscore", "3\t16", "4\t16.01", "5\t16.02"])
+    write(d / "order_curve.tsv", ["step\tscore", "1\t10", "3\t12", "2\t11"])
     write(d / "tsv.conf", [f"tsv = {d}/pair.tsv"])
     write(d / "range.conf", ["char_range = 0x0400"])
     write(d / "corpus.conf", [f"corpus = A{d}/lt.txt"])
@@ -822,6 +845,13 @@ def test_each_report_command_prints_the_bytes_of_its_report_file(desk, tmp_path,
          "delta_frac must be non-negative, got nan"),
         (["eval", "stop", "--curve", "{d}/curve.tsv", "--delta-frac", "-0.5", "--out", "{d}/e59.tsv"],
          "delta_frac must be non-negative, got -0.5"),
+        # A NaN score, a header below line 1, and steps out of order: each names the file and line.
+        (["eval", "stop", "--curve", "{d}/nan_curve.tsv", "--out", "{d}/e60.tsv"],
+         "{d}/nan_curve.tsv: line 1: score at step 1 is not a number"),
+        (["eval", "stop", "--curve", "{d}/header3_curve.tsv", "--out", "{d}/e61.tsv"],
+         "{d}/header3_curve.tsv: line 3: expected step<TAB>score"),
+        (["eval", "stop", "--curve", "{d}/order_curve.tsv", "--out", "{d}/e62.tsv"],
+         "{d}/order_curve.tsv: line 4: step 2 does not follow step 3; learning curve steps must be strictly increasing"),
     ],
 )
 def test_cli_error_paths_exit_1(desk, capsys, argv, message):

@@ -4,6 +4,7 @@ and the stopping criterion."""
 
 import math
 import random
+import re
 import string
 import tracemalloc
 import unicodedata
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import xfervocab.mteval as mteval
 from tests.conftest import LATIN, desk_sentences
+from xfervocab.errors import CorpusFormatError
 from xfervocab.mteval import (
     TOKENIZATIONS,
     LearningCurve,
@@ -638,6 +640,36 @@ def test_should_stop_negative_or_nan_delta_frac_raises(delta_frac):
 def test_should_stop_empty_curve():
     with pytest.raises(ValueError):
         should_stop([])
+
+
+def test_should_stop_raw_points_go_through_the_curve_checks():
+    with pytest.raises(ValueError, match="^step 1 does not follow step 5; learning curve steps must be strictly"):
+        should_stop([(5, 1.0), (1, 2.0), (3, 2.0), (2, 2.0), (4, 2.0)])
+    with pytest.raises(ValueError, match="^score at step 1 is not a number$"):
+        should_stop([(1, float("nan")), (2, 11.0), (3, 12.0), (4, 12.01), (5, 12.0)])
+
+
+def test_learning_curve_refuses_nan_and_keeps_infinite_scores():
+    with pytest.raises(ValueError, match="^score at step 2 is not a number$"):
+        LearningCurve(((1, 1.0), (2, float("nan"))))
+    curve = LearningCurve(((1, -math.inf), (2, 1.0), (3, math.inf)))
+    assert should_stop(curve) == (False, 3)
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["step\tscore", "1\t10", "2\tNaN"], "line 3: score at step 2 is not a number"),
+        # Every row parses before the points are checked, so a later bad row is named before an earlier bad step.
+        (["step\tscore", "2\t10", "1\t11", "x"], "line 4: expected step<TAB>score"),
+        (["step\tscore", "2\t10", "1\t11", "0\tnan"], "line 3: step 1 does not follow step 2"),
+    ],
+)
+def test_learning_curve_from_tsv_names_the_line(tmp_path, lines, message):
+    path = tmp_path / "curve.tsv"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(f'{path}: {message}')}"):
+        LearningCurve.from_tsv(path)
 
 
 def test_learning_curve_validation_and_tsv(tmp_path):
