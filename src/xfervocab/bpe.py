@@ -24,11 +24,12 @@ when its counts are final, so the order of the words does not matter.
 
 Application replays the merges by learned priority and renders continuation
 tokens with a trailing "@@".  Each table memoizes the tokens of the words it
-has segmented, up to a fixed number of words.
+has segmented in a least-recently-used cache of a fixed number of words.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -39,8 +40,8 @@ from .textio import read_model_lines, write_lines
 
 END_OF_WORD = "</w>"
 MERGE_FILE_HEADER = "#version: xfervocab-1"
-# Words whose tokens one MergeTable remembers; later new words are segmented
-# without being stored.
+# Words whose tokens one MergeTable remembers, the least recently used
+# forgotten first; read when the table is made.
 _WORD_CACHE_SIZE = 1 << 16
 
 
@@ -59,7 +60,7 @@ class MergeTable:
             raise ValueError(problem[1])
         self.rules = cleaned
         self._ranks = {rule: i for i, rule in enumerate(cleaned)}
-        self._words: dict[str, tuple[str, ...]] = {}
+        self._words = functools.lru_cache(maxsize=_WORD_CACHE_SIZE)(functools.partial(_segment_word, self._ranks))
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -217,12 +218,13 @@ def _check_word(word: str) -> None:
 
 def apply_bpe(table: MergeTable, word: str) -> list[str]:
     """Segment one word with learned merges, rendered with "@@" markers."""
-    cached = table._words.get(word)
-    if cached is not None:
-        return list(cached)
+    return list(table._words(word))
+
+
+def _segment_word(ranks: dict[MergeRule, int], word: str) -> tuple[str, ...]:
+    """The tokens of one word, which a table's memo keeps."""
     _check_word(word)
     symbols = list(word) + [END_OF_WORD]
-    ranks = table._ranks
     while len(symbols) > 1:
         best = None
         for pair in zip(symbols, symbols[1:]):
@@ -235,10 +237,7 @@ def apply_bpe(table: MergeTable, word: str) -> list[str]:
     last = symbols.pop()[: -len(END_OF_WORD)]  # merges join neighbours, so the last symbol ends with the marker
     if last:
         symbols.append(last)
-    tokens = [s + "@@" for s in symbols[:-1]] + [symbols[-1]]
-    if len(table._words) < _WORD_CACHE_SIZE:
-        table._words[word] = tuple(tokens)
-    return tokens
+    return (*[s + "@@" for s in symbols[:-1]], symbols[-1])
 
 
 def segment_sentence(table: MergeTable, sentence: str) -> list[str]:

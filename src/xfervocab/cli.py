@@ -74,7 +74,7 @@ from .diagnostics import (
     unicode_range_predicate,
     vocab_usage,
 )
-from .errors import XfervocabError
+from .errors import CorpusFormatError, XfervocabError
 from .evallite import RELATIVE_TO, SMOOTHINGS, TOKENIZATIONS, LearningCurve, should_stop, token_overlap_analysis
 from .textio import read_lines, render_tsv, write_lines, write_text
 from .wordpiece import MAX_TRAIN_SENTENCES, VARIANTS, Vocabulary, VocabSpec, apply_wordpiece
@@ -521,6 +521,8 @@ def _cmd_eval(args):
         ).to_tsv()
     elif args.eval_command == "stop":
         curve = LearningCurve.from_tsv(args.curve)
+        if not curve:  # an empty curve is a value, and round-trips through its TSV; it has no decision
+            raise CorpusFormatError(f"{args.curve}: no step<TAB>score rows")
         decision = should_stop(curve, args.window_frac, args.delta_frac, args.min_evals, args.relative_to)
         tsv = render_tsv([("stop", "best_step"), decision])
     else:

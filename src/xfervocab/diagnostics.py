@@ -1,28 +1,27 @@
 """Vocabulary and segmentation diagnostics over corpora.
 
 Read-only analytics: segmentation rate, vocabulary usage, per-language
-overlap breakdown, and the impact of subword-length filtering.
+overlap breakdown, and the impact of subword-length filtering.  The rate,
+usage and overlap reports count tokens over the corpus's table of distinct
+units, segmenting each unit once, not sentence by sentence.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .corpus import FilterReport, ParallelCorpus, filter_by_subword_length
 from .textio import render_tsv
-from .wordpiece import Vocabulary, apply_wordpiece
+from .wordpiece import Vocabulary, _count_units, _segmenter
 
 
 def segmentation_rate(vocab: Vocabulary, sentences: Iterable[str]) -> float:
     """Average wordpiece tokens per whitespace word over the corpus."""
-    tokens = 0
-    words = 0
-    for sentence in sentences:
-        tokens += len(apply_wordpiece(vocab, sentence))
-        words += len(sentence.split())
+    sentences = list(sentences)
+    tokens = sum(_token_counts(vocab, sentences).values())
+    words = sum(len(sentence.split()) for sentence in sentences)
     if words == 0:
         raise ValueError("cannot compute a segmentation rate over an empty corpus")
     return tokens / words
@@ -45,8 +44,27 @@ def unicode_range_predicate(ranges: Sequence[tuple[int, int]]) -> Callable[[str]
 
 def _token_counts(vocab: Vocabulary, sentences: Iterable[str]) -> Counter:
     """Each token's count in the corpus segmented under `vocab`: the one count
-    behind the usage, overlap and unused-parent reports."""
-    return Counter(chain.from_iterable(apply_wordpiece(vocab, sentence) for sentence in sentences))
+    behind the rate, usage, overlap and unused-parent reports.  A vocabulary
+    that cannot segment refuses any sentence, even an empty one, as
+    `apply_wordpiece` does."""
+    sentences = iter(sentences)
+    first = next(sentences, None)
+    if first is None:
+        return Counter()
+    return _unit_token_counts(vocab, _count_units([[first], sentences], None))
+
+
+def _unit_token_counts(vocab: Vocabulary, units: Mapping[str, int]) -> Counter:
+    """Each token's count over a unit table segmented under `vocab`: each
+    distinct unit is segmented once and its count added to each of its
+    tokens.  This is exact, because a unit's tokens never depend on its
+    neighbours."""
+    segment = _segmenter(vocab)
+    counts: Counter = Counter()
+    for unit, count in units.items():
+        for tok in segment(unit):
+            counts[tok] += count
+    return counts
 
 
 def vocab_usage(

@@ -10,6 +10,7 @@ international tokenization that pads punctuation not surrounded by digits.
 
 from __future__ import annotations
 
+import functools
 import unicodedata
 from array import array
 from collections import defaultdict
@@ -35,17 +36,27 @@ _PUNCT_NORMALIZATION = {
 _NORMALIZE = str.maketrans(_PUNCT_NORMALIZATION)
 _BLOCK_BYTES = 4 << 20  # the bootstrap's resample block; bounds memory, never changes a score
 _INT32_TOKENS = 2**31  # per-token positions are int32 below this many tokens, else int64; never changes a count
-_WORD_CACHE_SIZE = 1 << 16
-_WORD_TOKENS: dict[str, list[str]] = {}  # whitespace word -> its tokens, up to _WORD_CACHE_SIZE words
+_WORD_CACHE_SIZE = 1 << 16  # words `tokenize_intl` remembers, the least recently used forgotten first
 
 
-def _tokenize_word(word: str) -> list[str]:
+def _tokenize_word(word: str) -> tuple[str, ...]:
+    """The tokens of one whitespace word, normalized."""
+    word = word.translate(_NORMALIZE)
     out = []
     for i, ch in enumerate(word):
         category = unicodedata.category(ch)[0]
         between_digits = word[i - 1 : i].isdigit() and word[i + 1 : i + 2].isdigit()
         out.append(f" {ch} " if category == "S" or category == "P" and not between_digits else ch)
-    return "".join(out).split()
+    return tuple("".join(out).split())
+
+
+def _word_memo():
+    """A fresh memo of `_tokenize_word`, sized by _WORD_CACHE_SIZE as it is now."""
+    return functools.lru_cache(maxsize=_WORD_CACHE_SIZE)(_tokenize_word)
+
+
+# The memo `tokenize_intl` reads; each `_corpora_stats` call starts a fresh one.
+_WORD_TOKENS = _word_memo()
 
 
 def tokenize_intl(text: str) -> list[str]:
@@ -53,14 +64,10 @@ def tokenize_intl(text: str) -> list[str]:
     and symbols not sitting between digits with spaces, collapse whitespace.
     Padding never looks across whitespace, so each whitespace word is
     normalized and tokenized on its own, through a bounded memo."""
+    word_tokens = _WORD_TOKENS
     out: list[str] = []
     for word in text.split():
-        tokens = _WORD_TOKENS.get(word)
-        if tokens is None:
-            tokens = _tokenize_word(word.translate(_NORMALIZE))
-            if len(_WORD_TOKENS) < _WORD_CACHE_SIZE:
-                _WORD_TOKENS[word] = tokens
-        out += tokens
+        out += word_tokens(word)
     return out
 
 
@@ -133,6 +140,7 @@ def _corpora_stats(corpora: Sequence[Sequence[str]], references, n_max: int, tok
     array, streamed from the tokenizer with each row's length beside it.  An
     n-gram's id is the dense rank of (its (n-1)-gram id, its last token); a
     gram's clip count is its largest count in one reference of its sentence."""
+    global _WORD_TOKENS
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     refs = _normalize_references(references, len(corpora[0]))
@@ -142,6 +150,7 @@ def _corpora_stats(corpora: Sequence[Sequence[str]], references, n_max: int, tok
     ids: defaultdict[str, int] = defaultdict()
     ids.default_factory = ids.__len__  # a token's id is the number of distinct tokens before it
     tok, lengths = array("q"), array("q")
+    _WORD_TOKENS = _word_memo()
     for text in chain(chain.from_iterable(refs), chain.from_iterable(corpora)):
         tokens = _tokenize(text, tokenization)
         tok.extend(map(ids.__getitem__, tokens))

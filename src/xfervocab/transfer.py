@@ -21,11 +21,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .diagnostics import _token_counts
+from .diagnostics import _unit_token_counts
 from .errors import EmbeddingShapeError, check_seed
 from .textio import read_lines, render_tsv, write_text
-from .wordpiece import VARIANTS, Vocabulary, VocabSpec
-from .wordpiece_learner import learn_wordpiece
+from .wordpiece import MAX_TRAIN_SENTENCES, VARIANTS, Vocabulary, VocabSpec, _count_units
+from .wordpiece_learner import WordpieceLearner
 
 
 @dataclass(frozen=True)
@@ -217,14 +217,18 @@ def transform_vocab(
     """Learn a child vocabulary sized to the parent and remap parent slots.
 
     Also records which parent slots the child corpus uses under the parent
-    segmentation (`diagnostics._token_counts`), for the unused-parent report.
+    segmentation, for the unused-parent report.  The child corpus is
+    pretokenized once: the learner reads the unit table of its first
+    MAX_TRAIN_SENTENCES sentences, as `learn_wordpiece` does, and the usage
+    count reads that table plus the units of any sentences past the cap.
     """
-    sentences = [list(part) for part in child_corpus]
-    spec = VocabSpec(target_size=len(parent))
-    child = learn_wordpiece(sentences, spec)
+    sentences = chain.from_iterable(child_corpus)
+    units = _count_units([sentences], MAX_TRAIN_SENTENCES)
+    child = WordpieceLearner(units).learn(VocabSpec(target_size=len(parent)))
     mapping = map_vocabularies(parent, child, variant, seed)
 
-    counts = _token_counts(parent, chain.from_iterable(sentences))
+    units.update(_count_units([sentences], None))
+    counts = _unit_token_counts(parent, units)
     used = frozenset(e.slot for e in mapping.entries if counts[e.parent_token])
     mapping = VocabMapping(mapping.entries, used)
     out_tokens = mapping.output_tokens()

@@ -4,22 +4,32 @@ Segmentation follows the greedy longest-match scheme with a trailing
 underscore marking the end of every word-level unit.  `_runs` cuts a unit,
 for the matcher and the learner alike, into safe runs with one unsafe
 character ("\\" or the marker) between two of them, and puts the marker on
-the last run.  Each safe run is matched longest token first; a token that
-ends the last run without the marker takes it ("me" ends "budeme_" as
-"me_").  An unsafe character, and one no token matches, is escaped as a
-backslash, the decimal digits of its code point, and a semicolon, each its
-own token, so any Unicode text is representable.  The learner, which needs
-numpy, is in `wordpiece_learner`; its public names still import from here.
+the last run.  Each safe run is matched longest token first: from each
+position the match walks a table of every token prefix forward, stops at
+the first prefix that no token has, and takes the longest token it passed.
+A token that ends the last run without the marker takes it ("me" ends
+"budeme_" as "me_").  An unsafe character, and one no token starts, is
+escaped as a backslash, the decimal digits of its code point, and a
+semicolon, each its own token, so any Unicode text is representable.
+
+A unit's tokens never depend on its neighbours, so each vocabulary segments
+a unit through one memo (`_segmenter`), a least-recently-used cache of
+_UNIT_CACHE_SIZE units, and the reports count tokens over a table of
+distinct units rather than sentence by sentence.  The prefix table and the
+memo are made on a vocabulary's first segmentation.  The learner, which
+needs numpy, is in `wordpiece_learner`; its public names still import from
+here.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CorpusFormatError, EscapeDecodeError
 from .textio import read_model_lines, render_lines, write_text
@@ -43,7 +53,8 @@ MAX_TRAIN_SENTENCES = 20_000_000
 _UNSAFE_CHARS = "\\" + WORD_MARKER
 _UNSAFE_RE = re.compile("([" + re.escape(_UNSAFE_CHARS) + "])")
 
-# Units whose tokens one Vocabulary remembers; later new units are not stored.
+# Units whose tokens one Vocabulary remembers, the least recently used
+# forgotten first; read when the vocabulary first segments.
 _UNIT_CACHE_SIZE = 1 << 16
 
 _ESCAPE_RE = re.compile(r"\\(\d+);")
@@ -76,9 +87,21 @@ def _runs(unit: str) -> list[str]:
     return parts
 
 
-def _segment_unit(unit: str, index: dict[str, int], max_len: int) -> tuple[str, ...]:
+def _prefixes(tokens: Iterable[str]) -> dict[str, bool]:
+    """Every prefix of every token, mapped to whether it is a token itself."""
+    prefixes: dict[str, bool] = {}
+    for tok in tokens:
+        for k in range(1, len(tok)):
+            prefixes.setdefault(tok[:k], False)
+        prefixes[tok] = True
+    return prefixes
+
+
+def _segment_unit(prefixes: dict[str, bool], unit: str) -> tuple[str, ...]:
     """The tokens of one unit: each unsafe character escaped, each safe run
-    matched greedily, and a character no token matches escaped."""
+    matched greedily, and a character no token starts escaped.  From each
+    position the match walks `prefixes` forward, stops at the first prefix
+    no token has, and takes the longest token it passed."""
     parts = _runs(unit)
     last = len(parts) - 1
     out = []
@@ -87,18 +110,22 @@ def _segment_unit(unit: str, index: dict[str, int], max_len: int) -> tuple[str, 
             out += _escape_char(part)
             continue
         n = len(part)
-        fuse = p == last  # only the last run can end in a fused marker, one past max_len
+        fuse_at = n - 1 if p == last else -1  # a token ending just before the marker takes it
         i = 0
         while i < n:
-            for length in range(min(max_len + fuse, n - i), 0, -1):
-                cand = part[i : i + length]
-                if cand in index or (fuse and i + length == n and length > 1 and cand[:-1] in index):
-                    out.append(cand)
-                    i += length
+            end = i
+            for j in range(i + 1, n + 1):
+                is_token = prefixes.get(part[i:j])
+                if is_token is None:
                     break
-            else:
+                if is_token:
+                    end = n if j == fuse_at else j
+            if end == i:
                 out += _escape_char(part[i])
                 i += 1
+            else:
+                out.append(part[i:end])
+                i = end
     return tuple(out)
 
 
@@ -116,8 +143,8 @@ class Vocabulary:
         self._index = {tok: i for i, tok in enumerate(tokens)}
         self._max_len = max((len(t) for t in tokens), default=0)
         self.within_tolerance = within_tolerance
-        self._units: dict[str, tuple[str, ...]] = {}
-        # `apply_wordpiece` refuses a vocabulary that cannot escape every character.
+        self._units: Callable[[str], tuple[str, ...]] | None = None  # `_segmenter` makes it on first use
+        # `_segmenter` refuses a vocabulary that cannot escape every character.
         self._missing_escape = next((tok for tok in ESCAPE_TOKENS if tok not in self._index), None)
 
     @classmethod
@@ -224,18 +251,26 @@ class VocabSpec:
         return abs(size - self.target_size) <= self.tolerance * self.target_size
 
 
-def apply_wordpiece(vocab: Vocabulary, sentence: str) -> list[str]:
-    """Segment a sentence into wordpiece tokens under the given vocabulary."""
+def _segmenter(vocab: Vocabulary) -> Callable[[str], tuple[str, ...]]:
+    """The vocabulary's memoised unit -> tokens function, the one per-unit
+    path of segmentation and the reports.  Its prefix table and memo are made
+    on first use, since most vocabularies a learner or a size search builds
+    never segment.  A vocabulary that cannot escape every character is refused."""
     if vocab._missing_escape is not None:
         raise ValueError(f"vocabulary lacks escape token {vocab._missing_escape!r}; cannot segment arbitrary text")
-    out = []
+    if vocab._units is None:
+        vocab._units = functools.lru_cache(maxsize=_UNIT_CACHE_SIZE)(
+            functools.partial(_segment_unit, _prefixes(vocab._tokens))
+        )
+    return vocab._units
+
+
+def apply_wordpiece(vocab: Vocabulary, sentence: str) -> list[str]:
+    """Segment a sentence into wordpiece tokens under the given vocabulary."""
+    segment = _segmenter(vocab)
+    out: list[str] = []
     for unit in pretokenize(sentence):
-        tokens = vocab._units.get(unit)
-        if tokens is None:
-            tokens = _segment_unit(unit, vocab._index, vocab._max_len)
-            if len(vocab._units) < _UNIT_CACHE_SIZE:
-                vocab._units[unit] = tokens
-        out.extend(tokens)
+        out += segment(unit)
     return out
 
 
@@ -272,9 +307,10 @@ def _decode_escapes(text: str) -> str:
         pos = m.end()
 
 
-def _count_units(corpora: Iterable[Iterable[str]], max_sentences: int) -> Counter:
-    """Frequency of word-level units over the first max_sentences sentences."""
-    if max_sentences < 0:
+def _count_units(corpora: Iterable[Iterable[str]], max_sentences: int | None) -> Counter:
+    """Frequency of word-level units over the first max_sentences sentences
+    (every sentence when None)."""
+    if max_sentences is not None and max_sentences < 0:
         raise ValueError(f"max_train_sentences must be non-negative, got {max_sentences}")
     sentences = itertools.islice(itertools.chain.from_iterable(corpora), max_sentences)
     return Counter(itertools.chain.from_iterable(map(pretokenize, sentences)))

@@ -191,7 +191,7 @@ def test_word_cache_stops_at_its_bound(monkeypatch):
     table = learn_bpe([["abc abd bcd cd"]], 6)
     words = ["abc", "abd", "bcd", "cd", "abcd"]
     first = [apply_bpe(table, w) for w in words]
-    assert len(table._words) == 2
+    assert table._words.cache_info().currsize == 2
     assert [apply_bpe(table, w) for w in words] == first
 
 

@@ -489,6 +489,8 @@ def desk(tmp_path_factory):
     write(d / "nan_curve.tsv", ["1\tnan", "2\t11", "3\t12", "4\t12.01", "5\t12.0"])
     write(d / "header3_curve.tsv", ["1\t10", "2\t15", "step\tscore", "3\t16", "4\t16.01", "5\t16.02"])
     write(d / "order_curve.tsv", ["step\tscore", "1\t10", "3\t12", "2\t11"])
+    write(d / "empty_curve.tsv", [])
+    write(d / "header_curve.tsv", ["step\tscore"])
     write(d / "tsv.conf", [f"tsv = {d}/pair.tsv"])
     write(d / "range.conf", ["char_range = 0x0400"])
     write(d / "corpus.conf", [f"corpus = A{d}/lt.txt"])
@@ -671,7 +673,8 @@ def test_every_command_shape_ignores_the_tuning_constants(run_all_shapes, seed1_
     """A block or memo size bounds memory and time, never a byte: every shape
     prints and writes the same with each one shrunk.  Each run is a fresh
     process, because the tokenizer's memo is module-global."""
-    shrunk = run_all_shapes(SHRUNK_CONSTANTS + ALL_SHAPES_SCRIPT + "assert not mteval._WORD_TOKENS\n", "1")
+    memo_unused = "assert mteval._WORD_TOKENS.cache_info().maxsize == 0\n"
+    shrunk = run_all_shapes(SHRUNK_CONSTANTS + ALL_SHAPES_SCRIPT + memo_unused, "1")
     assert shrunk == seed1_shapes
 
 
@@ -852,6 +855,10 @@ def test_each_report_command_prints_the_bytes_of_its_report_file(desk, tmp_path,
          "{d}/header3_curve.tsv: line 3: expected step<TAB>score"),
         (["eval", "stop", "--curve", "{d}/order_curve.tsv", "--out", "{d}/e62.tsv"],
          "{d}/order_curve.tsv: line 4: step 2 does not follow step 3; learning curve steps must be strictly increasing"),
+        (["eval", "stop", "--curve", "{d}/empty_curve.tsv", "--out", "{d}/e63.tsv"],
+         "{d}/empty_curve.tsv: no step<TAB>score rows"),
+        (["eval", "stop", "--curve", "{d}/header_curve.tsv", "--out", "{d}/e64.tsv"],
+         "{d}/header_curve.tsv: no step<TAB>score rows"),
     ],
 )
 def test_cli_error_paths_exit_1(desk, capsys, argv, message):

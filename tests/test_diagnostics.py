@@ -2,20 +2,25 @@
 done by hand or by an independent per-token construction."""
 
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import xfervocab.transfer as transfer
 from xfervocab.corpus import ParallelCorpus
 from xfervocab.diagnostics import (
+    _token_counts,
     length_filter_impact,
     overlap_breakdown,
     segmentation_rate,
     unicode_range_predicate,
     vocab_usage,
 )
-from xfervocab.transfer import emit_transfer_bundle, transform_vocab
-from xfervocab.wordpiece import Vocabulary, apply_wordpiece
+from xfervocab.transfer import emit_transfer_bundle, map_vocabularies, transform_vocab
+from xfervocab.wordpiece import ESCAPE_TOKENS, Vocabulary, VocabSpec, apply_wordpiece, learn_wordpiece
 
 SENTENCE = "O víkendu budeme doma."
 
@@ -203,3 +208,80 @@ def test_filter_impact_all_short():
     vocab = Vocabulary.with_ascii_fallback([])
     corpus = ParallelCorpus.from_pairs([("a b", "c d")])
     assert length_filter_impact(vocab, corpus, 100).dropped_fraction == 0.0
+
+
+def oracle_token_counts(vocab, sentences):
+    """The per-sentence count the unit-table count replaced."""
+    return Counter(chain.from_iterable(apply_wordpiece(vocab, sentence) for sentence in sentences))
+
+
+def oracle_rate(vocab, sentences):
+    tokens = sum(len(apply_wordpiece(vocab, sentence)) for sentence in sentences)
+    words = sum(len(sentence.split()) for sentence in sentences)
+    return tokens / words if words else None
+
+
+REPORT_ALPHABET = st.one_of(st.sampled_from("ab_\\\t 19.é"), st.characters(exclude_categories=("Cs",)))
+report_vocabs = st.lists(st.text(st.sampled_from("ab19.é_"), min_size=1, max_size=4), max_size=12).map(
+    lambda pieces: Vocabulary(list(dict.fromkeys([*ESCAPE_TOKENS, *(p for p in pieces if "_" not in p[:-1])])))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vocab=report_vocabs, sentences=st.lists(st.text(REPORT_ALPHABET, max_size=30), max_size=8))
+def test_unit_table_counts_equal_the_per_sentence_counts(vocab, sentences):
+    expected = oracle_token_counts(vocab, sentences)
+    assert _token_counts(vocab, sentences) == expected
+    assert _token_counts(vocab, iter(sentences)) == expected
+    rate = oracle_rate(vocab, sentences)
+    if rate is None:
+        with pytest.raises(ValueError, match="empty corpus"):
+            segmentation_rate(vocab, sentences)
+    else:
+        assert segmentation_rate(vocab, iter(sentences)) == rate
+
+
+NO_ESCAPES = Vocabulary([f"t{i}_" for i in range(40)])
+
+
+@pytest.mark.filterwarnings("ignore:vocabulary size")
+@pytest.mark.parametrize("sentences", [[""], ["a b"], ["", "a b"]])
+def test_reports_refuse_a_vocabulary_without_escape_tokens_once_a_sentence_is_read(sentences):
+    refusal = "vocabulary lacks escape token"
+    with pytest.raises(ValueError, match=refusal):
+        segmentation_rate(NO_ESCAPES, sentences)
+    with pytest.raises(ValueError, match=refusal):
+        vocab_usage(NO_ESCAPES, sentences)
+    with pytest.raises(ValueError, match=refusal):
+        overlap_breakdown(NO_ESCAPES, {"A": [], "B": sentences})
+    if any(sentences):  # the learner refuses a corpus without a unit first
+        with pytest.raises(ValueError, match=refusal):
+            transform_vocab(NO_ESCAPES, [sentences])
+
+
+def test_reports_over_no_sentence_do_not_segment():
+    with pytest.raises(ValueError, match="empty corpus"):
+        segmentation_rate(NO_ESCAPES, [])
+    assert vocab_usage(NO_ESCAPES, []) == 0.0
+    assert vocab_usage(NO_ESCAPES, [""], lambda tok: False) == 0.0
+    assert overlap_breakdown(NO_ESCAPES, {"A": [], "B": []}, min_count=1).never_observed == len(NO_ESCAPES)
+
+
+@pytest.mark.filterwarnings("ignore:vocabulary size")
+def test_transform_learns_from_the_capped_sentences_and_counts_usage_over_all(monkeypatch, latin_corpus):
+    cap = 40
+    monkeypatch.setattr(transfer, "MAX_TRAIN_SENTENCES", cap)
+    parent = learn_wordpiece([latin_corpus[:200]], VocabSpec(target_size=120))
+    # Past the cap, the child corpus holds words that only the usage count sees.
+    parts = [latin_corpus[200:200 + 30], latin_corpus[230:230 + 20] + ["xyzzy qwv", "zzz"] * 5]
+    vocab, mapping = transform_vocab(parent, parts, "frequency")
+
+    child = learn_wordpiece(parts, VocabSpec(target_size=len(parent)), max_train_sentences=cap)
+    expected = map_vocabularies(parent, child, "frequency")
+    assert mapping.entries == expected.entries
+    assert vocab.tokens == expected.output_tokens()
+    counts = oracle_token_counts(parent, chain.from_iterable(parts))
+    assert mapping.used_parent_slots == frozenset(e.slot for e in mapping.entries if counts[e.parent_token])
+    # The sentences past the cap do use slots that the capped corpus alone does not.
+    capped = oracle_token_counts(parent, list(chain.from_iterable(parts))[:cap])
+    assert {e.slot for e in mapping.entries if capped[e.parent_token]} < mapping.used_parent_slots

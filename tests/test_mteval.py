@@ -195,14 +195,23 @@ def test_tokenize_intl_matches_per_character_oracle(text):
 
 
 def test_tokenize_intl_memo_is_bounded(monkeypatch):
-    monkeypatch.setattr(mteval, "_WORD_TOKENS", {})
+    monkeypatch.setattr(mteval, "_WORD_TOKENS", mteval._word_memo())
     bound = mteval._WORD_CACHE_SIZE
     assert bound == 1 << 16
     words = [f"w{i}," for i in range(bound + 100)]
     assert tokenize_intl(" ".join(words)) == [t for w in words for t in (w[:-1], ",")]
-    assert len(mteval._WORD_TOKENS) == bound
-    assert tokenize_intl(f"{words[-1]} x") == [words[-1][:-1], ",", "x"]  # past the bound: still right, not stored
-    assert len(mteval._WORD_TOKENS) == bound
+    assert mteval._WORD_TOKENS.cache_info().currsize == bound
+    assert tokenize_intl(f"{words[0]} {words[-1]}") == [words[0][:-1], ",", words[-1][:-1], ","]
+    info = mteval._WORD_TOKENS.cache_info()
+    assert (info.hits, info.currsize) == (1, bound)  # the last word is remembered, the first was forgotten
+
+
+def test_each_scoring_call_starts_a_fresh_tokenizer_memo():
+    bleu(["a b c"], ["a b d"])
+    first = mteval._WORD_TOKENS
+    bleu(["x y"], ["x y"])
+    assert mteval._WORD_TOKENS is not first
+    assert mteval._WORD_TOKENS.cache_info().currsize == 2
 
 
 def test_bleu_signature_records_settings():

@@ -195,6 +195,12 @@ segment_vocabs = st.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(vocab=segment_vocabs, text=st.text(SEGMENT_ALPHABET, max_size=30))
+# A fused marker: "ab" takes the marker although "ab_" is no token, and the walk passes "ab" on to "abc".
+@example(vocab=Vocabulary([*ESCAPE_TOKENS, "ab", "abc"]), text="ab abc abd")
+# Runs longer than the longest token.
+@example(vocab=Vocabulary([*ESCAPE_TOKENS, "ab", "b_"]), text="abababab ab_ab")
+# A script that no token starts.
+@example(vocab=Vocabulary([*ESCAPE_TOKENS, "ab", "b_"]), text="ψυχή ab")
 def test_apply_matches_greedy_oracle_and_roundtrips(vocab, text):
     assert apply_wordpiece(vocab, text) == oracle_apply(vocab, text)
     single_spaced = re.sub(" +", " ", text)
@@ -313,9 +319,27 @@ def test_unit_cache_stops_growing_at_its_bound(monkeypatch):
     units = ["".join(random.Random(i).choices("ab", k=6)) for i in range(40)]
     for unit in units:
         assert apply_wordpiece(vocab, unit) == oracle_apply(vocab, unit)
-    assert len(vocab._units) == 5
+    assert vocab._units.cache_info().currsize == 5
     assert apply_wordpiece(vocab, " ".join(units)) == oracle_apply(vocab, " ".join(units))
-    assert len(vocab._units) == 5
+    assert vocab._units.cache_info().currsize == 5
+
+
+def test_unit_cache_keeps_the_most_recent_units(monkeypatch):
+    monkeypatch.setattr(wordpiece, "_UNIT_CACHE_SIZE", 5)
+    vocab = Vocabulary.with_ascii_fallback(["ab", "ba_"])
+    units = list(dict.fromkeys("".join(random.Random(i).choices("ab", k=8)) for i in range(60)))
+    assert len(units) > 10
+    for unit in units:
+        assert apply_wordpiece(vocab, unit) == oracle_apply(vocab, unit)
+    before = vocab._units.cache_info()
+    recent = " ".join(units[-5:])
+    assert apply_wordpiece(vocab, recent) == oracle_apply(vocab, recent)
+    after = vocab._units.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (5, 0)
+    # The first units were forgotten; segmented again, they are still right.
+    early = " ".join(units[:5])
+    assert apply_wordpiece(vocab, early) == oracle_apply(vocab, early)
+    assert vocab._units.cache_info().misses - after.misses == 5
 
 
 def test_vocabulary_validation():
