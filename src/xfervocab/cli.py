@@ -21,11 +21,16 @@ A report command (`diag`, `eval`, `corpus filter` and corpus-mode
 writes (`_report`).  learn-bpe, learn-wp, transform-vocab, balanced-vocab
 and file-mode merge-vocab print one status line; the rest print nothing.
 
-The handlers of learn-wp, transform-vocab, merge-vocab, balanced-vocab,
-eval bleu and eval bootstrap load the numpy modules they call on first use
-(`_load`); no other command imports numpy.  A `--config` key sets its
-flag's default where the flag exists; a key that no command has exits 1
-naming the file and line.
+Each handler loads the library modules it calls (`_load`), so a step
+imports only those; only those that compute with numpy import it (learn-wp,
+transform-vocab, merge-vocab, balanced-vocab, eval bleu and eval bootstrap).
+Likewise `main` declares only the arguments of the command argv names
+(`_invoked`), each command importing the constants its flags read.  Help
+above a command, `--config` and a name no command has get every command's
+parser, and a one-command parser's usage names every command, so what
+argparse prints is the same either way.  A `--config` key sets its flag's
+default where the flag exists; a key that no command has exits 1 naming the
+file and line.
 
 Exit codes: 0 success, 1 operation error, 2 usage error.
 
@@ -46,46 +51,20 @@ import hashlib
 import importlib
 import json
 import sys
-from dataclasses import astuple
 from pathlib import Path
 
 from . import _EXPORTS, __version__
-from .bpe import MergeTable, learn_bpe, segment_sentence
-from .corpus import (
-    CORRUPTION_MODES,
-    FilterReport,
-    ParallelCorpus,
-    corrupt_word_order,
-    filter_by_subword_length,
-    filter_by_word_length,
-    load_parallel,
-    load_parallel_tsv,
-    make_pseudo_related,
-    mix_with_oversample,
-    sample_equal,
-    subsample,
-    write_parallel,
-    write_parallel_tsv,
-)
-from .diagnostics import (
-    length_filter_impact,
-    overlap_breakdown,
-    segmentation_rate,
-    unicode_range_predicate,
-    vocab_usage,
-)
 from .errors import CorpusFormatError, XfervocabError
-from .evallite import RELATIVE_TO, SMOOTHINGS, TOKENIZATIONS, LearningCurve, should_stop, token_overlap_analysis
 from .textio import read_lines, render_tsv, write_lines, write_text
-from .wordpiece import MAX_TRAIN_SENTENCES, VARIANTS, Vocabulary, VocabSpec, apply_wordpiece
 
 
-def _load(module: str) -> None:
-    """Make the package's names from `module`, which imports numpy, globals
-    here as an import above would; a name already set (a wrapper, say) stays."""
-    library = importlib.import_module(f".{module}", __package__)
-    for name in _EXPORTS[module]:
-        globals().setdefault(name, getattr(library, name))
+def _load(*modules: str) -> None:
+    """Make the package's names from each of `modules` globals here, as an
+    import at the top would; a name already set (a tracer's wrapper, say) stays."""
+    for module in modules:
+        library = importlib.import_module(f".{module}", __package__)
+        for name in _EXPORTS[module]:
+            globals().setdefault(name, getattr(library, name))
 
 
 def _sha256(path: str | Path) -> str:
@@ -179,6 +158,7 @@ def _corpus_dests(*prefixes: str) -> list[str]:
 
 
 def _read_corpus(args, prefix="") -> ParallelCorpus:
+    _load("corpus")
     source, target, tsv = _corpus_dests(prefix)
     flag = f"--{prefix}-" if prefix else "--"
     if getattr(args, tsv):
@@ -196,38 +176,37 @@ def _corpus_out_args(parser):
     group.add_argument("--out-tsv", type=_Out, help="output two-column TSV instead")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="xfervocab",
-        description="Deterministic subword-vocabulary engineering and MT evaluation toolkit.",
-    )
-    parser.add_argument("--config", type=_In, help="key = value file providing flag defaults")
-    parser.add_argument("--manifest", help="run manifest path (default: first output + .manifest.json)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("learn-bpe", help="learn a BPE merge table")
+def _learn_bpe_args(p):
     p.add_argument("--input", type=_In, nargs="+", required=True, help="training text files")
     p.add_argument("--merges", type=int, required=True)
     p.add_argument("--out", type=_Out, required=True, help="merge table file")
 
-    p = sub.add_parser("apply-bpe", help="segment text with a merge table")
+
+def _apply_bpe_args(p):
     p.add_argument("--table", type=_In, required=True)
     p.add_argument("--input", type=_In, required=True)
     p.add_argument("--out", type=_Out, required=True)
 
-    p = sub.add_parser("learn-wp", help="learn a wordpiece vocabulary")
+
+def _learn_wp_args(p):
+    from .wordpiece import MAX_TRAIN_SENTENCES, VocabSpec
+
     p.add_argument("--input", type=_In, nargs="+", required=True, help="training text files")
     p.add_argument("--target-size", type=int, required=True)
     p.add_argument("--tolerance", type=float, default=VocabSpec.tolerance)
     p.add_argument("--max-train-sentences", type=int, default=MAX_TRAIN_SENTENCES)
     p.add_argument("--out", type=_Out, required=True, help="vocabulary file")
 
-    p = sub.add_parser("apply-wp", help="segment text with a wordpiece vocabulary")
+
+def _apply_wp_args(p):
     p.add_argument("--vocab", type=_In, required=True)
     p.add_argument("--input", type=_In, required=True)
     p.add_argument("--out", type=_Out, required=True)
 
-    p = sub.add_parser("transform-vocab", help="rewrite parent slots with child subwords")
+
+def _transform_vocab_args(p):
+    from .wordpiece import VARIANTS
+
     p.add_argument("--parent-vocab", type=_In, required=True)
     p.add_argument("--child", type=_In, nargs="*", default=[], help="child corpus text files")
     p.add_argument("--child-vocab", type=_In, help="explicit child vocabulary instead of a corpus")
@@ -236,7 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", type=_In, help="parent embedding matrix (.tsv or binary)")
     p.add_argument("--out-dir", required=True)
 
-    p = sub.add_parser("merge-vocab", help="merged shared vocabulary")
+
+def _merge_vocab_args(p):
+    from .wordpiece import VocabSpec
+
     p.add_argument("--parent-vocab", type=_In, help="merge two existing vocabulary files")
     p.add_argument("--child-vocab", type=_In)
     _corpus_in_args(p, "parent")
@@ -246,7 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=_Out, required=True)
     p.add_argument("--report", type=_Out, help="build report TSV")
 
-    p = sub.add_parser("balanced-vocab", help="balanced shared vocabulary")
+
+def _balanced_vocab_args(p):
+    from .wordpiece import VocabSpec
+
     _corpus_in_args(p, "parent")
     _corpus_in_args(p, "child")
     p.add_argument("--target-size", type=int, required=True)
@@ -254,14 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", type=_Out, required=True)
 
-    diag = sub.add_parser("diag", help="vocabulary and corpus diagnostics").add_subparsers(
-        dest="diag_command", required=True
-    )
-    p = diag.add_parser("rate", help="segmentation rate")
+
+def _diag_rate_args(p):
     p.add_argument("--vocab", type=_In, required=True)
     p.add_argument("--input", type=_In, nargs="+", required=True)
     p.add_argument("--out", type=_Out, help="TSV output")
-    p = diag.add_parser("usage", help="fraction of vocabulary observed")
+
+
+def _diag_usage_args(p):
     p.add_argument("--vocab", type=_In, required=True)
     p.add_argument("--input", type=_In, nargs="+", required=True)
     p.add_argument(
@@ -272,23 +257,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict to tokens with a char in an inclusive range, e.g. 0x0400-0x04FF",
     )
     p.add_argument("--out", type=_Out, help="TSV output")
-    p = diag.add_parser("overlap", help="per-language vocabulary overlap breakdown")
+
+
+def _diag_overlap_args(p):
     p.add_argument("--vocab", type=_In, required=True)
     p.add_argument("--corpus", type=_lang_file, action="append", required=True, metavar="LANG=FILE")
     p.add_argument("--parent", action="append", default=[], help="parent-side language label")
     p.add_argument("--child", action="append", default=[], help="child-side language label")
     p.add_argument("--min-count", type=int, default=10)
     p.add_argument("--out", type=_Out, help="TSV output")
-    p = diag.add_parser("filter-impact", help="share of pairs dropped by a subword-length filter")
+
+
+def _diag_filter_impact_args(p):
     p.add_argument("--vocab", type=_In, required=True)
     _corpus_in_args(p)
     p.add_argument("--threshold", type=int, default=100)
     p.add_argument("--out", type=_Out, help="TSV output")
 
-    corpus = sub.add_parser("corpus", help="corpus operations").add_subparsers(
-        dest="corpus_command", required=True
-    )
-    p = corpus.add_parser("filter", help="length filters")
+
+def _corpus_filter_args(p):
     _corpus_in_args(p)
     _corpus_out_args(p)
     p.add_argument("--min-words", type=int, default=0)
@@ -296,7 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-subwords", type=int, help="also filter by wordpiece length")
     p.add_argument("--vocab", type=_In, help="vocabulary for --max-subwords")
     p.add_argument("--report", type=_Out, help="filter report TSV")
-    p = corpus.add_parser("sample", help="equal sample from two corpora, or downscale one")
+
+
+def _corpus_sample_args(p):
     _corpus_in_args(p, "a")
     _corpus_in_args(p, "b")
     _corpus_in_args(p)
@@ -304,34 +293,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-side", type=int, help="pairs drawn from each of --a-*/--b-*")
     p.add_argument("--size", type=int, help="downscale the --source/--target corpus to this many pairs")
     p.add_argument("--seed", type=int, required=True)
-    p = corpus.add_parser("mix", help="oversample authentic data into synthetic")
+
+
+def _corpus_mix_args(p):
     _corpus_in_args(p, "authentic")
     _corpus_in_args(p, "synthetic")
     _corpus_out_args(p)
     p.add_argument("--factor", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p = corpus.add_parser("pseudo", help="pseudo-related language via letter cipher")
+
+
+def _corpus_pseudo_args(p):
     _corpus_in_args(p)
     _corpus_out_args(p)
     p.add_argument("--keep-percent", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p = corpus.add_parser("corrupt", help="word order and pairing corruption")
+
+
+def _corpus_corrupt_args(p):
+    from .corpus import CORRUPTION_MODES
+
     _corpus_in_args(p)
     _corpus_out_args(p)
     p.add_argument("--mode", choices=CORRUPTION_MODES, required=True)
     p.add_argument("--seed", type=int, required=True)
 
-    ev = sub.add_parser("eval", help="MT evaluation statistics").add_subparsers(
-        dest="eval_command", required=True
-    )
-    p = ev.add_parser("bleu", help="corpus BLEU")
+
+def _eval_bleu_args(p):
+    from .evallite import SMOOTHINGS, TOKENIZATIONS
+
     p.add_argument("--candidates", type=_In, required=True)
     p.add_argument("--references", type=_In, required=True)
     p.add_argument("--n-max", type=int, default=4)
     p.add_argument("--smoothing", choices=SMOOTHINGS, default="exponential")
     p.add_argument("--tokenize", choices=TOKENIZATIONS, default="intl")
     p.add_argument("--out", type=_Out, help="TSV output")
-    p = ev.add_parser("bootstrap", help="paired bootstrap significance test")
+
+
+def _eval_bootstrap_args(p):
+    from .evallite import TOKENIZATIONS
+
     p.add_argument("--candidates-a", type=_In, required=True)
     p.add_argument("--candidates-b", type=_In, required=True)
     p.add_argument("--references", type=_In, required=True)
@@ -340,23 +341,112 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--tokenize", choices=TOKENIZATIONS, default="intl")
     p.add_argument("--out", type=_Out, help="TSV output")
-    p = ev.add_parser("stop", help="learning-curve stopping criterion")
+
+
+def _eval_stop_args(p):
+    from .evallite import RELATIVE_TO
+
     p.add_argument("--curve", type=_In, required=True, help="TSV with step<TAB>score rows")
     p.add_argument("--window-frac", type=float, default=0.5)
     p.add_argument("--delta-frac", type=float, default=0.005)
     p.add_argument("--min-evals", type=int, default=4)
     p.add_argument("--relative-to", choices=RELATIVE_TO, default="global")
     p.add_argument("--out", type=_Out, help="TSV output")
-    p = ev.add_parser("token-analysis", help="child output token overlap classes")
+
+
+def _eval_token_analysis_args(p):
     p.add_argument("--child", type=_In, required=True)
     p.add_argument("--baseline", type=_In, required=True)
     p.add_argument("--references", type=_In, required=True)
     p.add_argument("--out", type=_Out, help="TSV output")
 
+
+# Each command's help and the function that declares its arguments; a group
+# (`diag`, `corpus`, `eval`) maps its subcommands the same way.
+_COMMANDS = {
+    "learn-bpe": ("learn a BPE merge table", _learn_bpe_args),
+    "apply-bpe": ("segment text with a merge table", _apply_bpe_args),
+    "learn-wp": ("learn a wordpiece vocabulary", _learn_wp_args),
+    "apply-wp": ("segment text with a wordpiece vocabulary", _apply_wp_args),
+    "transform-vocab": ("rewrite parent slots with child subwords", _transform_vocab_args),
+    "merge-vocab": ("merged shared vocabulary", _merge_vocab_args),
+    "balanced-vocab": ("balanced shared vocabulary", _balanced_vocab_args),
+    "diag": ("vocabulary and corpus diagnostics", {
+        "rate": ("segmentation rate", _diag_rate_args),
+        "usage": ("fraction of vocabulary observed", _diag_usage_args),
+        "overlap": ("per-language vocabulary overlap breakdown", _diag_overlap_args),
+        "filter-impact": ("share of pairs dropped by a subword-length filter", _diag_filter_impact_args),
+    }),
+    "corpus": ("corpus operations", {
+        "filter": ("length filters", _corpus_filter_args),
+        "sample": ("equal sample from two corpora, or downscale one", _corpus_sample_args),
+        "mix": ("oversample authentic data into synthetic", _corpus_mix_args),
+        "pseudo": ("pseudo-related language via letter cipher", _corpus_pseudo_args),
+        "corrupt": ("word order and pairing corruption", _corpus_corrupt_args),
+    }),
+    "eval": ("MT evaluation statistics", {
+        "bleu": ("corpus BLEU", _eval_bleu_args),
+        "bootstrap": ("paired bootstrap significance test", _eval_bootstrap_args),
+        "stop": ("learning-curve stopping criterion", _eval_stop_args),
+        "token-analysis": ("child output token overlap classes", _eval_token_analysis_args),
+    }),
+}
+
+
+def build_parser(command: tuple[str, ...] | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with `command` (a path such as
+    `("diag", "rate")`) the parser of that command alone."""
+    parser = argparse.ArgumentParser(
+        prog="xfervocab",
+        description="Deterministic subword-vocabulary engineering and MT evaluation toolkit.",
+    )
+    parser.add_argument("--config", type=_In, help="key = value file providing flag defaults")
+    parser.add_argument("--manifest", help="run manifest path (default: first output + .manifest.json)")
+    _add_commands(parser, "command", _COMMANDS, command)
     return parser
 
 
+def _add_commands(parser, dest: str, commands: dict, path: tuple[str, ...] | None) -> None:
+    """Declare `commands` as `parser`'s subcommands: all of them, or only the
+    one `path` starts with.  A one-command tree spells every name in the
+    choices' metavar, because argparse prints this usage line with an error
+    it finds above the command (an argument the command leaves unread,
+    `--manifest` without a value), and it must read as the full tree's."""
+    metavar = None if path is None else "{" + ",".join(commands) + "}"
+    sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+    for name, (help, declare) in commands.items():
+        if path is None or path[0] == name:
+            p = sub.add_parser(name, help=help)
+            if isinstance(declare, dict):
+                _add_commands(p, f"{name}_command", declare, path and path[1:])
+            else:
+                declare(p)
+
+
+def _invoked(argv: list[str]) -> tuple[str, ...] | None:
+    """The command path `argv` names, when nothing but `--manifest` (or an
+    abbreviation of it) comes before the command; otherwise None, so that
+    help above a command, `--config` (whose keys may name any command's flag)
+    and a name no command has go through every command's parser."""
+    i = 0
+    while i < len(argv) and argv[i].startswith("-"):
+        option, eq, _ = argv[i].partition("=")
+        if len(option) < 3 or not "--manifest".startswith(option):
+            return None
+        i += 1 if eq else 2
+    commands, path = _COMMANDS, ()
+    for name in argv[i:]:
+        if name not in commands:
+            return None
+        path += (name,)
+        commands = commands[name][1]
+        if not isinstance(commands, dict):
+            return path
+    return None
+
+
 def _cmd_learn_bpe(args):
+    _load("bpe")
     corpora = [read_lines(path) for path in args.input]
     table = learn_bpe(corpora, args.merges)
     table.save(args.out)
@@ -364,13 +454,14 @@ def _cmd_learn_bpe(args):
 
 
 def _cmd_apply_bpe(args):
+    _load("bpe")
     table = MergeTable.load(args.table)
     lines = [" ".join(segment_sentence(table, line)) for line in read_lines(args.input)]
     write_lines(args.out, lines)
 
 
 def _cmd_learn_wp(args):
-    _load("wordpiece_learner")
+    _load("wordpiece", "wordpiece_learner")
     corpora = [read_lines(path) for path in args.input]
     vocab = learn_wordpiece(corpora, VocabSpec(args.target_size, args.tolerance), args.max_train_sentences)
     vocab.save(args.out)
@@ -378,13 +469,16 @@ def _cmd_learn_wp(args):
 
 
 def _cmd_apply_wp(args):
+    _load("wordpiece")
     vocab = Vocabulary.load(args.vocab)
     lines = [" ".join(apply_wordpiece(vocab, line)) for line in read_lines(args.input)]
     write_lines(args.out, lines)
 
 
 def _cmd_transform_vocab(args) -> list[Path]:
-    _load("transfer")
+    from dataclasses import astuple
+
+    _load("wordpiece", "transfer")
     parent = Vocabulary.load(args.parent_vocab)
     if args.child_vocab:
         _refuse(args, "--child-vocab", "child")
@@ -404,7 +498,7 @@ def _cmd_transform_vocab(args) -> list[Path]:
 
 
 def _cmd_merge_vocab(args):
-    _load("sharedvocab")
+    _load("wordpiece", "sharedvocab")
     if args.parent_vocab or args.child_vocab:
         if not (args.parent_vocab and args.child_vocab):
             raise XfervocabError("merging vocabulary files needs both --parent-vocab and --child-vocab")
@@ -443,6 +537,7 @@ def _report(path: str | None, tsv: str) -> None:
 
 
 def _cmd_diag(args):
+    _load("wordpiece", "diagnostics")
     vocab = Vocabulary.load(args.vocab)
     if args.diag_command == "rate":
         sentences = [s for path in args.input for s in read_lines(path)]
@@ -464,6 +559,7 @@ def _cmd_diag(args):
 
 
 def _cmd_corpus(args):
+    _load("corpus", "wordpiece")
     if args.out_tsv:
         _refuse(args, "--out-tsv", "out_source", "out_target")
     if not args.out_tsv and not (args.out_source and args.out_target):
@@ -506,8 +602,7 @@ def _cmd_corpus(args):
 
 
 def _cmd_eval(args):
-    if args.eval_command in ("bleu", "bootstrap"):
-        _load("mteval")
+    _load("mteval" if args.eval_command in ("bleu", "bootstrap") else "evallite")
     if args.eval_command == "bleu":
         candidates = read_lines(args.candidates)
         references = read_lines(args.references)
@@ -579,12 +674,13 @@ def _config_default(action: argparse.Action, value: str):
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-
-    probed, _ = parser.parse_known_args(argv)
+    command = _invoked(argv)
+    parser = build_parser(command)
     try:
-        if probed.config:
-            _apply_config(parser, probed.config)
+        if command is None:  # only then can a `--config` come before the command
+            config = parser.parse_known_args(argv)[0].config
+            if config:
+                _apply_config(parser, config)
         args = parser.parse_args(argv)
         values = list(vars(args).values())
         inputs = _digests(_named(values, _In))

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from tests.test_imports import run_python
-from xfervocab.cli import _apply_config, build_parser, main
+from xfervocab.cli import _In, _Out, _apply_config, _invoked, _named, build_parser, main
 from xfervocab.wordpiece import Vocabulary
 
 
@@ -609,8 +609,13 @@ def test_manifest_records_each_command_shape(desk, argv, inputs, outputs, seed, 
     assert manifest["argv"] == [arg.format(d=desk) for arg in argv]
 
 
-# Runs every shape in one process and prints its stdout, then the digest of
-# every file in the desk (inputs, outputs and manifests) as the last line.
+# Prints the digest of every file in the desk (inputs, outputs and manifests) as one line.
+PRINT_DESK_DIGESTS = """
+files = sorted(p for p in d.rglob("*") if p.is_file())
+print(json.dumps({str(p.relative_to(d)): hashlib.sha256(p.read_bytes()).hexdigest() for p in files}))
+"""
+
+# Runs every shape in one process and prints its stdout, then the desk's digests as the last line.
 ALL_SHAPES_SCRIPT = """
 import hashlib, json, sys
 from pathlib import Path
@@ -619,9 +624,19 @@ from xfervocab.cli import main
 d = Path(sys.argv[1])
 for case in MANIFEST_SHAPES:
     assert main([arg.format(d=d) for arg in case[1]]) == 0, case[0]
-files = sorted(p for p in d.rglob("*") if p.is_file())
-print(json.dumps({str(p.relative_to(d)): hashlib.sha256(p.read_bytes()).hexdigest() for p in files}))
-"""
+""" + PRINT_DESK_DIGESTS
+
+# The same, with each shape in its own `python -m xfervocab.cli` process, which writes to this one's stdout.
+FRESH_SHAPES_SCRIPT = """
+import hashlib, json, subprocess, sys
+from pathlib import Path
+from tests.test_cli import MANIFEST_SHAPES
+d = Path(sys.argv[1])
+for case in MANIFEST_SHAPES:
+    sys.stdout.flush()
+    argv = [arg.format(d=d) for arg in case[1]]
+    assert subprocess.run([sys.executable, "-m", "xfervocab.cli", *argv]).returncode == 0, case[0]
+""" + PRINT_DESK_DIGESTS
 
 
 @pytest.fixture(scope="module")
@@ -657,6 +672,12 @@ def test_every_command_shape_ignores_the_hash_seed(run_all_shapes, seed1_shapes)
     report or manifest may follow it."""
     assert len(json.loads(seed1_shapes.splitlines()[-1])) > len(MANIFEST_SHAPES)
     assert run_all_shapes(ALL_SHAPES_SCRIPT, "2") == seed1_shapes
+
+
+def test_every_command_shape_runs_alike_in_a_fresh_process(run_all_shapes, seed1_shapes):
+    """In one process a shape may call a module an earlier shape loaded; in its
+    own, each finds only what its handler loads, and prints and writes the same."""
+    assert run_all_shapes(FRESH_SHAPES_SCRIPT, "1") == seed1_shapes
 
 
 # Each tuning constant at its least legal value: one-row bootstrap blocks,
@@ -702,170 +723,209 @@ def test_each_report_command_prints_the_bytes_of_its_report_file(desk, tmp_path,
     assert out.encode("utf-8") == (d / report).read_bytes()
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["corpus", "pseudo", "--source", "{d}/lt.txt", "--keep-percent", "0", "--seed", "1",
-          "--out-tsv", "{d}/e1.tsv"], "missing corpus input: give --source/--target or --tsv"),
-        (["balanced-vocab", "--parent-tsv", "{d}/pair.tsv", "--child-target", "{d}/cy.txt",
-          "--target-size", "50", "--seed", "1", "--out", "{d}/e2.vocab"],
-         "missing corpus input: give --child-source/--child-target or --child-tsv"),
-        (["--config", "{d}/corpus.conf", "diag", "overlap", "--vocab", "{d}/toy.vocab", "--corpus", "en={d}/lt.txt",
-          "--out", "{d}/e0.tsv"], "--corpus expects LANG=FILE, got 'A{d}/lt.txt'"),
-        (["corpus", "filter", *CORPUS_LT, "--max-subwords", "5", "--out-tsv", "{d}/e3.tsv"],
-         "--max-subwords needs --vocab"),
-        (["merge-vocab", "--parent-tsv", "{d}/pair.tsv", "--child-tsv", "{d}/pair.tsv", "--out", "{d}/e4.vocab"],
-         "corpus mode needs --target-size"),
-        (["corpus", "sample", *CORPUS_LT, "--seed", "1", "--out-tsv", "{d}/e5.tsv"],
-         "give --per-side (two corpora) or --size (downscale one)"),
-        (["transform-vocab", "--parent-vocab", "{d}/parent.vocab", "--out-dir", "{d}/e6"],
-         "give --child corpus files or --child-vocab"),
-        (["eval", "stop", "--curve", "{d}/curve.tsv", "--window-frac", "0"], "window_frac must be in (0, 1]"),
-        (["eval", "bootstrap", "--candidates-a", "{d}/worse.txt", "--candidates-b", "{d}/refs.txt",
-          "--references", "{d}/refs.txt", "--samples", "50", "--seed", "4", "--alpha", "1"],
-         "alpha must be in (0, 1)"),
-        # A named input is always read: flags naming a file the command would skip.
-        (["corpus", "pseudo", "--tsv", "{d}/pair.tsv", *CORPUS_LT, "--keep-percent", "0", "--seed", "1",
-          "--out-tsv", "{d}/e7.tsv"], "--tsv cannot be combined with --source, --target"),
-        (["balanced-vocab", "--parent-tsv", "{d}/pair.tsv", "--parent-target", "{d}/cy.txt", "--child-tsv",
-          "{d}/pair.tsv", "--target-size", "50", "--seed", "1", "--out", "{d}/e8.vocab"],
-         "--parent-tsv cannot be combined with --parent-target"),
-        (["--config", "{d}/tsv.conf", "corpus", "corrupt", *CORPUS_LT, "--mode", "sort_target", "--seed", "1",
-          "--out-tsv", "{d}/e9.tsv"], "--tsv cannot be combined with --source, --target"),
-        (["transform-vocab", "--parent-vocab", "{d}/parent.vocab", "--child", "{d}/lt.txt", "--child-vocab",
-          "{d}/child.vocab", "--out-dir", "{d}/e10"], "--child-vocab cannot be combined with --child"),
-        (["corpus", "sample", *CORPUS_LT, "--a-tsv", "{d}/pair.tsv", "--b-tsv", "{d}/pair.tsv", "--per-side", "5",
-          "--size", "5", "--seed", "1", "--out-tsv", "{d}/e11.tsv"],
-         "--size cannot be combined with --per-side, --a-tsv, --b-tsv"),
-        (["corpus", "sample", *CORPUS_LT, "--a-tsv", "{d}/pair.tsv", "--b-source", "{d}/lt2.txt", "--size", "5",
-          "--seed", "1", "--out-tsv", "{d}/e12.tsv"], "--size cannot be combined with --a-tsv, --b-source"),
-        (["corpus", "sample", "--tsv", "{d}/pair.tsv", "--a-tsv", "{d}/pair.tsv", "--b-tsv", "{d}/pair.tsv",
-          "--per-side", "5", "--seed", "1", "--out-tsv", "{d}/e13.tsv"], "--per-side cannot be combined with --tsv"),
-        (["corpus", "filter", *CORPUS_LT, "--vocab", "{d}/toy.vocab", "--out-tsv", "{d}/e14.tsv"],
-         "--vocab needs --max-subwords"),
-        (["merge-vocab", "--parent-vocab", "{d}/parent.vocab", "--child-vocab", "{d}/child.vocab", "--parent-tsv",
-          "{d}/pair.tsv", "--child-source", "{d}/lt2.txt", "--out", "{d}/e15.vocab"],
-         "--parent-vocab/--child-vocab cannot be combined with --parent-tsv, --child-source"),
-        (["merge-vocab", "--parent-vocab", "{d}/parent.vocab", "--parent-tsv", "{d}/pair.tsv", "--child-tsv",
-          "{d}/pair.tsv", "--target-size", "50", "--out", "{d}/e16.vocab"],
-         "merging vocabulary files needs both --parent-vocab and --child-vocab"),
-        (["merge-vocab", "--child-vocab", "{d}/child.vocab", "--out", "{d}/e17.vocab"],
-         "merging vocabulary files needs both --parent-vocab and --child-vocab"),
-        (["diag", "overlap", "--vocab", "{d}/toy.vocab", "--corpus", "en={d}/lt.txt", "--corpus", "en={d}/cy.txt",
-          "--corpus", "cs={d}/lt.txt", "--out", "{d}/e18.tsv"], "--corpus label 'en' is given twice"),
-        (["--config", "{d}/range.conf", "diag", "usage", "--vocab", "{d}/toy.vocab", "--input", "{d}/lt.txt",
-          "--out", "{d}/e19.tsv"], "--char-range expects LO-HI with LO <= HI, got '0x0400'"),
-        # Merging two vocabulary files reads no size, tolerance or report flag.
-        (["merge-vocab", "--parent-vocab", "{d}/parent.vocab", "--child-vocab", "{d}/child.vocab", "--target-size",
-          "99", "--out", "{d}/e20.vocab"], "--parent-vocab/--child-vocab cannot be combined with --target-size"),
-        (["merge-vocab", "--parent-vocab", "{d}/parent.vocab", "--child-vocab", "{d}/child.vocab", "--tolerance",
-          "0.3", "--out", "{d}/e21.vocab"], "--parent-vocab/--child-vocab cannot be combined with --tolerance"),
-        (["--config", "{d}/tolerance.conf", "merge-vocab", "--parent-vocab", "{d}/parent.vocab", "--child-vocab",
-          "{d}/child.vocab", "--out", "{d}/e22.vocab"],
-         "--parent-vocab/--child-vocab cannot be combined with --tolerance"),
-        (["apply-bpe", "--table", "{d}/bad.merges", "--input", "{d}/lt.txt", "--out", "{d}/e23.bpe"],
-         "{d}/bad.merges: line 2: expected 'left right'"),
-        (["learn-bpe", "--input", "{d}/lt.txt", "--merges", "0", "--out", "{d}/e24.merges"],
-         "num_merges must be at least 1"),
-        (["--config", "{d}/noeq.conf", "eval", "bleu", "--candidates", "{d}/worse.txt", "--references",
-          "{d}/refs.txt", "--out", "{d}/e25.tsv"], "{d}/noeq.conf: line 1: expected key = value"),
-        (["corpus", "pseudo", *CORPUS_LT, "--keep-percent", "0.5", "--seed", "1"],
-         "missing corpus output: give --out-source/--out-target or --out-tsv"),
-        (["corpus", "filter", *CORPUS_LT, "--min-words", "5", "--max-words", "3", "--out-tsv", "{d}/e26.tsv"],
-         "min_words must not exceed max_words"),
-        (["corpus", "mix", "--authentic-tsv", "{d}/pair.tsv", "--synthetic-tsv", "{d}/pair.tsv", "--factor", "0",
-          "--seed", "1", "--out-tsv", "{d}/e27.tsv"], "factor must be at least 1"),
-        (["corpus", "pseudo", *CORPUS_LT, "--keep-percent", "1.5", "--seed", "1", "--out-tsv", "{d}/e28.tsv"],
-         "keep_percent must be within [0, 1]"),
-        (["diag", "overlap", "--vocab", "{d}/toy.vocab", "--corpus", "A={d}/lt.txt", "--corpus", "B={d}/cy.txt",
-          "--parent", "zz", "--out", "{d}/e29.tsv"], "role language 'zz' has no labeled corpus"),
-        (["eval", "bootstrap", "--candidates-a", "{d}/worse.txt", "--candidates-b", "{d}/refs.txt",
-          "--references", "{d}/refs.txt", "--samples", "0", "--seed", "4", "--out", "{d}/e30.tsv"],
-         "samples must be at least 1"),
-        (["merge-vocab", "--parent-tsv", "{d}/pair.tsv", "--child-tsv", "{d}/pair.tsv", "--target-size", "3",
-          "--out", "{d}/e31.vocab"], "target_size 3 is below the alphabet size 40"),
-        (["transform-vocab", "--parent-vocab", "{d}/parent.vocab", "--child-vocab", "{d}/child.vocab",
-          "--embeddings", "{d}/emb.bin", "--out-dir", "{d}/e32"], "{d}/emb.bin: payload does not match header 2x2"),
-        # A bad vocabulary line and an ambiguous overlap label.
-        (["apply-wp", "--vocab", "{d}/dup.vocab", "--input", "{d}/lt.txt", "--out", "{d}/e33.wp"],
-         "{d}/dup.vocab: line 3: duplicate token 'a'"),
-        (["apply-wp", "--vocab", "{d}/blank.vocab", "--input", "{d}/lt.txt", "--out", "{d}/e34.wp"],
-         "{d}/blank.vocab: line 2: vocabulary tokens must be non-empty"),
-        (["--config", "{d}/plus.conf", "diag", "overlap", "--vocab", "{d}/toy.vocab", "--corpus", "en={d}/lt.txt",
-          "--out", "{d}/e35.tsv"], "--corpus label must be nonempty and hold no '+', got 'a+b={d}/lt.txt'"),
-        (["--config", "{d}/empty.conf", "diag", "overlap", "--vocab", "{d}/toy.vocab", "--corpus", "en={d}/lt.txt",
-          "--out", "{d}/e36.tsv"], "--corpus label must be nonempty and hold no '+', got '={d}/lt.txt'"),
-        # An n-gram order below one and a negative bootstrap seed.
-        (["eval", "bleu", "--candidates", "{d}/worse.txt", "--references", "{d}/refs.txt", "--n-max", "0", "--out",
-          "{d}/e37.tsv"], "n_max must be at least 1"),
-        (["eval", "bleu", "--candidates", "{d}/worse.txt", "--references", "{d}/refs.txt", "--n-max", "-2", "--out",
-          "{d}/e38.tsv"], "n_max must be at least 1"),
-        (["eval", "bootstrap", "--candidates-a", "{d}/worse.txt", "--candidates-b", "{d}/refs.txt",
-          "--references", "{d}/refs.txt", "--samples", "50", "--seed", "-1", "--out", "{d}/e39.tsv"],
-         "seed must be a non-negative integer, got -1"),
-        # A tolerance outside VocabSpec's (0, 0.5), in the merge search too, and a negative training cap.
-        (["merge-vocab", "--parent-tsv", "{d}/pair.tsv", "--child-tsv", "{d}/pair.tsv", "--target-size", "90",
-          "--tolerance", "0.7", "--out", "{d}/e40.vocab"], "tolerance must be in (0, 0.5)"),
-        (["merge-vocab", "--parent-tsv", "{d}/pair.tsv", "--child-tsv", "{d}/pair.tsv", "--target-size", "90",
-          "--tolerance", "-1", "--out", "{d}/e41.vocab"], "tolerance must be in (0, 0.5)"),
-        (["learn-wp", "--input", "{d}/lt.txt", "--target-size", "80", "--max-train-sentences", "-1", "--out",
-          "{d}/e42.vocab"], "max_train_sentences must be non-negative, got -1"),
-        # An overlap threshold below one and negative sample sizes.
-        (["diag", "overlap", "--vocab", "{d}/toy.vocab", "--corpus", "A={d}/lt.txt", "--corpus", "B={d}/cy.txt",
-          "--min-count", "0", "--out", "{d}/e43.tsv"], "min_count must be at least 1, got 0"),
-        (["diag", "overlap", "--vocab", "{d}/toy.vocab", "--corpus", "A={d}/lt.txt", "--corpus", "B={d}/cy.txt",
-          "--min-count", "-1", "--out", "{d}/e44.tsv"], "min_count must be at least 1, got -1"),
-        (["corpus", "sample", *CORPUS_LT, "--size", "-1", "--seed", "1", "--out-tsv", "{d}/e45.tsv"],
-         "size must be non-negative, got -1"),
-        (["corpus", "sample", "--a-tsv", "{d}/pair.tsv", "--b-tsv", "{d}/pair.tsv", "--per-side", "-1", "--seed",
-          "1", "--out-tsv", "{d}/e46.tsv"], "per_side must be non-negative, got -1"),
-        # A negative subword-length limit, when filtering and when measuring the filter.
-        (["corpus", "filter", *CORPUS_LT, "--vocab", "{d}/toy.vocab", "--max-subwords", "-1", "--out-tsv",
-          "{d}/e47.tsv"], "max_tokens must be non-negative, got -1"),
-        (["diag", "filter-impact", "--vocab", "{d}/toy.vocab", *CORPUS_LT, "--threshold", "-1", "--out",
-          "{d}/e48.tsv"], "max_tokens must be non-negative, got -1"),
-        # A negative seed: random.Random(-7) draws what random.Random(7) draws.
-        (["corpus", "sample", "--tsv", "{d}/pair.tsv", "--size", "7", "--seed", "-7", "--out-tsv", "{d}/e49.tsv"],
-         "seed must be a non-negative integer, got -7"),
-        (["corpus", "sample", "--a-tsv", "{d}/pair.tsv", "--b-tsv", "{d}/pair.tsv", "--per-side", "5", "--seed",
-          "-7", "--out-tsv", "{d}/e50.tsv"], "seed must be a non-negative integer, got -7"),
-        (["corpus", "mix", "--authentic-tsv", "{d}/pair.tsv", "--synthetic-tsv", "{d}/pair.tsv", "--factor", "2",
-          "--seed", "-7", "--out-tsv", "{d}/e51.tsv"], "seed must be a non-negative integer, got -7"),
-        (["corpus", "pseudo", *CORPUS_LT, "--keep-percent", "0.5", "--seed", "-7", "--out-tsv", "{d}/e52.tsv"],
-         "seed must be a non-negative integer, got -7"),
-        (["corpus", "corrupt", "--tsv", "{d}/pair.tsv", "--mode", "shuffle_both", "--seed", "-7", "--out-tsv",
-          "{d}/e53.tsv"], "seed must be a non-negative integer, got -7"),
-        (["balanced-vocab", "--parent-tsv", "{d}/pair.tsv", "--child-tsv", "{d}/pair.tsv", "--target-size", "90",
-          "--seed", "-7", "--out", "{d}/e54.vocab"], "seed must be a non-negative integer, got -7"),
-        (["transform-vocab", "--parent-vocab", "{d}/parent.vocab", "--child-vocab", "{d}/child.vocab", "--variant",
-          "everything_random", "--seed", "-7", "--out-dir", "{d}/e55"], "seed must be a non-negative integer, got -7"),
-        (["transform-vocab", "--parent-vocab", "{d}/toy.vocab", "--child", "{d}/lt2.txt", "--variant",
-          "unmatched_random", "--seed", "-7", "--out-dir", "{d}/e56"], "seed must be a non-negative integer, got -7"),
-        # A NaN word limit, and a NaN or negative stop delta: each would silently drop every pair or never stop.
-        (["corpus", "filter", *CORPUS_LT, "--max-words", "nan", "--out-tsv", "{d}/e57.tsv"],
-         "max_words must be a number, got nan"),
-        (["eval", "stop", "--curve", "{d}/curve.tsv", "--delta-frac", "nan", "--out", "{d}/e58.tsv"],
-         "delta_frac must be non-negative, got nan"),
-        (["eval", "stop", "--curve", "{d}/curve.tsv", "--delta-frac", "-0.5", "--out", "{d}/e59.tsv"],
-         "delta_frac must be non-negative, got -0.5"),
-        # A NaN score, a header below line 1, and steps out of order: each names the file and line.
-        (["eval", "stop", "--curve", "{d}/nan_curve.tsv", "--out", "{d}/e60.tsv"],
-         "{d}/nan_curve.tsv: line 1: score at step 1 is not a number"),
-        (["eval", "stop", "--curve", "{d}/header3_curve.tsv", "--out", "{d}/e61.tsv"],
-         "{d}/header3_curve.tsv: line 3: expected step<TAB>score"),
-        (["eval", "stop", "--curve", "{d}/order_curve.tsv", "--out", "{d}/e62.tsv"],
-         "{d}/order_curve.tsv: line 4: step 2 does not follow step 3; learning curve steps must be strictly increasing"),
-        (["eval", "stop", "--curve", "{d}/empty_curve.tsv", "--out", "{d}/e63.tsv"],
-         "{d}/empty_curve.tsv: no step<TAB>score rows"),
-        (["eval", "stop", "--curve", "{d}/header_curve.tsv", "--out", "{d}/e64.tsv"],
-         "{d}/header_curve.tsv: no step<TAB>score rows"),
-    ],
-)
+# (argv, message) of each operation error: it exits 1 with the message and writes nothing.
+ERROR_PATHS = [
+    (["corpus", "pseudo", "--source", "{d}/lt.txt", "--keep-percent", "0", "--seed", "1",
+      "--out-tsv", "{d}/e1.tsv"], "missing corpus input: give --source/--target or --tsv"),
+    (["balanced-vocab", "--parent-tsv", "{d}/pair.tsv", "--child-target", "{d}/cy.txt",
+      "--target-size", "50", "--seed", "1", "--out", "{d}/e2.vocab"],
+     "missing corpus input: give --child-source/--child-target or --child-tsv"),
+    (["--config", "{d}/corpus.conf", "diag", "overlap", "--vocab", "{d}/toy.vocab", "--corpus", "en={d}/lt.txt",
+      "--out", "{d}/e0.tsv"], "--corpus expects LANG=FILE, got 'A{d}/lt.txt'"),
+    (["corpus", "filter", *CORPUS_LT, "--max-subwords", "5", "--out-tsv", "{d}/e3.tsv"],
+     "--max-subwords needs --vocab"),
+    (["merge-vocab", "--parent-tsv", "{d}/pair.tsv", "--child-tsv", "{d}/pair.tsv", "--out", "{d}/e4.vocab"],
+     "corpus mode needs --target-size"),
+    (["corpus", "sample", *CORPUS_LT, "--seed", "1", "--out-tsv", "{d}/e5.tsv"],
+     "give --per-side (two corpora) or --size (downscale one)"),
+    (["transform-vocab", "--parent-vocab", "{d}/parent.vocab", "--out-dir", "{d}/e6"],
+     "give --child corpus files or --child-vocab"),
+    (["eval", "stop", "--curve", "{d}/curve.tsv", "--window-frac", "0"], "window_frac must be in (0, 1]"),
+    (["eval", "bootstrap", "--candidates-a", "{d}/worse.txt", "--candidates-b", "{d}/refs.txt",
+      "--references", "{d}/refs.txt", "--samples", "50", "--seed", "4", "--alpha", "1"],
+     "alpha must be in (0, 1)"),
+    # A named input is always read: flags naming a file the command would skip.
+    (["corpus", "pseudo", "--tsv", "{d}/pair.tsv", *CORPUS_LT, "--keep-percent", "0", "--seed", "1",
+      "--out-tsv", "{d}/e7.tsv"], "--tsv cannot be combined with --source, --target"),
+    (["balanced-vocab", "--parent-tsv", "{d}/pair.tsv", "--parent-target", "{d}/cy.txt", "--child-tsv",
+      "{d}/pair.tsv", "--target-size", "50", "--seed", "1", "--out", "{d}/e8.vocab"],
+     "--parent-tsv cannot be combined with --parent-target"),
+    (["--config", "{d}/tsv.conf", "corpus", "corrupt", *CORPUS_LT, "--mode", "sort_target", "--seed", "1",
+      "--out-tsv", "{d}/e9.tsv"], "--tsv cannot be combined with --source, --target"),
+    (["transform-vocab", "--parent-vocab", "{d}/parent.vocab", "--child", "{d}/lt.txt", "--child-vocab",
+      "{d}/child.vocab", "--out-dir", "{d}/e10"], "--child-vocab cannot be combined with --child"),
+    (["corpus", "sample", *CORPUS_LT, "--a-tsv", "{d}/pair.tsv", "--b-tsv", "{d}/pair.tsv", "--per-side", "5",
+      "--size", "5", "--seed", "1", "--out-tsv", "{d}/e11.tsv"],
+     "--size cannot be combined with --per-side, --a-tsv, --b-tsv"),
+    (["corpus", "sample", *CORPUS_LT, "--a-tsv", "{d}/pair.tsv", "--b-source", "{d}/lt2.txt", "--size", "5",
+      "--seed", "1", "--out-tsv", "{d}/e12.tsv"], "--size cannot be combined with --a-tsv, --b-source"),
+    (["corpus", "sample", "--tsv", "{d}/pair.tsv", "--a-tsv", "{d}/pair.tsv", "--b-tsv", "{d}/pair.tsv",
+      "--per-side", "5", "--seed", "1", "--out-tsv", "{d}/e13.tsv"], "--per-side cannot be combined with --tsv"),
+    (["corpus", "filter", *CORPUS_LT, "--vocab", "{d}/toy.vocab", "--out-tsv", "{d}/e14.tsv"],
+     "--vocab needs --max-subwords"),
+    (["merge-vocab", "--parent-vocab", "{d}/parent.vocab", "--child-vocab", "{d}/child.vocab", "--parent-tsv",
+      "{d}/pair.tsv", "--child-source", "{d}/lt2.txt", "--out", "{d}/e15.vocab"],
+     "--parent-vocab/--child-vocab cannot be combined with --parent-tsv, --child-source"),
+    (["merge-vocab", "--parent-vocab", "{d}/parent.vocab", "--parent-tsv", "{d}/pair.tsv", "--child-tsv",
+      "{d}/pair.tsv", "--target-size", "50", "--out", "{d}/e16.vocab"],
+     "merging vocabulary files needs both --parent-vocab and --child-vocab"),
+    (["merge-vocab", "--child-vocab", "{d}/child.vocab", "--out", "{d}/e17.vocab"],
+     "merging vocabulary files needs both --parent-vocab and --child-vocab"),
+    (["diag", "overlap", "--vocab", "{d}/toy.vocab", "--corpus", "en={d}/lt.txt", "--corpus", "en={d}/cy.txt",
+      "--corpus", "cs={d}/lt.txt", "--out", "{d}/e18.tsv"], "--corpus label 'en' is given twice"),
+    (["--config", "{d}/range.conf", "diag", "usage", "--vocab", "{d}/toy.vocab", "--input", "{d}/lt.txt",
+      "--out", "{d}/e19.tsv"], "--char-range expects LO-HI with LO <= HI, got '0x0400'"),
+    # Merging two vocabulary files reads no size, tolerance or report flag.
+    (["merge-vocab", "--parent-vocab", "{d}/parent.vocab", "--child-vocab", "{d}/child.vocab", "--target-size",
+      "99", "--out", "{d}/e20.vocab"], "--parent-vocab/--child-vocab cannot be combined with --target-size"),
+    (["merge-vocab", "--parent-vocab", "{d}/parent.vocab", "--child-vocab", "{d}/child.vocab", "--tolerance",
+      "0.3", "--out", "{d}/e21.vocab"], "--parent-vocab/--child-vocab cannot be combined with --tolerance"),
+    (["--config", "{d}/tolerance.conf", "merge-vocab", "--parent-vocab", "{d}/parent.vocab", "--child-vocab",
+      "{d}/child.vocab", "--out", "{d}/e22.vocab"],
+     "--parent-vocab/--child-vocab cannot be combined with --tolerance"),
+    (["apply-bpe", "--table", "{d}/bad.merges", "--input", "{d}/lt.txt", "--out", "{d}/e23.bpe"],
+     "{d}/bad.merges: line 2: expected 'left right'"),
+    (["learn-bpe", "--input", "{d}/lt.txt", "--merges", "0", "--out", "{d}/e24.merges"],
+     "num_merges must be at least 1"),
+    (["--config", "{d}/noeq.conf", "eval", "bleu", "--candidates", "{d}/worse.txt", "--references",
+      "{d}/refs.txt", "--out", "{d}/e25.tsv"], "{d}/noeq.conf: line 1: expected key = value"),
+    (["corpus", "pseudo", *CORPUS_LT, "--keep-percent", "0.5", "--seed", "1"],
+     "missing corpus output: give --out-source/--out-target or --out-tsv"),
+    (["corpus", "filter", *CORPUS_LT, "--min-words", "5", "--max-words", "3", "--out-tsv", "{d}/e26.tsv"],
+     "min_words must not exceed max_words"),
+    (["corpus", "mix", "--authentic-tsv", "{d}/pair.tsv", "--synthetic-tsv", "{d}/pair.tsv", "--factor", "0",
+      "--seed", "1", "--out-tsv", "{d}/e27.tsv"], "factor must be at least 1"),
+    (["corpus", "pseudo", *CORPUS_LT, "--keep-percent", "1.5", "--seed", "1", "--out-tsv", "{d}/e28.tsv"],
+     "keep_percent must be within [0, 1]"),
+    (["diag", "overlap", "--vocab", "{d}/toy.vocab", "--corpus", "A={d}/lt.txt", "--corpus", "B={d}/cy.txt",
+      "--parent", "zz", "--out", "{d}/e29.tsv"], "role language 'zz' has no labeled corpus"),
+    (["eval", "bootstrap", "--candidates-a", "{d}/worse.txt", "--candidates-b", "{d}/refs.txt",
+      "--references", "{d}/refs.txt", "--samples", "0", "--seed", "4", "--out", "{d}/e30.tsv"],
+     "samples must be at least 1"),
+    (["merge-vocab", "--parent-tsv", "{d}/pair.tsv", "--child-tsv", "{d}/pair.tsv", "--target-size", "3",
+      "--out", "{d}/e31.vocab"], "target_size 3 is below the alphabet size 40"),
+    (["transform-vocab", "--parent-vocab", "{d}/parent.vocab", "--child-vocab", "{d}/child.vocab",
+      "--embeddings", "{d}/emb.bin", "--out-dir", "{d}/e32"], "{d}/emb.bin: payload does not match header 2x2"),
+    # A bad vocabulary line and an ambiguous overlap label.
+    (["apply-wp", "--vocab", "{d}/dup.vocab", "--input", "{d}/lt.txt", "--out", "{d}/e33.wp"],
+     "{d}/dup.vocab: line 3: duplicate token 'a'"),
+    (["apply-wp", "--vocab", "{d}/blank.vocab", "--input", "{d}/lt.txt", "--out", "{d}/e34.wp"],
+     "{d}/blank.vocab: line 2: vocabulary tokens must be non-empty"),
+    (["--config", "{d}/plus.conf", "diag", "overlap", "--vocab", "{d}/toy.vocab", "--corpus", "en={d}/lt.txt",
+      "--out", "{d}/e35.tsv"], "--corpus label must be nonempty and hold no '+', got 'a+b={d}/lt.txt'"),
+    (["--config", "{d}/empty.conf", "diag", "overlap", "--vocab", "{d}/toy.vocab", "--corpus", "en={d}/lt.txt",
+      "--out", "{d}/e36.tsv"], "--corpus label must be nonempty and hold no '+', got '={d}/lt.txt'"),
+    # An n-gram order below one and a negative bootstrap seed.
+    (["eval", "bleu", "--candidates", "{d}/worse.txt", "--references", "{d}/refs.txt", "--n-max", "0", "--out",
+      "{d}/e37.tsv"], "n_max must be at least 1"),
+    (["eval", "bleu", "--candidates", "{d}/worse.txt", "--references", "{d}/refs.txt", "--n-max", "-2", "--out",
+      "{d}/e38.tsv"], "n_max must be at least 1"),
+    (["eval", "bootstrap", "--candidates-a", "{d}/worse.txt", "--candidates-b", "{d}/refs.txt",
+      "--references", "{d}/refs.txt", "--samples", "50", "--seed", "-1", "--out", "{d}/e39.tsv"],
+     "seed must be a non-negative integer, got -1"),
+    # A tolerance outside VocabSpec's (0, 0.5), in the merge search too, and a negative training cap.
+    (["merge-vocab", "--parent-tsv", "{d}/pair.tsv", "--child-tsv", "{d}/pair.tsv", "--target-size", "90",
+      "--tolerance", "0.7", "--out", "{d}/e40.vocab"], "tolerance must be in (0, 0.5)"),
+    (["merge-vocab", "--parent-tsv", "{d}/pair.tsv", "--child-tsv", "{d}/pair.tsv", "--target-size", "90",
+      "--tolerance", "-1", "--out", "{d}/e41.vocab"], "tolerance must be in (0, 0.5)"),
+    (["learn-wp", "--input", "{d}/lt.txt", "--target-size", "80", "--max-train-sentences", "-1", "--out",
+      "{d}/e42.vocab"], "max_train_sentences must be non-negative, got -1"),
+    # An overlap threshold below one and negative sample sizes.
+    (["diag", "overlap", "--vocab", "{d}/toy.vocab", "--corpus", "A={d}/lt.txt", "--corpus", "B={d}/cy.txt",
+      "--min-count", "0", "--out", "{d}/e43.tsv"], "min_count must be at least 1, got 0"),
+    (["diag", "overlap", "--vocab", "{d}/toy.vocab", "--corpus", "A={d}/lt.txt", "--corpus", "B={d}/cy.txt",
+      "--min-count", "-1", "--out", "{d}/e44.tsv"], "min_count must be at least 1, got -1"),
+    (["corpus", "sample", *CORPUS_LT, "--size", "-1", "--seed", "1", "--out-tsv", "{d}/e45.tsv"],
+     "size must be non-negative, got -1"),
+    (["corpus", "sample", "--a-tsv", "{d}/pair.tsv", "--b-tsv", "{d}/pair.tsv", "--per-side", "-1", "--seed",
+      "1", "--out-tsv", "{d}/e46.tsv"], "per_side must be non-negative, got -1"),
+    # A negative subword-length limit, when filtering and when measuring the filter.
+    (["corpus", "filter", *CORPUS_LT, "--vocab", "{d}/toy.vocab", "--max-subwords", "-1", "--out-tsv",
+      "{d}/e47.tsv"], "max_tokens must be non-negative, got -1"),
+    (["diag", "filter-impact", "--vocab", "{d}/toy.vocab", *CORPUS_LT, "--threshold", "-1", "--out",
+      "{d}/e48.tsv"], "max_tokens must be non-negative, got -1"),
+    # A negative seed: random.Random(-7) draws what random.Random(7) draws.
+    (["corpus", "sample", "--tsv", "{d}/pair.tsv", "--size", "7", "--seed", "-7", "--out-tsv", "{d}/e49.tsv"],
+     "seed must be a non-negative integer, got -7"),
+    (["corpus", "sample", "--a-tsv", "{d}/pair.tsv", "--b-tsv", "{d}/pair.tsv", "--per-side", "5", "--seed",
+      "-7", "--out-tsv", "{d}/e50.tsv"], "seed must be a non-negative integer, got -7"),
+    (["corpus", "mix", "--authentic-tsv", "{d}/pair.tsv", "--synthetic-tsv", "{d}/pair.tsv", "--factor", "2",
+      "--seed", "-7", "--out-tsv", "{d}/e51.tsv"], "seed must be a non-negative integer, got -7"),
+    (["corpus", "pseudo", *CORPUS_LT, "--keep-percent", "0.5", "--seed", "-7", "--out-tsv", "{d}/e52.tsv"],
+     "seed must be a non-negative integer, got -7"),
+    (["corpus", "corrupt", "--tsv", "{d}/pair.tsv", "--mode", "shuffle_both", "--seed", "-7", "--out-tsv",
+      "{d}/e53.tsv"], "seed must be a non-negative integer, got -7"),
+    (["balanced-vocab", "--parent-tsv", "{d}/pair.tsv", "--child-tsv", "{d}/pair.tsv", "--target-size", "90",
+      "--seed", "-7", "--out", "{d}/e54.vocab"], "seed must be a non-negative integer, got -7"),
+    (["transform-vocab", "--parent-vocab", "{d}/parent.vocab", "--child-vocab", "{d}/child.vocab", "--variant",
+      "everything_random", "--seed", "-7", "--out-dir", "{d}/e55"], "seed must be a non-negative integer, got -7"),
+    (["transform-vocab", "--parent-vocab", "{d}/toy.vocab", "--child", "{d}/lt2.txt", "--variant",
+      "unmatched_random", "--seed", "-7", "--out-dir", "{d}/e56"], "seed must be a non-negative integer, got -7"),
+    # A NaN word limit, and a NaN or negative stop delta: each would silently drop every pair or never stop.
+    (["corpus", "filter", *CORPUS_LT, "--max-words", "nan", "--out-tsv", "{d}/e57.tsv"],
+     "max_words must be a number, got nan"),
+    (["eval", "stop", "--curve", "{d}/curve.tsv", "--delta-frac", "nan", "--out", "{d}/e58.tsv"],
+     "delta_frac must be non-negative, got nan"),
+    (["eval", "stop", "--curve", "{d}/curve.tsv", "--delta-frac", "-0.5", "--out", "{d}/e59.tsv"],
+     "delta_frac must be non-negative, got -0.5"),
+    # A NaN score, a header below line 1, and steps out of order: each names the file and line.
+    (["eval", "stop", "--curve", "{d}/nan_curve.tsv", "--out", "{d}/e60.tsv"],
+     "{d}/nan_curve.tsv: line 1: score at step 1 is not a number"),
+    (["eval", "stop", "--curve", "{d}/header3_curve.tsv", "--out", "{d}/e61.tsv"],
+     "{d}/header3_curve.tsv: line 3: expected step<TAB>score"),
+    (["eval", "stop", "--curve", "{d}/order_curve.tsv", "--out", "{d}/e62.tsv"],
+     "{d}/order_curve.tsv: line 4: step 2 does not follow step 3; learning curve steps must be strictly increasing"),
+    (["eval", "stop", "--curve", "{d}/empty_curve.tsv", "--out", "{d}/e63.tsv"],
+     "{d}/empty_curve.tsv: no step<TAB>score rows"),
+    (["eval", "stop", "--curve", "{d}/header_curve.tsv", "--out", "{d}/e64.tsv"],
+     "{d}/header_curve.tsv: no step<TAB>score rows"),
+]
+
+
+@pytest.mark.parametrize("argv, message", ERROR_PATHS)
 def test_cli_error_paths_exit_1(desk, capsys, argv, message):
     before = set(desk.rglob("*"))
     assert main([arg.format(d=desk) for arg in argv]) == 1
     assert capsys.readouterr().err == f"xfervocab: error: {message.format(d=desk)}\n"
     assert set(desk.rglob("*")) == before  # no output and no manifest
+
+
+# Beyond the shapes and error paths: help at each level, a name no command or
+# group member has, a missing command, `--manifest` spelled three ways before
+# the command, and errors that argparse reports at the top level.
+APPLY_WP = ["apply-wp", "--vocab", "v", "--input", "i", "--out", "o"]
+PARSE_ONLY = [
+    ["-h"], ["--help"], ["--he"], ["--manifest", "m", "-h"], ["diag", "-h"], ["corpus", "--help"], ["eval", "-h"],
+    ["eval", "stop", "-h"], ["learn-bpe", "--help"], ["corpus", "sample", "-h"], [*APPLY_WP, "-h"],
+    ["frobnicate"], ["diag", "frobnicate"], ["corpus", "frobnicate", "--seed", "1"], ["eval", "frobnicate"],
+    [], ["diag"], ["--manifest", "m"], ["--manifest=x", *APPLY_WP], ["--man", "x", *APPLY_WP],
+    ["--m=x", "--manifest", "y", *APPLY_WP], ["--manifest", *APPLY_WP], [*APPLY_WP, "--bogus"],
+    [*APPLY_WP, "extra"], [*APPLY_WP, "--manifest", "m"], ["apply-wp", "--vocab", "v"], ["--", *APPLY_WP],
+    ["diag", "rate", "--vocab", "v", "--input", "i", "extra"], ["eval", "stop", "--curve", "c", "--relative-to", "x"],
+]
+
+
+def parse_outcome(parser, argv, capsys):
+    """The parsed values (as text, so NaN equals NaN, and the file flags by
+    type), or the exit code, with what parsing printed."""
+    try:
+        values = vars(parser.parse_args(argv))
+        outcome = repr(values), _named(list(values.values()), _In), _named(list(values.values()), _Out)
+    except SystemExit as exc:
+        outcome = exc.code
+    return outcome, *capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv", [case[1] for case in MANIFEST_SHAPES] + [case[0] for case in ERROR_PATHS] + PARSE_ONLY
+)
+def test_one_command_parser_parses_as_the_full_parser(capsys, argv):
+    shape = any(argv is case[1] for case in MANIFEST_SHAPES)
+    argv = [arg.format(d="desk") for arg in argv]
+    command = _invoked(argv)
+    assert command is not None or not shape  # every command shape takes the one-command parser
+    outcome = parse_outcome(build_parser(command), argv, capsys)
+    assert outcome == parse_outcome(build_parser(), argv, capsys)
 
 
 @pytest.mark.parametrize("value", ["0x0400", "0x7A-0x61", "a-z"])

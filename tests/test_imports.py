@@ -1,6 +1,7 @@
 """The package surface: every exported name still resolves, the learner and
 the numpy-free evaluation names keep their old import paths, the steps that
-never compute with numpy start without it, and every demo runs."""
+never compute with numpy load only the modules their handlers call, and
+every demo runs."""
 
 import ast
 import os
@@ -81,33 +82,50 @@ def step_inputs(tmp_path_factory):
     return root
 
 
+# Each numpy-free step, and the modules it loads among the package's, numpy and
+# dataclasses: the package, `cli`, `errors` and `textio`, plus those its
+# handler calls and what they import.
+BASE = {"xfervocab", "xfervocab.cli", "xfervocab.errors", "xfervocab.textio"}
+WORDPIECE = {"xfervocab.wordpiece", "dataclasses"}
+CORPUS = {"xfervocab.corpus", *WORDPIECE}
+EVALLITE = {"xfervocab.evallite", "dataclasses"}
 NUMPY_FREE_STEPS = {
-    "apply-wp": "apply-wp --vocab {d}/v.txt --input {d}/a.src --out {d}/a.wp",
-    "apply-bpe": "apply-bpe --table {d}/t.merges --input {d}/a.src --out {d}/a.bpe",
+    "learn-bpe": ("learn-bpe --input {d}/a.src --merges 5 --out {d}/a.merges", {"xfervocab.bpe"}),
+    "apply-wp": ("apply-wp --vocab {d}/v.txt --input {d}/a.src --out {d}/a.wp", WORDPIECE),
+    "apply-bpe": ("apply-bpe --table {d}/t.merges --input {d}/a.src --out {d}/a.bpe", {"xfervocab.bpe"}),
     "corpus filter": (
         "corpus filter --source {d}/a.src --target {d}/a.tgt --max-words 20 --max-subwords 40 --vocab {d}/v.txt "
-        "--out-tsv {d}/f.tsv"
+        "--out-tsv {d}/f.tsv",
+        CORPUS,
     ),
-    "diag rate": "diag rate --vocab {d}/v.txt --input {d}/a.src --out {d}/rate.tsv",
+    "diag rate": (
+        "diag rate --vocab {d}/v.txt --input {d}/a.src --out {d}/rate.tsv", {"xfervocab.diagnostics", *CORPUS}
+    ),
     "corpus pseudo": (
-        "corpus pseudo --source {d}/a.src --target {d}/a.tgt --keep-percent 0.5 --seed 1 --out-tsv {d}/p.tsv"
+        "corpus pseudo --source {d}/a.src --target {d}/a.tgt --keep-percent 0.5 --seed 1 --out-tsv {d}/p.tsv",
+        CORPUS,
     ),
-    "eval stop": "eval stop --curve {d}/curve.tsv --out {d}/stop.tsv",
+    "eval stop": ("eval stop --curve {d}/curve.tsv --out {d}/stop.tsv", EVALLITE),
     "eval token-analysis": (
-        "eval token-analysis --child {d}/a.src --baseline {d}/a.tgt --references {d}/a.src --out {d}/overlap.tsv"
+        "eval token-analysis --child {d}/a.src --baseline {d}/a.tgt --references {d}/a.src --out {d}/overlap.tsv",
+        EVALLITE,
     ),
 }
 
 
 @pytest.mark.parametrize("step", NUMPY_FREE_STEPS)
 def test_step_runs_without_numpy(step_inputs, step):
+    """A fresh step loads only the modules its handler calls: never numpy, and
+    neither dataclasses nor `wordpiece` for BPE."""
     script = (
-        "import sys; from xfervocab.cli import main; "
-        "code = main(sys.argv[1:]); print('numpy' in sys.modules); sys.exit(code)"
+        "import sys; from xfervocab.cli import main; code = main(sys.argv[1:]); "
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('xfervocab', 'numpy', 'dataclasses'))); "
+        "sys.exit(code)"
     )
-    result = run_python(["-c", script, *NUMPY_FREE_STEPS[step].format(d=step_inputs).split()])
+    argv, loaded = NUMPY_FREE_STEPS[step]
+    result = run_python(["-c", script, *argv.format(d=step_inputs).split()])
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "False"
+    assert result.stdout.splitlines()[-1].split() == sorted(BASE | loaded)
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda path: path.name)
