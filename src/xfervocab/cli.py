@@ -361,38 +361,6 @@ def _eval_token_analysis_args(p):
     p.add_argument("--out", type=_Out, help="TSV output")
 
 
-# Each command's help and the function that declares its arguments; a group
-# (`diag`, `corpus`, `eval`) maps its subcommands the same way.
-_COMMANDS = {
-    "learn-bpe": ("learn a BPE merge table", _learn_bpe_args),
-    "apply-bpe": ("segment text with a merge table", _apply_bpe_args),
-    "learn-wp": ("learn a wordpiece vocabulary", _learn_wp_args),
-    "apply-wp": ("segment text with a wordpiece vocabulary", _apply_wp_args),
-    "transform-vocab": ("rewrite parent slots with child subwords", _transform_vocab_args),
-    "merge-vocab": ("merged shared vocabulary", _merge_vocab_args),
-    "balanced-vocab": ("balanced shared vocabulary", _balanced_vocab_args),
-    "diag": ("vocabulary and corpus diagnostics", {
-        "rate": ("segmentation rate", _diag_rate_args),
-        "usage": ("fraction of vocabulary observed", _diag_usage_args),
-        "overlap": ("per-language vocabulary overlap breakdown", _diag_overlap_args),
-        "filter-impact": ("share of pairs dropped by a subword-length filter", _diag_filter_impact_args),
-    }),
-    "corpus": ("corpus operations", {
-        "filter": ("length filters", _corpus_filter_args),
-        "sample": ("equal sample from two corpora, or downscale one", _corpus_sample_args),
-        "mix": ("oversample authentic data into synthetic", _corpus_mix_args),
-        "pseudo": ("pseudo-related language via letter cipher", _corpus_pseudo_args),
-        "corrupt": ("word order and pairing corruption", _corpus_corrupt_args),
-    }),
-    "eval": ("MT evaluation statistics", {
-        "bleu": ("corpus BLEU", _eval_bleu_args),
-        "bootstrap": ("paired bootstrap significance test", _eval_bootstrap_args),
-        "stop": ("learning-curve stopping criterion", _eval_stop_args),
-        "token-analysis": ("child output token overlap classes", _eval_token_analysis_args),
-    }),
-}
-
-
 def build_parser(command: tuple[str, ...] | None = None) -> argparse.ArgumentParser:
     """The parser of every command, or with `command` (a path such as
     `("diag", "rate")`) the parser of that command alone."""
@@ -414,7 +382,7 @@ def _add_commands(parser, dest: str, commands: dict, path: tuple[str, ...] | Non
     `--manifest` without a value), and it must read as the full tree's."""
     metavar = None if path is None else "{" + ",".join(commands) + "}"
     sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
-    for name, (help, declare) in commands.items():
+    for name, (help, declare, *_) in commands.items():
         if path is None or path[0] == name:
             p = sub.add_parser(name, help=help)
             if isinstance(declare, dict):
@@ -628,17 +596,36 @@ def _cmd_eval(args):
     _report(args.out, tsv)
 
 
-_HANDLERS = {
-    "learn-bpe": _cmd_learn_bpe,
-    "apply-bpe": _cmd_apply_bpe,
-    "learn-wp": _cmd_learn_wp,
-    "apply-wp": _cmd_apply_wp,
-    "transform-vocab": _cmd_transform_vocab,
-    "merge-vocab": _cmd_merge_vocab,
-    "balanced-vocab": _cmd_balanced_vocab,
-    "diag": _cmd_diag,
-    "corpus": _cmd_corpus,
-    "eval": _cmd_eval,
+# Each command's help, the function that declares its arguments, and its
+# handler; a group (`diag`, `corpus`, `eval`) maps its subcommands to their
+# help and argument function, and its one handler reads which was named.
+_COMMANDS = {
+    "learn-bpe": ("learn a BPE merge table", _learn_bpe_args, _cmd_learn_bpe),
+    "apply-bpe": ("segment text with a merge table", _apply_bpe_args, _cmd_apply_bpe),
+    "learn-wp": ("learn a wordpiece vocabulary", _learn_wp_args, _cmd_learn_wp),
+    "apply-wp": ("segment text with a wordpiece vocabulary", _apply_wp_args, _cmd_apply_wp),
+    "transform-vocab": ("rewrite parent slots with child subwords", _transform_vocab_args, _cmd_transform_vocab),
+    "merge-vocab": ("merged shared vocabulary", _merge_vocab_args, _cmd_merge_vocab),
+    "balanced-vocab": ("balanced shared vocabulary", _balanced_vocab_args, _cmd_balanced_vocab),
+    "diag": ("vocabulary and corpus diagnostics", {
+        "rate": ("segmentation rate", _diag_rate_args),
+        "usage": ("fraction of vocabulary observed", _diag_usage_args),
+        "overlap": ("per-language vocabulary overlap breakdown", _diag_overlap_args),
+        "filter-impact": ("share of pairs dropped by a subword-length filter", _diag_filter_impact_args),
+    }, _cmd_diag),
+    "corpus": ("corpus operations", {
+        "filter": ("length filters", _corpus_filter_args),
+        "sample": ("equal sample from two corpora, or downscale one", _corpus_sample_args),
+        "mix": ("oversample authentic data into synthetic", _corpus_mix_args),
+        "pseudo": ("pseudo-related language via letter cipher", _corpus_pseudo_args),
+        "corrupt": ("word order and pairing corruption", _corpus_corrupt_args),
+    }, _cmd_corpus),
+    "eval": ("MT evaluation statistics", {
+        "bleu": ("corpus BLEU", _eval_bleu_args),
+        "bootstrap": ("paired bootstrap significance test", _eval_bootstrap_args),
+        "stop": ("learning-curve stopping criterion", _eval_stop_args),
+        "token-analysis": ("child output token overlap classes", _eval_token_analysis_args),
+    }, _cmd_eval),
 }
 
 
@@ -684,7 +671,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         values = list(vars(args).values())
         inputs = _digests(_named(values, _In))
-        written = _HANDLERS[args.command](args) or []
+        written = _COMMANDS[args.command][2](args) or []
         payload = {
             "tool": "xfervocab",
             "version": __version__,

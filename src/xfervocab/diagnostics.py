@@ -3,7 +3,8 @@
 Read-only analytics: segmentation rate, vocabulary usage, per-language
 overlap breakdown, and the impact of subword-length filtering.  The rate,
 usage and overlap reports count tokens over the corpus's table of distinct
-units, segmenting each unit once, not sentence by sentence.
+units with `wordpiece._unit_token_counts`, which segments each unit once
+through the vocabulary's memo, not sentence by sentence.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .corpus import FilterReport, ParallelCorpus, filter_by_subword_length
 from .textio import render_tsv
-from .wordpiece import Vocabulary, _count_units, _segmenter
+from .wordpiece import Vocabulary, _count_units, _unit_token_counts
 
 
 def segmentation_rate(vocab: Vocabulary, sentences: Iterable[str]) -> float:
@@ -44,27 +45,14 @@ def unicode_range_predicate(ranges: Sequence[tuple[int, int]]) -> Callable[[str]
 
 def _token_counts(vocab: Vocabulary, sentences: Iterable[str]) -> Counter:
     """Each token's count in the corpus segmented under `vocab`: the one count
-    behind the rate, usage, overlap and unused-parent reports.  A vocabulary
-    that cannot segment refuses any sentence, even an empty one, as
-    `apply_wordpiece` does."""
+    behind the rate, usage and overlap reports.  A vocabulary that cannot
+    segment refuses any sentence, even an empty one, as `apply_wordpiece`
+    does."""
     sentences = iter(sentences)
     first = next(sentences, None)
     if first is None:
         return Counter()
     return _unit_token_counts(vocab, _count_units([[first], sentences], None))
-
-
-def _unit_token_counts(vocab: Vocabulary, units: Mapping[str, int]) -> Counter:
-    """Each token's count over a unit table segmented under `vocab`: each
-    distinct unit is segmented once and its count added to each of its
-    tokens.  This is exact, because a unit's tokens never depend on its
-    neighbours."""
-    segment = _segmenter(vocab)
-    counts: Counter = Counter()
-    for unit, count in units.items():
-        for tok in segment(unit):
-            counts[tok] += count
-    return counts
 
 
 def vocab_usage(

@@ -21,10 +21,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .diagnostics import _unit_token_counts
 from .errors import EmbeddingShapeError, check_seed
 from .textio import read_lines, render_tsv, write_text
-from .wordpiece import MAX_TRAIN_SENTENCES, VARIANTS, Vocabulary, VocabSpec, _count_units
+from .wordpiece import MAX_TRAIN_SENTENCES, VARIANTS, Vocabulary, VocabSpec, _count_units, _unit_token_counts
 from .wordpiece_learner import WordpieceLearner
 
 

@@ -13,9 +13,10 @@ escaped as a backslash, the decimal digits of its code point, and a
 semicolon, each its own token, so any Unicode text is representable.
 
 A unit's tokens never depend on its neighbours, so each vocabulary segments
-a unit through one memo (`_segmenter`), a least-recently-used cache of
-_UNIT_CACHE_SIZE units, and the reports count tokens over a table of
-distinct units rather than sentence by sentence.  The prefix table and the
+a unit through its own memo (`Vocabulary._units`), a least-recently-used
+cache of _UNIT_CACHE_SIZE units, and `_unit_token_counts` counts tokens over
+a table of distinct units rather than sentence by sentence, for the reports
+and for `transform_vocab`'s unused-parent count.  The prefix table and the
 memo are made on a vocabulary's first segmentation.  The learner, which
 needs numpy, is in `wordpiece_learner`; its public names still import from
 here.
@@ -29,7 +30,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CorpusFormatError, EscapeDecodeError
 from .textio import read_model_lines, render_lines, write_text
@@ -141,11 +142,20 @@ class Vocabulary:
             raise ValueError(problem[1])
         self._tokens = tokens
         self._index = {tok: i for i, tok in enumerate(tokens)}
-        self._max_len = max((len(t) for t in tokens), default=0)
         self.within_tolerance = within_tolerance
-        self._units: Callable[[str], tuple[str, ...]] | None = None  # `_segmenter` makes it on first use
-        # `_segmenter` refuses a vocabulary that cannot escape every character.
-        self._missing_escape = next((tok for tok in ESCAPE_TOKENS if tok not in self._index), None)
+
+    @functools.cached_property
+    def _units(self) -> Callable[[str], tuple[str, ...]]:
+        """The memoised unit -> tokens function, the one per-unit path of
+        segmentation and the reports.  Its prefix table and memo are made on
+        first use, since most vocabularies a learner or a size search builds
+        never segment.  A vocabulary that cannot escape every character is
+        refused, on every use."""
+        missing = next((tok for tok in ESCAPE_TOKENS if tok not in self._index), None)
+        if missing is not None:
+            raise ValueError(f"vocabulary lacks escape token {missing!r}; cannot segment arbitrary text")
+        segment = functools.partial(_segment_unit, _prefixes(self._tokens))
+        return functools.lru_cache(maxsize=_UNIT_CACHE_SIZE)(segment)
 
     @classmethod
     def with_ascii_fallback(cls, tokens: Iterable[str]) -> "Vocabulary":
@@ -186,10 +196,6 @@ class Vocabulary:
     @property
     def tokens(self) -> list[str]:
         return list(self._tokens)
-
-    @property
-    def max_token_length(self) -> int:
-        return self._max_len
 
     def index(self, token: str) -> int:
         return self._index[token]
@@ -251,23 +257,9 @@ class VocabSpec:
         return abs(size - self.target_size) <= self.tolerance * self.target_size
 
 
-def _segmenter(vocab: Vocabulary) -> Callable[[str], tuple[str, ...]]:
-    """The vocabulary's memoised unit -> tokens function, the one per-unit
-    path of segmentation and the reports.  Its prefix table and memo are made
-    on first use, since most vocabularies a learner or a size search builds
-    never segment.  A vocabulary that cannot escape every character is refused."""
-    if vocab._missing_escape is not None:
-        raise ValueError(f"vocabulary lacks escape token {vocab._missing_escape!r}; cannot segment arbitrary text")
-    if vocab._units is None:
-        vocab._units = functools.lru_cache(maxsize=_UNIT_CACHE_SIZE)(
-            functools.partial(_segment_unit, _prefixes(vocab._tokens))
-        )
-    return vocab._units
-
-
 def apply_wordpiece(vocab: Vocabulary, sentence: str) -> list[str]:
     """Segment a sentence into wordpiece tokens under the given vocabulary."""
-    segment = _segmenter(vocab)
+    segment = vocab._units
     out: list[str] = []
     for unit in pretokenize(sentence):
         out += segment(unit)
@@ -314,6 +306,19 @@ def _count_units(corpora: Iterable[Iterable[str]], max_sentences: int | None) ->
         raise ValueError(f"max_train_sentences must be non-negative, got {max_sentences}")
     sentences = itertools.islice(itertools.chain.from_iterable(corpora), max_sentences)
     return Counter(itertools.chain.from_iterable(map(pretokenize, sentences)))
+
+
+def _unit_token_counts(vocab: Vocabulary, units: Mapping[str, int]) -> Counter:
+    """Each token's count over a unit table segmented under `vocab`: each
+    distinct unit is segmented once and its count added to each of its
+    tokens.  This is exact, because a unit's tokens never depend on its
+    neighbours."""
+    segment = vocab._units
+    counts: Counter = Counter()
+    for unit, count in units.items():
+        for tok in segment(unit):
+            counts[tok] += count
+    return counts
 
 
 def __getattr__(name: str):

@@ -128,6 +128,21 @@ def test_step_runs_without_numpy(step_inputs, step):
     assert result.stdout.splitlines()[-1].split() == sorted(BASE | loaded)
 
 
+def test_transform_vocab_loads_neither_diagnostics_nor_corpus(step_inputs):
+    """The unused-parent count reads the unit table through `wordpiece`, so a
+    fresh `transform-vocab` step loads no report or corpus module."""
+    script = (
+        "import sys; from xfervocab.cli import main; code = main(sys.argv[1:]); "
+        "print(*sorted(m for m in sys.modules if m.startswith('xfervocab.'))); sys.exit(code)"
+    )
+    argv = "transform-vocab --parent-vocab {d}/v.txt --child {d}/a.src --out-dir {d}/bundle".format(d=step_inputs)
+    result = run_python(["-c", script, *argv.split()])
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.splitlines()[-1].split())
+    assert "xfervocab.transfer" in loaded
+    assert not loaded & {"xfervocab.diagnostics", "xfervocab.corpus"}
+
+
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda path: path.name)
 def test_demo_exits_0(demo, tmp_path):
     result = run_python([str(demo)], cwd=tmp_path)

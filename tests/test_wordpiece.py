@@ -183,7 +183,7 @@ def oracle_apply(vocab, sentence):
     index = set(vocab.tokens)
     out = []
     for unit in pretokenize(sentence):
-        out.extend(oracle_segment_unit(unit, index, vocab.max_token_length))
+        out.extend(oracle_segment_unit(unit, index, max(map(len, vocab), default=0)))
     return out
 
 
