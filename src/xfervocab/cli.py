@@ -24,6 +24,8 @@ and file-mode merge-vocab print one status line; the rest print nothing.
 Each handler loads the library modules it calls (`_load`), so a step
 imports only those; only those that compute with numpy import it (learn-wp,
 transform-vocab, merge-vocab, balanced-vocab, eval bleu and eval bootstrap).
+The modules the other steps load define their records without
+`dataclasses`, so those steps import neither numpy nor `inspect`.
 Likewise `main` declares only the arguments of the command argv names
 (`_invoked`), each command importing the constants its flags read.  Help
 above a command, `--config` and a name no command has get every command's

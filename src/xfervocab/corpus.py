@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .errors import AlignmentError, CorpusFormatError, SampleSizeError, check_seed
+from .errors import AlignmentError, CorpusFormatError, Record, SampleSizeError, check_seed
 from .textio import read_lines, render_tsv, write_lines, write_text
 from .wordpiece import Vocabulary, apply_wordpiece
 
@@ -24,28 +23,26 @@ _SPACE_RE = re.compile(r"(\s+)")
 CORRUPTION_MODES = ("shuffle_source", "shuffle_target", "shuffle_both", "sort_target", "shuffle_pairing")
 
 
-@dataclass(frozen=True)
-class ParallelCorpus:
-    """Aligned source/target sentences; loading applies no tokenization."""
+class ParallelCorpus(Record):
+    """Aligned source/target sentences; loading applies no tokenization.  Each
+    side is kept as a tuple of the sentences given."""
 
     sources: tuple[str, ...]
     targets: tuple[str, ...]
 
-    def __post_init__(self):
-        if len(self.sources) != len(self.targets):
-            raise AlignmentError(
-                f"source has {len(self.sources)} sentences but target has {len(self.targets)}"
-            )
-        for side in (self.sources, self.targets):
+    def __init__(self, sources: Iterable[str], targets: Iterable[str]):
+        sources, targets = tuple(sources), tuple(targets)
+        if len(sources) != len(targets):
+            raise AlignmentError(f"source has {len(sources)} sentences but target has {len(targets)}")
+        for side in (sources, targets):
             for sentence in side:
                 if "\n" in sentence:
                     raise CorpusFormatError(f"sentence contains a newline: {sentence!r}")
+        self._hold(sources=sources, targets=targets)
 
     @classmethod
     def from_pairs(cls, pairs) -> "ParallelCorpus":
-        sources = tuple(src for src, _ in pairs)
-        targets = tuple(tgt for _, tgt in pairs)
-        return cls(sources, targets)
+        return cls([src for src, _ in pairs], [tgt for _, tgt in pairs])
 
     @property
     def pairs(self) -> list[tuple[str, str]]:
@@ -58,8 +55,7 @@ class ParallelCorpus:
         return iter(zip(self.sources, self.targets))
 
 
-@dataclass(frozen=True)
-class FilterReport:
+class FilterReport(NamedTuple):
     kept: int
     dropped: int
     dropped_fraction: float
@@ -70,7 +66,7 @@ class FilterReport:
         return cls(kept, dropped, dropped / total if total else 0.0)
 
     def to_tsv(self) -> str:
-        return render_tsv([("kept", "dropped", "dropped_fraction"), astuple(self)])
+        return render_tsv([("kept", "dropped", "dropped_fraction"), self])
 
 
 def load_parallel(source_path: str | Path, target_path: str | Path) -> ParallelCorpus:
@@ -81,7 +77,7 @@ def load_parallel(source_path: str | Path, target_path: str | Path) -> ParallelC
         raise AlignmentError(
             f"{source_path} has {len(sources)} lines but {target_path} has {len(targets)}"
         )
-    return ParallelCorpus(tuple(sources), tuple(targets))
+    return ParallelCorpus(sources, targets)
 
 
 def load_parallel_tsv(path: str | Path) -> ParallelCorpus:
@@ -93,7 +89,7 @@ def load_parallel_tsv(path: str | Path) -> ParallelCorpus:
             raise CorpusFormatError(f"{path}: line {i}: expected 2 tab-separated columns, got {len(columns)}")
         sources.append(columns[0])
         targets.append(columns[1])
-    return ParallelCorpus(tuple(sources), tuple(targets))
+    return ParallelCorpus(sources, targets)
 
 
 def write_parallel(corpus: ParallelCorpus, source_path: str | Path, target_path: str | Path) -> None:
@@ -245,8 +241,7 @@ def corrupt_word_order(corpus: ParallelCorpus, mode: str, seed: int) -> Parallel
     if mode == "shuffle_pairing":
         order = list(range(len(corpus)))
         rng.shuffle(order)
-        targets = tuple(corpus.targets[i] for i in order)
-        return ParallelCorpus(corpus.sources, targets)
+        return ParallelCorpus(corpus.sources, [corpus.targets[i] for i in order])
 
     sources, targets = [], []
     for src, tgt in corpus:
@@ -258,4 +253,4 @@ def corrupt_word_order(corpus: ParallelCorpus, mode: str, seed: int) -> Parallel
             tgt = " ".join(sorted(tgt.split()))
         sources.append(src)
         targets.append(tgt)
-    return ParallelCorpus(tuple(sources), tuple(targets))
+    return ParallelCorpus(sources, targets)

@@ -10,8 +10,7 @@ through the vocabulary's memo, not sentence by sentence.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import FilterReport, ParallelCorpus, filter_by_subword_length
 from .textio import render_tsv
@@ -69,8 +68,7 @@ def vocab_usage(
     return sum(1 for tok in considered if counts[tok]) / len(considered)
 
 
-@dataclass(frozen=True)
-class OverlapBreakdown:
+class OverlapBreakdown(NamedTuple):
     """Vocabulary tokens classed by the exact set of languages using them.
 
     A token belongs to a language when its count in that language's
@@ -114,6 +112,8 @@ def overlap_breakdown(
     """
     if len(corpora) < 2:
         raise ValueError("overlap breakdown needs at least two labeled corpora")
+    if not len(vocab):  # each class's percent is of the vocabulary's size
+        raise ValueError("overlap breakdown needs a nonempty vocabulary")
     if min_count < 1:
         raise ValueError(f"min_count must be at least 1, got {min_count}")
     for lang in list(parent_langs) + list(child_langs):

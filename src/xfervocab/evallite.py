@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .errors import CorpusFormatError
+from .errors import CorpusFormatError, Record
 from .textio import read_lines, render_tsv
 
 TOKENIZATIONS = ("none", "intl")
@@ -20,14 +19,18 @@ SMOOTHINGS = ("none", "exponential")
 RELATIVE_TO = ("global", "prewindow")
 
 
-@dataclass(frozen=True)
-class LearningCurve:
+class LearningCurve(Record):
+    """(step, score) points, kept as a tuple of (step, score) tuples: steps
+    strictly increasing, and no score NaN."""
+
     points: tuple[tuple[int, float], ...]
 
-    def __post_init__(self):
-        problem = _first_bad_point(self.points)
+    def __init__(self, points: Sequence[tuple[int, float]]):
+        points = tuple(map(tuple, points))
+        problem = _first_bad_point(points)
         if problem is not None:
             raise ValueError(problem[1])
+        self._hold(points=points)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -44,7 +47,7 @@ class LearningCurve:
             except ValueError:
                 raise CorpusFormatError(f"{path}: line {i}: expected step<TAB>score") from None
         try:
-            return cls(tuple(points))
+            return cls(points)
         except ValueError:  # only validation raises; find the line again
             index, message = _first_bad_point(points)
             raise CorpusFormatError(f"{path}: line {index + first}: {message}") from None
@@ -81,7 +84,7 @@ def should_stop(
     maximum.  relative_to selects the delta denominator: "global" (the
     maximum anywhere) or "prewindow" (the maximum before the window).
     """
-    points = (curve if isinstance(curve, LearningCurve) else LearningCurve(tuple(curve))).points
+    points = (curve if isinstance(curve, LearningCurve) else LearningCurve(curve)).points
     if not points:
         raise ValueError("cannot evaluate an empty learning curve")
     if relative_to not in RELATIVE_TO:
@@ -104,8 +107,7 @@ def should_stop(
     return inside - outside <= delta_frac * denominator, best_step
 
 
-@dataclass(frozen=True)
-class TokenOverlap:
+class TokenOverlap(NamedTuple):
     """Child output tokens classed by their confirmation source."""
 
     baseline_and_reference: int
@@ -119,7 +121,7 @@ class TokenOverlap:
 
     def to_tsv(self) -> str:
         header = ("baseline_and_reference", "baseline_only", "reference_only", "neither", "total")
-        return render_tsv([header, (*astuple(self), self.total)])
+        return render_tsv([header, (*self, self.total)])
 
 
 def token_overlap_analysis(

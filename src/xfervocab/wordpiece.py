@@ -28,11 +28,10 @@ import functools
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import CorpusFormatError, EscapeDecodeError
+from .errors import CorpusFormatError, EscapeDecodeError, Record
 from .textio import read_model_lines, render_lines, write_text
 
 # End-of-unit marker appended to every word-level unit before matching.
@@ -239,18 +238,18 @@ def _first_bad_token(tokens: list[str]) -> tuple[int, str] | None:
     return None
 
 
-@dataclass(frozen=True)
-class VocabSpec:
+class VocabSpec(Record):
     """Target size and tolerances for vocabulary learning."""
 
     target_size: int
-    tolerance: float = 0.01
+    tolerance: float = 0.01  # the default, which the CLI and the merged-vocabulary search read
 
-    def __post_init__(self):
-        if not 0 < self.tolerance < 0.5:
+    def __init__(self, target_size: int, tolerance: float = tolerance):
+        if not 0 < tolerance < 0.5:
             raise ValueError("tolerance must be in (0, 0.5)")
-        if self.target_size < 1:
+        if target_size < 1:
             raise ValueError("target_size must be positive")
+        self._hold(target_size=target_size, tolerance=tolerance)
 
     def within(self, size: int) -> bool:
         """Whether a vocabulary of `size` tokens meets the size contract."""

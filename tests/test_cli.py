@@ -501,6 +501,7 @@ def desk(tmp_path_factory):
     write(d / "bad.merges", ["#version: xfervocab-1", "ab"])
     write(d / "dup.vocab", ["a", "b", "a"])
     write(d / "blank.vocab", ["a", "", "b"])
+    write(d / "empty.txt", [])
     (d / "emb.bin").write_bytes(b"\x02\x00\x00\x00\x02\x00\x00\x00\x00\x00\x80\x3f")
     return d
 
@@ -879,6 +880,9 @@ ERROR_PATHS = [
      "{d}/empty_curve.tsv: no step<TAB>score rows"),
     (["eval", "stop", "--curve", "{d}/header_curve.tsv", "--out", "{d}/e64.tsv"],
      "{d}/header_curve.tsv: no step<TAB>score rows"),
+    # An empty vocabulary has no share of itself to report, even over empty corpora.
+    (["diag", "overlap", "--vocab", "{d}/empty.txt", "--corpus", "a={d}/empty.txt", "--corpus", "b={d}/empty.txt",
+      "--out", "{d}/e65.tsv"], "overlap breakdown needs a nonempty vocabulary"),
 ]
 
 

@@ -82,13 +82,13 @@ def step_inputs(tmp_path_factory):
     return root
 
 
-# Each numpy-free step, and the modules it loads among the package's, numpy and
-# dataclasses: the package, `cli`, `errors` and `textio`, plus those its
-# handler calls and what they import.
+# Each numpy-free step, and the modules it loads among the package's, numpy,
+# dataclasses and inspect: the package, `cli`, `errors` and `textio`, plus
+# those its handler calls and what they import.
 BASE = {"xfervocab", "xfervocab.cli", "xfervocab.errors", "xfervocab.textio"}
-WORDPIECE = {"xfervocab.wordpiece", "dataclasses"}
+WORDPIECE = {"xfervocab.wordpiece"}
 CORPUS = {"xfervocab.corpus", *WORDPIECE}
-EVALLITE = {"xfervocab.evallite", "dataclasses"}
+EVALLITE = {"xfervocab.evallite"}
 NUMPY_FREE_STEPS = {
     "learn-bpe": ("learn-bpe --input {d}/a.src --merges 5 --out {d}/a.merges", {"xfervocab.bpe"}),
     "apply-wp": ("apply-wp --vocab {d}/v.txt --input {d}/a.src --out {d}/a.wp", WORDPIECE),
@@ -115,17 +115,20 @@ NUMPY_FREE_STEPS = {
 
 @pytest.mark.parametrize("step", NUMPY_FREE_STEPS)
 def test_step_runs_without_numpy(step_inputs, step):
-    """A fresh step loads only the modules its handler calls: never numpy, and
-    neither dataclasses nor `wordpiece` for BPE."""
+    """A fresh step loads only the modules its handler calls: never numpy,
+    dataclasses or the inspect module dataclasses imports, and no `wordpiece`
+    for BPE."""
     script = (
         "import sys; from xfervocab.cli import main; code = main(sys.argv[1:]); "
-        "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('xfervocab', 'numpy', 'dataclasses'))); "
-        "sys.exit(code)"
+        "tops = ('xfervocab', 'numpy', 'dataclasses', 'inspect'); "
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] in tops)); sys.exit(code)"
     )
     argv, loaded = NUMPY_FREE_STEPS[step]
     result = run_python(["-c", script, *argv.format(d=step_inputs).split()])
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1].split() == sorted(BASE | loaded)
+    printed = result.stdout.splitlines()[-1].split()
+    assert not {"dataclasses", "inspect"} & set(printed)
+    assert printed == sorted(BASE | loaded)
 
 
 def test_transform_vocab_loads_neither_diagnostics_nor_corpus(step_inputs):
