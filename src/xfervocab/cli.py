@@ -56,7 +56,7 @@ import sys
 from pathlib import Path
 
 from . import _EXPORTS, __version__
-from .errors import CorpusFormatError, XfervocabError
+from .errors import AlignmentError, CorpusFormatError, XfervocabError
 from .textio import read_lines, render_tsv, write_lines, write_text
 
 
@@ -571,16 +571,22 @@ def _cmd_corpus(args):
         write_parallel(out, args.out_source, args.out_target)
 
 
+def _read_aligned(*paths: str) -> list[list[str]]:
+    """The lines of each file; each must have as many as the last, the references."""
+    texts = [read_lines(path) for path in paths]
+    for path, lines in zip(paths, texts):
+        if len(lines) != len(texts[-1]):
+            raise AlignmentError(f"{path}: {len(lines)} lines, but {paths[-1]} has {len(texts[-1])}")
+    return texts
+
+
 def _cmd_eval(args):
     _load("mteval" if args.eval_command in ("bleu", "bootstrap") else "evallite")
     if args.eval_command == "bleu":
-        candidates = read_lines(args.candidates)
-        references = read_lines(args.references)
+        candidates, references = _read_aligned(args.candidates, args.references)
         tsv = bleu(candidates, references, args.n_max, args.smoothing, args.tokenize).to_tsv()
     elif args.eval_command == "bootstrap":
-        cand_a = read_lines(args.candidates_a)
-        cand_b = read_lines(args.candidates_b)
-        references = read_lines(args.references)
+        cand_a, cand_b, references = _read_aligned(args.candidates_a, args.candidates_b, args.references)
         tsv = paired_bootstrap(
             cand_a, cand_b, references, args.samples, args.alpha, seed=args.seed, tokenization=args.tokenize
         ).to_tsv()
@@ -591,9 +597,8 @@ def _cmd_eval(args):
         decision = should_stop(curve, args.window_frac, args.delta_frac, args.min_evals, args.relative_to)
         tsv = render_tsv([("stop", "best_step"), decision])
     else:
-        child = [line.split() for line in read_lines(args.child)]
-        baseline = [line.split() for line in read_lines(args.baseline)]
-        references = [line.split() for line in read_lines(args.references)]
+        texts = _read_aligned(args.child, args.baseline, args.references)
+        child, baseline, references = ([line.split() for line in lines] for lines in texts)
         tsv = token_overlap_analysis(child, baseline, references).to_tsv()
     _report(args.out, tsv)
 

@@ -6,14 +6,19 @@ the brevity penalty exp(1 - L_ref/L_sys) when the output is not longer
 than the reference.  Scores are reported multiplied by 100.  The default
 pipeline is mixed case, one reference, exponential smoothing, and an
 international tokenization that pads punctuation not surrounded by digits.
+
+A sentence's statistics read only its own references and candidates, so
+they are computed over blocks of whole sentences, each holding its
+sentences' references and every system's candidates within _BLOCK_BYTES.
+Beyond one block, a scoring call keeps its output and one word table, which
+tokenizes each distinct whitespace word once for the call.  The bootstrap
+draws its resamples in blocks of the same budget.
 """
 
 from __future__ import annotations
 
-import functools
 import unicodedata
 from array import array
-from collections import defaultdict
 from dataclasses import astuple, dataclass
 from itertools import chain
 from typing import Sequence
@@ -34,9 +39,8 @@ _PUNCT_NORMALIZATION = {
 
 
 _NORMALIZE = str.maketrans(_PUNCT_NORMALIZATION)
-_BLOCK_BYTES = 4 << 20  # the bootstrap's resample block; bounds memory, never changes a score
+_BLOCK_BYTES = 4 << 20  # bounds each statistics block and each bootstrap resample block; never changes a score
 _INT32_TOKENS = 2**31  # per-token positions are int32 below this many tokens, else int64; never changes a count
-_WORD_CACHE_SIZE = 1 << 16  # words `tokenize_intl` remembers, the least recently used forgotten first
 
 
 def _tokenize_word(word: str) -> tuple[str, ...]:
@@ -45,38 +49,66 @@ def _tokenize_word(word: str) -> tuple[str, ...]:
     out = []
     for i, ch in enumerate(word):
         category = unicodedata.category(ch)[0]
-        between_digits = word[i - 1 : i].isdigit() and word[i + 1 : i + 2].isdigit()
-        out.append(f" {ch} " if category == "S" or category == "P" and not between_digits else ch)
+        if category == "S" or category == "P" and not (word[i - 1 : i].isdigit() and word[i + 1 : i + 2].isdigit()):
+            ch = f" {ch} "
+        out.append(ch)
     return tuple("".join(out).split())
-
-
-def _word_memo():
-    """A fresh memo of `_tokenize_word`, sized by _WORD_CACHE_SIZE as it is now."""
-    return functools.lru_cache(maxsize=_WORD_CACHE_SIZE)(_tokenize_word)
-
-
-# The memo `tokenize_intl` reads; each `_corpora_stats` call starts a fresh one.
-_WORD_TOKENS = _word_memo()
 
 
 def tokenize_intl(text: str) -> list[str]:
     """Normalize unicode punctuation to ASCII where defined, pad punctuation
     and symbols not sitting between digits with spaces, collapse whitespace.
     Padding never looks across whitespace, so each whitespace word is
-    normalized and tokenized on its own, through a bounded memo."""
-    word_tokens = _WORD_TOKENS
-    out: list[str] = []
-    for word in text.split():
-        out += word_tokens(word)
-    return out
+    normalized and tokenized on its own."""
+    return [token for word in text.split() for token in _tokenize_word(word)]
 
 
-def _tokenize(text: str, tokenization: str) -> list[str]:
+def _word_tokenizer(tokenization: str):
+    """The function that splits one whitespace word into its tokens."""
     if tokenization == "none":
-        return text.split()
+        return lambda word: (word,)
     if tokenization == "intl":
-        return tokenize_intl(text)
+        return _tokenize_word
     raise ValueError(f"unknown tokenization {tokenization!r}; expected one of {TOKENIZATIONS}")
+
+
+class _WordTable(dict):
+    """The index of each word and each token one scoring call has seen.
+
+    A word is tokenized once, on first sight, and word i's tokens, as their
+    indices, are tokens[ends[i] : ends[i + 1]].  Every token tokenizes to
+    itself, so a new token is filed as a word whose one token is itself, and
+    equal tokens share an index wherever they occur."""
+
+    def __init__(self, tokenize_word):
+        super().__init__()
+        self.tokenize_word = tokenize_word
+        self.tokens, self.ends = array("q"), array("q", [0])
+
+    def __missing__(self, word: str) -> int:
+        tokens = self.tokenize_word(word)
+        for token in tokens:
+            if token != word and token not in self:
+                self._file(token, [len(self)])
+        index = len(self)
+        self._file(word, [index if token == word else self[token] for token in tokens])
+        return index
+
+    def _file(self, word: str, ids: list[int]) -> None:
+        self.tokens.extend(ids)
+        self.ends.append(len(self.tokens))
+        self[word] = len(self)
+
+    def rows(self, lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The token ids of lines, end to end, and each line's token count."""
+        words = list(map(str.split, lines))
+        per_line = np.fromiter(map(len, words), np.int64, len(words))
+        index = np.fromiter(map(self.__getitem__, chain.from_iterable(words)), np.int64, int(per_line.sum()))
+        ends = np.frombuffer(self.ends, np.int64)  # views after every lookup, gone on return: the arrays may grow again
+        first, count = ends[index], ends[index + 1] - ends[index]
+        through = np.concatenate(([0], np.cumsum(count)))  # the tokens before each word, then all of them
+        tok = np.frombuffer(self.tokens, np.int64)[np.arange(through[-1]) + np.repeat(first - through[:-1], count)]
+        return tok, np.diff(through[np.cumsum(per_line)], prepend=0)
 
 
 @dataclass(frozen=True)
@@ -120,55 +152,82 @@ class SignificanceResult:
         return render_tsv([("wins_a", "wins_b", "ties", "samples", "better", "confidence_level"), astuple(self)])
 
 
-def _normalize_references(references, n_sentences: int) -> list[list[str]]:
+def _normalize_references(references, n_sentences: int) -> tuple[list[str], np.ndarray]:
+    """The references, one sentence's after another, and how many each sentence has."""
     refs = list(references)
     if refs and isinstance(refs[0], str):
-        per_sentence = [[r] for r in refs]
+        flat, sizes = refs, np.ones(len(refs), np.int64)
     else:
-        per_sentence = [list(rs) for rs in refs]
-    if len(per_sentence) != n_sentences:
-        raise ValueError(
-            f"candidate count {n_sentences} does not match reference count {len(per_sentence)}"
-        )
-    return per_sentence
+        groups = [list(rs) for rs in refs]
+        flat, sizes = list(chain.from_iterable(groups)), np.fromiter(map(len, groups), np.int64, len(groups))
+    if len(sizes) != n_sentences:
+        raise ValueError(f"candidate count {n_sentences} does not match reference count {len(sizes)}")
+    return flat, sizes
 
 
 def _corpora_stats(corpora: Sequence[Sequence[str]], references, n_max: int, tokenization: str) -> np.ndarray:
     """sentence_stats of each corpus, stacked; each reference is tokenized and counted once for all.
 
-    The references, then each corpus's candidates, are the rows of one token-id
-    array, streamed from the tokenizer with each row's length beside it.  An
-    n-gram's id is the dense rank of (its (n-1)-gram id, its last token); a
-    gram's clip count is its largest count in one reference of its sentence."""
-    global _WORD_TOKENS
+    A sentence's statistics read only its own references and candidates, so
+    they are computed over blocks of whole sentences, each holding its
+    sentences' references and every corpus's candidates, and as many
+    sentences as fit in _BLOCK_BYTES (one, if a sentence is larger), sized
+    by their characters.  Beyond one block, memory is the output and the
+    call's word table: every distinct whitespace word is tokenized once for
+    the call, and every distinct token has one id."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    refs = _normalize_references(references, len(corpora[0]))
-    if not refs or not all(refs):
+    refs, group_sizes = _normalize_references(references, len(corpora[0]))
+    if not len(group_sizes) or not group_sizes.all():
         raise ValueError("cannot score an empty corpus or an empty reference group")
-    n_sentences, n_refs = len(refs), sum(map(len, refs))
-    ids: defaultdict[str, int] = defaultdict()
-    ids.default_factory = ids.__len__  # a token's id is the number of distinct tokens before it
-    tok, lengths = array("q"), array("q")
-    _WORD_TOKENS = _word_memo()
-    for text in chain(chain.from_iterable(refs), chain.from_iterable(corpora)):
-        tokens = _tokenize(text, tokenization)
-        tok.extend(map(ids.__getitem__, tokens))
-        lengths.append(len(tokens))
-    tok, lengths = np.frombuffer(tok, np.int64), np.frombuffer(lengths, np.int64)
+    words = _WordTable(_word_tokenizer(tokenization))
+    ref_ends = np.cumsum(group_sizes)
+    chars = np.add.reduceat(np.fromiter(map(len, refs), np.int64, len(refs)), ref_ends - group_sizes)
+    for corpus in corpora:
+        chars += np.fromiter(map(len, corpus), np.int64, len(group_sizes))
+    ends = np.cumsum(_line_bytes(chars), out=chars)  # the bytes of the sentences' lines, through each
+    stats = np.empty((len(corpora), len(group_sizes), 2 * n_max + 2), np.int64)
+    start = done = 0
+    while start < len(group_sizes):
+        stop = max(int(np.searchsorted(ends, done + _BLOCK_BYTES, "right")), start + 1)
+        first_ref = ref_ends[start] - group_sizes[start]
+        lines = [*refs[first_ref : ref_ends[stop - 1]], *chain.from_iterable(c[start:stop] for c in corpora)]
+        tok, lengths = words.rows(lines)
+        stats[:, start:stop] = _block_stats(tok, lengths, group_sizes[start:stop], len(words), n_max)
+        start, done = stop, ends[stop - 1]
+    return stats
+
+
+def _line_bytes(chars):
+    """Bytes a statistics block takes for lines of `chars` characters: a
+    line holds at most one token a character, and a token takes under 160
+    bytes of the block's word lists and arrays (measured)."""
+    return 160 * chars
+
+
+def _block_stats(tok: np.ndarray, lengths: np.ndarray, group_sizes: np.ndarray, n_ids: int, n_max: int) -> np.ndarray:
+    """sentence_stats of each corpus over one block of sentences, stacked.
+
+    Its rows are each sentence's references, then each corpus's candidates:
+    tok holds their token ids end to end, and lengths their token counts.
+    An n-gram's id is the dense rank of (its (n-1)-gram id, its last token);
+    a gram's clip count is its largest count in one reference of its
+    sentence."""
+    n_sentences, n_refs = len(group_sizes), int(group_sizes.sum())
+    n_corpora = (len(lengths) - n_refs) // n_sentences
     index = np.int32 if len(tok) < _INT32_TOKENS else np.int64  # per-token positions; (row, gram) keys stay int64
     row = np.repeat(np.arange(len(lengths), dtype=index), lengths)
     room = np.repeat(np.cumsum(lengths, dtype=index), lengths) - np.arange(len(tok), dtype=index)  # to the row's end
-    ref_sentence = np.repeat(np.arange(n_sentences), list(map(len, refs)))
-    row_sentence = np.concatenate([ref_sentence, np.tile(np.arange(n_sentences), len(corpora))])
+    ref_sentence = np.repeat(np.arange(n_sentences), group_sizes)
+    row_sentence = np.concatenate([ref_sentence, np.tile(np.arange(n_sentences), n_corpora)])
     sys_len = lengths[n_refs:]
     stats = np.zeros((len(sys_len), 2 * n_max + 2), np.int64)
-    starts, gram, n_grams = np.arange(len(tok), dtype=index), tok, len(ids)
+    starts, gram, n_grams = np.arange(len(tok), dtype=index), tok, n_ids
     for n in range(1, n_max + 1):
         if n > 1:
             keep = room[starts] >= n
             starts = starts[keep]
-            grams, gram = np.unique(gram[keep] * len(ids) + tok[starts + n - 1], return_inverse=True)
+            grams, gram = np.unique(gram[keep] * n_ids + tok[starts + n - 1], return_inverse=True)
             n_grams = max(len(grams), 1)
         # (row, gram) -> count
         keys, counts = np.unique(row[starts].astype(np.int64) * n_grams + gram, return_counts=True)
@@ -183,10 +242,10 @@ def _corpora_stats(corpora: Sequence[Sequence[str]], references, n_max: int, tok
     stats[:, 2 * n_max] = sys_len
     # The reference length closest to sys_len; a tie goes to the shorter.
     ref_len, width = lengths[:n_refs], int(lengths.max(initial=0)) + 1
-    closest = np.abs(ref_len - sys_len.reshape(len(corpora), n_sentences)[:, ref_sentence]) * width + ref_len
+    closest = np.abs(ref_len - sys_len.reshape(n_corpora, n_sentences)[:, ref_sentence]) * width + ref_len
     group_starts = np.searchsorted(ref_sentence, np.arange(n_sentences))
     stats[:, 2 * n_max + 1] = (np.minimum.reduceat(closest, group_starts, axis=1) % width).ravel()
-    return stats.reshape(len(corpora), n_sentences, -1)
+    return stats.reshape(n_corpora, n_sentences, -1)
 
 
 def sentence_stats(candidates: Sequence[str], references, n_max: int = 4, tokenization: str = "intl") -> np.ndarray:
@@ -246,7 +305,8 @@ def bleu(
     tokenization: str = "intl",
 ) -> BleuReport:
     """Document-level BLEU (multiplied by 100) for one candidate corpus."""
-    references = _normalize_references(references, len(candidates))
+    references = list(references)  # read twice: counted, then scored
+    num_refs = int(_normalize_references(references, len(candidates))[1].max(initial=1))
     sums = sentence_stats(candidates, references, n_max, tokenization).sum(axis=0)
     scores, precisions, bp = _scores_from_sums(sums[None], smoothing)
     return BleuReport(
@@ -258,7 +318,7 @@ def bleu(
         smoothing=smoothing,
         tokenization=tokenization,
         n_max=n_max,
-        num_refs=max(map(len, references), default=1),
+        num_refs=num_refs,
     )
 
 
@@ -283,7 +343,7 @@ def _resample_scores(stats: Sequence[np.ndarray], samples: int, seed: int, smoot
     one block and the stats, memory is the scores: 8 bytes per resample and
     system."""
     n_sentences = len(stats[0])
-    table = np.hstack(stats).astype(np.float64)
+    table = np.hstack(stats, dtype=np.float64)
     rng = np.random.default_rng(seed)
     rows = _BLOCK_BYTES // _row_bytes(n_sentences, table.shape[1])
     block = np.empty((max(1, min(samples, rows)), n_sentences))

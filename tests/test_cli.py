@@ -681,22 +681,20 @@ def test_every_command_shape_runs_alike_in_a_fresh_process(run_all_shapes, seed1
     assert run_all_shapes(FRESH_SHAPES_SCRIPT, "1") == seed1_shapes
 
 
-# Each tuning constant at its least legal value: one-row bootstrap blocks,
-# one-row edit-distance blocks, int64 token positions and no memo in any of
-# the three caches.
+# Each tuning constant at its least legal value: one-sentence statistics
+# blocks, one-row bootstrap and edit-distance blocks, int64 token positions
+# and no memo in either segmentation cache.
 SHRUNK_CONSTANTS = """
 from xfervocab import bpe, mteval, transfer, wordpiece
 mteval._BLOCK_BYTES = transfer._BLOCK_BYTES = mteval._INT32_TOKENS = 0
-wordpiece._UNIT_CACHE_SIZE = mteval._WORD_CACHE_SIZE = bpe._WORD_CACHE_SIZE = 0
+wordpiece._UNIT_CACHE_SIZE = bpe._WORD_CACHE_SIZE = 0
 """
 
 
 def test_every_command_shape_ignores_the_tuning_constants(run_all_shapes, seed1_shapes):
     """A block or memo size bounds memory and time, never a byte: every shape
-    prints and writes the same with each one shrunk.  Each run is a fresh
-    process, because the tokenizer's memo is module-global."""
-    memo_unused = "assert mteval._WORD_TOKENS.cache_info().maxsize == 0\n"
-    shrunk = run_all_shapes(SHRUNK_CONSTANTS + ALL_SHAPES_SCRIPT + memo_unused, "1")
+    prints and writes the same with each one shrunk."""
+    shrunk = run_all_shapes(SHRUNK_CONSTANTS + ALL_SHAPES_SCRIPT, "1")
     assert shrunk == seed1_shapes
 
 
@@ -883,6 +881,17 @@ ERROR_PATHS = [
     # An empty vocabulary has no share of itself to report, even over empty corpora.
     (["diag", "overlap", "--vocab", "{d}/empty.txt", "--corpus", "a={d}/empty.txt", "--corpus", "b={d}/empty.txt",
       "--out", "{d}/e65.tsv"], "overlap breakdown needs a nonempty vocabulary"),
+    # Files of unequal line counts: the message names both.
+    (["eval", "bleu", "--candidates", "{d}/sys_a.txt", "--references", "{d}/refs.txt", "--out", "{d}/e66.tsv"],
+     "{d}/sys_a.txt: 20 lines, but {d}/refs.txt has 2"),
+    (["eval", "bootstrap", "--candidates-a", "{d}/sys_a.txt", "--candidates-b", "{d}/worse.txt", "--references",
+      "{d}/sys_refs.txt", "--samples", "50", "--seed", "4", "--out", "{d}/e67.tsv"],
+     "{d}/worse.txt: 2 lines, but {d}/sys_refs.txt has 20"),
+    (["eval", "bootstrap", "--candidates-a", "{d}/sys_a.txt", "--candidates-b", "{d}/sys_b.txt", "--references",
+      "{d}/refs.txt", "--samples", "50", "--seed", "4", "--out", "{d}/e68.tsv"],
+     "{d}/sys_a.txt: 20 lines, but {d}/refs.txt has 2"),
+    (["eval", "token-analysis", "--child", "{d}/worse.txt", "--baseline", "{d}/sys_b.txt", "--references",
+      "{d}/refs.txt", "--out", "{d}/e69.tsv"], "{d}/sys_b.txt: 20 lines, but {d}/refs.txt has 2"),
 ]
 
 

@@ -9,6 +9,8 @@ import string
 import tracemalloc
 import unicodedata
 from collections import Counter
+from itertools import chain
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +28,6 @@ from xfervocab.mteval import (
     _normalize_references,
     _resample_scores,
     _scores_from_sums,
-    _tokenize,
     bleu,
     paired_bootstrap,
     sentence_stats,
@@ -34,6 +35,7 @@ from xfervocab.mteval import (
     token_overlap_analysis,
     tokenize_intl,
 )
+from xfervocab.wordpiece import pretokenize
 
 
 def oracle_bleu(candidates, references, n_max=4, smoothing="none"):
@@ -149,7 +151,7 @@ def test_intl_tokenization_pads_punctuation_not_numbers():
 
 
 def oracle_tokenize_intl(text):
-    """The per-character tokenizer used before the per-word memo: normalize
+    """The per-character tokenizer used before the per-word one: normalize
     the whole text, then pad punctuation and symbols one character at a time."""
     text = "".join(mteval._PUNCT_NORMALIZATION.get(ch, ch) for ch in text)
     out = []
@@ -189,29 +191,49 @@ TOKENIZER_TEXT = st.lists(
 @settings(max_examples=500, deadline=None)
 @given(text=TOKENIZER_TEXT)
 def test_tokenize_intl_matches_per_character_oracle(text):
-    expected = oracle_tokenize_intl(text)
-    assert tokenize_intl(text) == expected
-    assert tokenize_intl(text) == expected  # now every word comes from the memo
+    tokens = tokenize_intl(text)
+    assert tokens == oracle_tokenize_intl(text)
+    assert all(tokenize_intl(token) == [token] for token in tokens)  # so scoring files a token as a word
 
 
-def test_tokenize_intl_memo_is_bounded(monkeypatch):
-    monkeypatch.setattr(mteval, "_WORD_TOKENS", mteval._word_memo())
-    bound = mteval._WORD_CACHE_SIZE
-    assert bound == 1 << 16
-    words = [f"w{i}," for i in range(bound + 100)]
-    assert tokenize_intl(" ".join(words)) == [t for w in words for t in (w[:-1], ",")]
-    assert mteval._WORD_TOKENS.cache_info().currsize == bound
-    assert tokenize_intl(f"{words[0]} {words[-1]}") == [words[0][:-1], ",", words[-1][:-1], ","]
-    info = mteval._WORD_TOKENS.cache_info()
-    assert (info.hits, info.currsize) == (1, bound)  # the last word is remembered, the first was forgotten
+def tokenize(text, tokenization):
+    """A line's tokens as the oracles read them."""
+    return tokenize_intl(text) if tokenization == "intl" else text.split()
 
 
-def test_each_scoring_call_starts_a_fresh_tokenizer_memo():
-    bleu(["a b c"], ["a b d"])
-    first = mteval._WORD_TOKENS
-    bleu(["x y"], ["x y"])
-    assert mteval._WORD_TOKENS is not first
-    assert mteval._WORD_TOKENS.cache_info().currsize == 2
+# Characters whose Unicode category changed between the databases CI's legs
+# ship (3.10: 13.0.0, 3.11: 14.0.0, 3.12: 15.0.0), so each leg checks its own.
+UNICODE_VERSION = tuple(map(int, unicodedata.unidata_version.split(".")))
+
+
+def test_tokenizers_follow_this_interpreters_unicode_database():
+    slide, wireless, modifier = "\U0001F6DD", "\U0001F6DC", "\U0001E030"  # So since 14.0, So since 15.0, Lm since 15.0
+    assert tokenize_intl(f"a{slide}b") == (["a", slide, "b"] if UNICODE_VERSION >= (14,) else [f"a{slide}b"])
+    assert tokenize_intl(f"a{wireless}b") == (["a", wireless, "b"] if UNICODE_VERSION >= (15,) else [f"a{wireless}b"])
+    assert pretokenize(f"a{modifier}b") == ([f"a{modifier}b"] if UNICODE_VERSION >= (15,) else ["a", modifier, "b"])
+
+
+def test_each_distinct_word_is_tokenized_once_per_scoring_call(monkeypatch):
+    """A scoring call tokenizes each distinct whitespace word at most once,
+    across the references and every system, and keeps nothing for the next
+    call.  The words it skips were tokens of words it tokenized ("abc" of
+    "abc."), which tokenize to themselves."""
+    calls = []
+    tokenize_word = mteval._tokenize_word
+    monkeypatch.setattr(mteval, "_tokenize_word", lambda word: calls.append(word) or tokenize_word(word))
+    cand_a, cand_b, refs = desk_eval_set(2)
+
+    def check(lines):
+        words, tokenized = {word for line in lines for word in line.split()}, set(calls)
+        assert len(calls) == len(tokenized) and tokenized <= words
+        skipped = words - tokenized
+        assert skipped and skipped <= {token for word in tokenized for token in tokenize_word(word)}
+        calls.clear()
+
+    paired_bootstrap(cand_a, cand_b, refs, samples=20, seed=0)
+    check(chain(cand_a, cand_b, *refs))
+    bleu(cand_a, refs)
+    check(chain(cand_a, *refs))
 
 
 def test_bleu_signature_records_settings():
@@ -421,6 +443,13 @@ def test_sentence_stats_columns():
     assert stats.tolist() == [[2, 1, 3, 2, 3, 3]]
 
 
+def reference_groups(references, n_sentences):
+    """Each sentence's references, as a list."""
+    flat, sizes = _normalize_references(references, n_sentences)
+    refs = iter(flat)
+    return [[next(refs) for _ in range(size)] for size in sizes]
+
+
 def oracle_ngram_counts(tokens, n):
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
@@ -431,11 +460,11 @@ def oracle_sentence_stats(candidates, references, n_max=4, tokenization="intl"):
     a hand-written max."""
     if len(candidates) == 0:
         raise ValueError("cannot score an empty corpus")
-    refs = _normalize_references(references, len(candidates))
+    refs = reference_groups(references, len(candidates))
     stats = np.zeros((len(candidates), 2 * n_max + 2), dtype=np.int64)
     for i, (cand, ref_group) in enumerate(zip(candidates, refs)):
-        cand_tokens = _tokenize(cand, tokenization)
-        ref_tokens = [_tokenize(r, tokenization) for r in ref_group]
+        cand_tokens = tokenize(cand, tokenization)
+        ref_tokens = [tokenize(r, tokenization) for r in ref_group]
         sys_len = len(cand_tokens)
         ref_len = min((len(r) for r in ref_tokens), key=lambda L: (abs(L - sys_len), L))
         for n in range(1, n_max + 1):
@@ -467,13 +496,16 @@ SENTENCES = st.lists(st.sampled_from(["a", "b", "ab", "a,", "b!", "1,5", "«a»"
     ),
     n_max=st.integers(1, 5),
     tokenization=st.sampled_from(TOKENIZATIONS),
+    block_bytes=st.integers(0, 40_000),
 )
-def test_sentence_stats_matches_per_order_oracle(rows, n_max, tokenization):
+def test_sentence_stats_matches_per_order_oracle(rows, n_max, tokenization, block_bytes):
+    """At any block budget: from one sentence a block to every sentence in one."""
     cand_a, cand_b, references = (list(column) for column in zip(*rows))
     expected = [oracle_sentence_stats(cand, references, n_max, tokenization) for cand in (cand_a, cand_b)]
-    got = sentence_stats(cand_a, references, n_max, tokenization)
+    with mock.patch.object(mteval, "_BLOCK_BYTES", block_bytes):
+        got = sentence_stats(cand_a, references, n_max, tokenization)
+        both = _corpora_stats([cand_a, cand_b], references, n_max, tokenization)
     assert got.dtype == expected[0].dtype and np.array_equal(got, expected[0])
-    both = _corpora_stats([cand_a, cand_b], references, n_max, tokenization)
     assert all(np.array_equal(g, e) for g, e in zip(both, expected, strict=True))
 
 
@@ -484,15 +516,15 @@ def oracle_counter_corpora_stats(corpora, references, n_max, tokenization):
     def ngram_counts(tokens):
         return Counter(tuple(tokens[i : i + n]) for n in range(1, n_max + 1) for i in range(len(tokens) - n + 1))
 
-    refs = _normalize_references(references, len(corpora[0]))
+    refs = reference_groups(references, len(corpora[0]))
     stats = np.zeros((len(corpora), len(refs), 2 * n_max + 2), dtype=np.int64)
     for i, ref_group in enumerate(refs):
-        ref_tokens = [_tokenize(r, tokenization) for r in ref_group]
+        ref_tokens = [tokenize(r, tokenization) for r in ref_group]
         clip: Counter = Counter()
         for tokens in ref_tokens:
             clip |= ngram_counts(tokens)
         for corpus_stats, candidates in zip(stats, corpora):
-            tokens = _tokenize(candidates[i], tokenization)
+            tokens = tokenize(candidates[i], tokenization)
             sys_len = len(tokens)
             row = [0] * n_max + [max(sys_len - n, 0) for n in range(n_max)]
             for gram, matches in (ngram_counts(tokens) & clip).items():
@@ -534,6 +566,70 @@ def test_corpora_stats_matches_counter_oracle_on_desk_corpora(n_max, tokenizatio
     assert np.any(got[..., :n_max] < got[..., n_max : 2 * n_max])  # and clipping bites
 
 
+def sentence_bytes(corpora, refs):
+    """The bytes of each sentence's lines in a statistics block."""
+    return [int(mteval._line_bytes(sum(map(len, [*group, *lines])))) for group, *lines in zip(refs, *corpora)]
+
+
+def counted_blocks(monkeypatch):
+    """The sentence count of each block `_corpora_stats` scores, in order."""
+    blocks = []
+    block_stats = mteval._block_stats
+
+    def counting_block_stats(tok, lengths, group_sizes, n_ids, n_max):
+        blocks.append(len(group_sizes))
+        return block_stats(tok, lengths, group_sizes, n_ids, n_max)
+
+    monkeypatch.setattr(mteval, "_block_stats", counting_block_stats)
+    return blocks
+
+
+@pytest.mark.parametrize("tokenization", TOKENIZATIONS)
+@pytest.mark.parametrize("budget", ["zero", "several"])
+def test_corpora_stats_in_blocks_match_counter_oracle(monkeypatch, budget, tokenization):
+    """At a budget of 0 each sentence is a block; at 30 sentences' worth the
+    eval set falls into several blocks, each within the budget but for one
+    sentence 60 times the size of the others, which is a block of its own."""
+    cand_a, cand_b, refs = desk_eval_set(3)
+    cand_a[100], cand_b[100] = " ".join(cand_a[:60]), " ".join(cand_b[:60])
+    refs[100] = [" ".join(group[0] for group in refs[:60]), refs[100][0]]
+    sizes = sentence_bytes([cand_a, cand_b], refs)
+    assert min(sizes) > 0
+    monkeypatch.setattr(mteval, "_BLOCK_BYTES", 0 if budget == "zero" else 30 * sorted(sizes)[len(sizes) // 2])
+    blocks = counted_blocks(monkeypatch)
+    for n_max in (1, 4):
+        blocks.clear()
+        got = _corpora_stats([cand_a, cand_b], refs, n_max, tokenization)
+        assert np.array_equal(got, oracle_counter_corpora_stats([cand_a, cand_b], refs, n_max, tokenization))
+        starts = np.cumsum([0, *blocks])
+        assert starts[-1] == len(refs)
+        if budget == "zero":
+            assert blocks == [1] * len(refs)
+        else:
+            assert 5 < len(blocks) < 30 and blocks[list(starts).index(100)] == 1
+            assert all(sum(sizes[a:b]) <= mteval._BLOCK_BYTES for a, b in zip(starts, starts[1:]) if b - a > 1)
+
+
+def stats_peak(corpora, refs):
+    """Peak traced memory of one `_corpora_stats` call."""
+    tracemalloc.start()
+    try:
+        _corpora_stats(corpora, refs, 4, "intl")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_corpora_stats_memory_grows_by_the_output_rows():
+    """From 2000 to 8000 sentences only the output (two systems' rows of ten
+    int64 columns, 960 kB) and per-sentence bookkeeping grow.  Arrays over
+    the whole corpus, at about 130 bytes a token, added some 20 MB."""
+    cand_a, cand_b, refs = desk_eval_set(5, 8000)
+    small = stats_peak([cand_a[:2000], cand_b[:2000]], refs[:2000])
+    large = stats_peak([cand_a, cand_b], refs)
+    assert large - small < 2 * 6000 * 10 * 8 + (1 << 20)
+
+
 def test_int64_token_positions_change_no_statistic(monkeypatch):
     """Positions are int32 below `_INT32_TOKENS` tokens; at 0 every position is
     int64, and BLEU and the bootstrap must read the same."""
@@ -547,20 +643,6 @@ def test_int64_token_positions_change_no_statistic(monkeypatch):
     monkeypatch.setattr(mteval, "_INT32_TOKENS", 0)
     int64 = statistics()
     assert np.array_equal(int32[0], int64[0]) and int32[1:] == int64[1:]
-
-
-def test_bootstrap_tokenizes_each_reference_once(monkeypatch):
-    tokenized = []
-
-    def counting_tokenize(text):
-        tokenized.append(text)
-        return tokenize_intl(text)
-
-    monkeypatch.setattr(mteval, "tokenize_intl", counting_tokenize)
-    refs = [f"reference number {i}, with words." for i in range(7)]
-    paired_bootstrap(refs, [r.replace("words", "birds") for r in refs], refs, samples=20, seed=0)
-    # Two candidates and one reference per sentence, not a reference per system.
-    assert len(tokenized) == 3 * len(refs)
 
 
 def test_empty_reference_group_raises():
