@@ -213,27 +213,39 @@ def test_tokenizers_follow_this_interpreters_unicode_database():
     assert pretokenize(f"a{modifier}b") == ([f"a{modifier}b"] if UNICODE_VERSION >= (15,) else ["a", modifier, "b"])
 
 
-def test_each_distinct_word_is_tokenized_once_per_scoring_call(monkeypatch):
-    """A scoring call tokenizes each distinct whitespace word at most once,
-    across the references and every system, and keeps nothing for the next
-    call.  The words it skips were tokens of words it tokenized ("abc" of
-    "abc."), which tokenize to themselves."""
+def record_word_tokenizing(monkeypatch):
+    """The words `_tokenize_word` is called on, in call order."""
     calls = []
     tokenize_word = mteval._tokenize_word
     monkeypatch.setattr(mteval, "_tokenize_word", lambda word: calls.append(word) or tokenize_word(word))
+    return calls
+
+
+def test_bootstrap_tokenizes_each_reference_once(monkeypatch):
+    """A scoring call tokenizes each distinct whitespace word at most once,
+    across the references and every system.  The words it skips were tokens
+    of words it tokenized ("abc" of "abc."), which tokenize to themselves."""
+    calls = record_word_tokenizing(monkeypatch)
     cand_a, cand_b, refs = desk_eval_set(2)
-
-    def check(lines):
-        words, tokenized = {word for line in lines for word in line.split()}, set(calls)
-        assert len(calls) == len(tokenized) and tokenized <= words
-        skipped = words - tokenized
-        assert skipped and skipped <= {token for word in tokenized for token in tokenize_word(word)}
-        calls.clear()
-
     paired_bootstrap(cand_a, cand_b, refs, samples=20, seed=0)
-    check(chain(cand_a, cand_b, *refs))
-    bleu(cand_a, refs)
-    check(chain(cand_a, *refs))
+    words, tokenized = {word for line in chain(cand_a, cand_b, *refs) for word in line.split()}, set(calls)
+    assert len(calls) == len(tokenized) and tokenized <= words
+    skipped = words - tokenized
+    assert skipped and skipped <= {token for word in tokenized for token in mteval.tokenize_intl(" ".join(tokenized))}
+
+
+def test_each_scoring_call_starts_a_fresh_tokenizer_memo(monkeypatch):
+    """A scoring call keeps no word table for the next: each call tokenizes
+    its own words once, whatever an earlier call saw."""
+    calls = record_word_tokenizing(monkeypatch)
+    bleu(["a b c"], ["a b d"])
+    assert sorted(calls) == ["a", "b", "c", "d"]
+    calls.clear()
+    bleu(["x y"], ["x y"])
+    assert sorted(calls) == ["x", "y"]
+    calls.clear()
+    bleu(["a b c"], ["a b d"])
+    assert sorted(calls) == ["a", "b", "c", "d"]
 
 
 def test_bleu_signature_records_settings():
