@@ -19,12 +19,16 @@ learned jointly):
 * `bpe-8000` - 20 000 sentences over 8000 word types per alphabet, 8000
   merges;
 * `bpe-32000` - 100 000 sentences over 60 000 word types per alphabet,
-  32 000 merges, the thesis's vocabulary size (about 10 s and 356 MB).
+  32 000 merges, the thesis's vocabulary size (about 7 s and 238 MB);
+* `bpe-long-4000` - 5000 Latin sentences over 1500 word types (seed 5)
+  plus one sentence holding one seeded random word of 4000 letters, 4000
+  merges: a long word is rewritten by most merges.
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
 import sys
 import time
 from pathlib import Path
@@ -33,13 +37,22 @@ import tier
 
 # Sentences and word types per alphabet, and merges.
 SIZES = {"bpe-8000": (20_000, 8000, 8000), "bpe-32000": (100_000, 60_000, 32_000)}
+CASES = (*SIZES, "bpe-long-4000")
 
 
-def measure(case: str, src: Path) -> dict:
+def corpora_and_merges(case: str) -> tuple[list[list[str]], int]:
     gen = tier.desk_generator()
+    if case == "bpe-long-4000":
+        word = "".join(random.Random(4000).choices(gen.LATIN, k=4000))
+        return [gen.desk_sentences(5, gen.LATIN, 5000, 1500) + [word]], 4000
     sentences, types, merges = SIZES[case]
     corpora = [gen.desk_sentences(seed, alphabet, sentences, types)
                for alphabet, seed in ((gen.LATIN, 1), (gen.CYRILLIC, 2))]
+    return corpora, merges
+
+
+def measure(case: str, src: Path) -> dict:
+    corpora, merges = corpora_and_merges(case)
     corpus_mb = tier.maxrss_mb()
     sys.path.insert(0, str(src))
     from xfervocab.bpe import learn_bpe
@@ -60,4 +73,4 @@ def measure(case: str, src: Path) -> dict:
 
 
 if __name__ == "__main__":
-    sys.exit(tier.main(sys.argv[1:], __file__, __doc__, tuple(SIZES), measure))
+    sys.exit(tier.main(sys.argv[1:], __file__, __doc__, CASES, measure))

@@ -6,10 +6,17 @@ higher current corpus frequency of the left symbol, then by lexicographic
 pair order in which the bare end-of-word symbol sorts after every ordinary
 symbol, so learning is deterministic.
 
-A merge recounts each word that holds its pair: the word's frequency comes
-off every adjacent pair of the old word and goes onto every adjacent pair of
-the new one.  Every adjacency of the new word without the merged symbol was
-one of the old word, so only a pair holding the merged symbol can rise.
+A merge rewrites only the words that hold its pair, and in each word only
+around the occurrences it merges.  The occurrences are found left to right,
+each taking two symbols, as application merges them.  The word's frequency
+comes off the old pairs at positions i - 1, i and i + 1 of each occurrence
+i, and goes onto the new pairs at q - 1 and q of each merged symbol q, each
+position once where occurrences are adjacent.  This equals a recount of the
+whole word: an adjacency away from every occurrence joins two symbols the
+merge left alone, so it is the same pair in the old word and the new one,
+only shifted.  Each word holding a pair is listed under it, but a merge does
+not take a word off the pairs it removes, so a listed word whose scan finds
+no occurrence is skipped.  Only a pair holding the merged symbol can rise.
 Each merge is taken from a heap keyed by exactly that order, and heap
 entries go stale lazily: a popped entry is dropped if its pair was already
 merged or its count is zero, and pushed back with the pair's current key if
@@ -19,7 +26,7 @@ fresh entry for each pair holding the merged symbol, and for each live pair
 with that symbol on the left, which the symbol's rising count improves.
 Such pairs can predate the merge, because one string can be built by two
 merge paths: "a<" + "/w>" inside a word, then "a" plus the end-of-word
-marker.  Entries are pushed after the merge has recounted all its words,
+marker.  Entries are pushed after the merge has rewritten all its words,
 when its counts are final, so the order of the words does not matter.
 
 Application replays the merges by learned priority and renders continuation
@@ -31,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+from array import array
 from collections import Counter, defaultdict
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -108,28 +116,48 @@ def _first_bad_rule(rules: list[MergeRule]) -> tuple[int, str] | None:
     return None
 
 
-def _merge_word(symbols: list[str], left: str, right: str) -> list[str]:
-    merged = left + right
-    out = []
+def _occurrences(symbols: tuple[str, ...], left: str, right: str) -> list[int]:
+    """The starts of the pair's occurrences that a merge rewrites: scanned left
+    to right, each taking its two symbols, so they never overlap."""
+    starts = []
+    last = len(symbols) - 1
+    unseen = symbols.count(left)  # left symbols not yet found or taken
     i = 0
-    n = len(symbols)
-    while i < n:
-        if i + 1 < n and symbols[i] == left and symbols[i + 1] == right:
-            out.append(merged)
+    while unseen:
+        i = symbols.index(left, i)
+        unseen -= 1
+        if i < last and symbols[i + 1] == right:
+            starts.append(i)
+            unseen -= right == left
             i += 2
         else:
-            out.append(symbols[i])
             i += 1
-    return out
+    return starts
+
+
+def _merge_word(symbols: tuple[str, ...], left: str, right: str, starts: list[int]) -> tuple[str, ...]:
+    """The symbols with the pair merged at each of starts."""
+    merged = left + right
+    out = []
+    prev = 0
+    for i in starts:
+        out += symbols[prev:i]
+        out.append(merged)
+        prev = i + 2
+    out += symbols[prev:]
+    return tuple(out)
 
 
 def learn_bpe(corpora: Sequence[Iterable[str]], num_merges: int) -> MergeTable:
     """Learn num_merges merge rules jointly over the given corpora.
 
-    Pair counts are maintained incrementally: only the words holding the
-    merged pair are recounted, and only the pairs holding the merged symbol
-    are pushed as risen.  Each merge is the top of a lazily revalidated heap
-    (see the module docstring).
+    Pair counts are maintained incrementally: a merge rewrites only the words
+    listed for its pair, and in each it moves the word's frequency only from
+    the pairs beside the occurrences it merges to the pairs beside the merged
+    symbols.  That equals recounting the word, since every other adjacency is
+    the same pair, shifted.  Only the pairs holding the merged symbol are
+    pushed as risen; each merge is the top of a lazily revalidated heap (see
+    the module docstring).
     """
     if num_merges < 1:
         raise ValueError("num_merges must be at least 1")
@@ -137,21 +165,28 @@ def learn_bpe(corpora: Sequence[Iterable[str]], num_merges: int) -> MergeTable:
     if not word_freqs:
         raise ValueError("cannot learn BPE from an empty corpus")
 
+    # Tuples of strings, which the cyclic collector stops walking once seen.
     words = []
     freqs = []
     for word, freq in sorted(word_freqs.items()):
-        words.append(list(word) + [END_OF_WORD])
+        words.append((*word, END_OF_WORD))
         freqs.append(freq)
 
-    pair_counts: Counter = Counter()
-    symbol_counts: Counter = Counter()
-    occurrences: dict[tuple[str, str], set[int]] = defaultdict(set)
+    pair_counts: dict[tuple[str, str], int] = {}
+    symbol_counts: dict[str, int] = {}
+    # The words each pair was counted in, a word listed again only when a
+    # later merge gives it the pair anew: a superset, since a merge does not
+    # take a word off the pairs it removes.  Arrays take a fraction of the
+    # memory of sets, and the cyclic collector does not walk their items.
+    occurrences: dict[tuple[str, str], array] = defaultdict(functools.partial(array, "i"))
     for idx, (symbols, freq) in enumerate(zip(words, freqs)):
         for symbol in symbols:
-            symbol_counts[symbol] += freq
+            symbol_counts[symbol] = symbol_counts.get(symbol, 0) + freq
         for pair in zip(symbols, symbols[1:]):
-            pair_counts[pair] += freq
-            occurrences[pair].add(idx)
+            pair_counts[pair] = pair_counts.get(pair, 0) + freq
+            owners = occurrences[pair]
+            if not owners or owners[-1] != idx:
+                owners.append(idx)
     # Pairs by their left symbol, for the pairs a merged symbol's rising count
     # improves; a pair stays listed after its count falls to zero.
     by_left: dict[str, set[tuple[str, str]]] = defaultdict(set)
@@ -182,25 +217,41 @@ def learn_bpe(corpora: Sequence[Iterable[str]], num_merges: int) -> MergeTable:
         left, right = best
         rules.append(MergeRule(left, right))
         merged = left + right
+        rewritten = 0  # occurrences merged, weighted by word frequency
         risen = set()
-        for idx in list(occurrences[best]):
+        for idx in occurrences.pop(best):
             old = words[idx]
-            new = _merge_word(old, left, right)
+            starts = _occurrences(old, left, right)
+            if not starts:  # a listed word the pair has since left
+                continue
             freq = freqs[idx]
-            k = len(old) - len(new)  # number of merges performed in this word
-            symbol_counts[left] -= k * freq
-            symbol_counts[right] -= k * freq
-            symbol_counts[merged] += k * freq
-            for pair in zip(old, old[1:]):
-                pair_counts[pair] -= freq
-                occurrences[pair].discard(idx)
-            for pair in zip(new, new[1:]):
-                pair_counts[pair] += freq
-                occurrences[pair].add(idx)
-                if merged in pair:
-                    risen.add(pair)
-            words[idx] = new
-        del occurrences[best]
+            rewritten += len(starts) * freq
+            # Old pairs at i - 1, i and i + 1 of each occurrence i, each once.
+            last = len(old) - 1
+            done = -1
+            for i in starts:
+                for j in (i - 1, i, i + 1):
+                    if done < j < last:
+                        pair_counts[old[j], old[j + 1]] -= freq
+                        done = j
+            new = words[idx] = _merge_word(old, left, right, starts)
+            # New pairs at q - 1 and q of each merged symbol q, each once.
+            last = len(new) - 1
+            done = -1
+            for shift, i in enumerate(starts):
+                q = i - shift
+                for j in (q - 1, q):
+                    if done < j < last:
+                        pair = new[j], new[j + 1]
+                        pair_counts[pair] = pair_counts.get(pair, 0) + freq
+                        owners = occurrences[pair]
+                        if not owners or owners[-1] != idx:
+                            owners.append(idx)
+                        risen.add(pair)
+                        done = j
+        symbol_counts[left] -= rewritten
+        symbol_counts[right] -= rewritten
+        symbol_counts[merged] = symbol_counts.get(merged, 0) + rewritten
         for pair in risen:
             by_left[pair[0]].add(pair)
         for pair in risen | by_left[merged]:
@@ -224,7 +275,7 @@ def apply_bpe(table: MergeTable, word: str) -> list[str]:
 def _segment_word(ranks: dict[MergeRule, int], word: str) -> tuple[str, ...]:
     """The tokens of one word, which a table's memo keeps."""
     _check_word(word)
-    symbols = list(word) + [END_OF_WORD]
+    symbols = (*word, END_OF_WORD)
     while len(symbols) > 1:
         best = None
         for pair in zip(symbols, symbols[1:]):
@@ -233,8 +284,9 @@ def _segment_word(ranks: dict[MergeRule, int], word: str) -> tuple[str, ...]:
                 best = (rank, pair)
         if best is None:
             break
-        symbols = _merge_word(symbols, *best[1])
-    last = symbols.pop()[: -len(END_OF_WORD)]  # merges join neighbours, so the last symbol ends with the marker
+        symbols = _merge_word(symbols, *best[1], _occurrences(symbols, *best[1]))
+    *symbols, last = symbols
+    last = last[: -len(END_OF_WORD)]  # merges join neighbours, so the last symbol ends with the marker
     if last:
         symbols.append(last)
     return (*[s + "@@" for s in symbols[:-1]], symbols[-1])

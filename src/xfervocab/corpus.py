@@ -162,7 +162,10 @@ def mix_with_oversample(
     the given seed so training order is reproducible."""
     if factor < 1:
         raise ValueError("factor must be at least 1")
-    combined = authentic.pairs * factor + synthetic.pairs
+    try:
+        combined = authentic.pairs * factor + synthetic.pairs
+    except (OverflowError, MemoryError):  # past a list's size, or past what memory can hold
+        raise ValueError(f"factor {factor} asks for more pairs than memory can hold") from None
     random.Random(check_seed(seed)).shuffle(combined)
     return ParallelCorpus.from_pairs(combined)
 

@@ -57,7 +57,8 @@ _UNSAFE_RE = re.compile("([" + re.escape(_UNSAFE_CHARS) + "])")
 # forgotten first; read when the vocabulary first segments.
 _UNIT_CACHE_SIZE = 1 << 16
 
-_ESCAPE_RE = re.compile(r"\\(\d+);")
+# ASCII digits only, the only ones the encoder writes: \d would also take "١٢".
+_ESCAPE_RE = re.compile(r"\\([0-9]+);")
 # A letter or digit: [^\W_] is exactly Unicode categories L and N.
 _ALNUM_RE = re.compile(r"[^\W_]")
 # Maximal runs of letters/digits or of the rest, skipping a run that is

@@ -139,6 +139,21 @@ def test_learn_matches_oracle_on_two_path_and_marker_alphabets(corpora, num_merg
     assert learn_bpe(corpora, num_merges).rules == oracle_learn(corpora, num_merges)
 
 
+# Long words over two letters and the marker's pieces: runs of "a" give
+# adjacent occurrences ("aaaa") and overlapping ones ("aaa"), and "<" + "/w>"
+# rebuilds the marker inside a word, at lengths the corpora above never reach.
+long_words = st.integers(1, 200).flatmap(
+    lambda n: st.lists(st.sampled_from(["a", "b", "<", "/w>"]), min_size=n, max_size=n).map("".join)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(words=st.lists(long_words, min_size=1, max_size=4), num_merges=st.integers(1, 80))
+def test_learn_matches_oracle_on_long_words(words, num_merges):
+    corpora = [[" ".join(words)]]
+    assert learn_bpe(corpora, num_merges).rules == oracle_learn(corpora, num_merges)
+
+
 def test_learn_joint_over_multiple_corpora():
     joint = learn_bpe([["abab"], ["abab abab"]], 2)
     single = learn_bpe([["abab abab abab"]], 2)

@@ -892,6 +892,10 @@ ERROR_PATHS = [
      "{d}/sys_a.txt: 20 lines, but {d}/refs.txt has 2"),
     (["eval", "token-analysis", "--child", "{d}/worse.txt", "--baseline", "{d}/sys_b.txt", "--references",
       "{d}/refs.txt", "--out", "{d}/e69.tsv"], "{d}/sys_b.txt: 20 lines, but {d}/refs.txt has 2"),
+    # A factor past any list's size overflowed in the copying.
+    (["corpus", "mix", "--authentic-tsv", "{d}/pair.tsv", "--synthetic-tsv", "{d}/pair.tsv", "--factor",
+      "99999999999999999999", "--seed", "1", "--out-tsv", "{d}/e70.tsv"],
+     "factor 99999999999999999999 asks for more pairs than memory can hold"),
 ]
 
 

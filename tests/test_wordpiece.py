@@ -225,6 +225,13 @@ def test_detokenize_malformed_escape():
         detokenize(["\\", "1", "2", "_"])
 
 
+def test_detokenize_refuses_escapes_in_non_ascii_digits():
+    # Arabic-Indic "12" is \d to the re module, but no encoder output.
+    with pytest.raises(EscapeDecodeError):
+        detokenize(["\\", "\u0661\u0662;_"])
+    assert detokenize(["\\", "12;_"]) == "\x0c"
+
+
 def test_pretokenize_splits_punctuation_and_keeps_double_spaces():
     assert pretokenize("doma.") == ["doma", "."]
     assert pretokenize("a b") == ["a", "b"]
