@@ -24,8 +24,8 @@ and file-mode merge-vocab print one status line; the rest print nothing.
 Each handler loads the library modules it calls (`_load`), so a step
 imports only those; only those that compute with numpy import it (learn-wp,
 transform-vocab, merge-vocab, balanced-vocab, eval bleu and eval bootstrap).
-The modules the other steps load define their records without
-`dataclasses`, so those steps import neither numpy nor `inspect`.
+No module defines its records with `dataclasses`, so no step imports it,
+and the other steps import neither numpy nor `inspect`.
 Likewise `main` declares only the arguments of the command argv names
 (`_invoked`), each command importing the constants its flags read.  Help
 above a command, `--config` and a name no command has get every command's
@@ -446,8 +446,6 @@ def _cmd_apply_wp(args):
 
 
 def _cmd_transform_vocab(args) -> list[Path]:
-    from dataclasses import astuple
-
     _load("wordpiece", "transfer")
     parent = Vocabulary.load(args.parent_vocab)
     if args.child_vocab:
@@ -464,7 +462,7 @@ def _cmd_transform_vocab(args) -> list[Path]:
     bundle = emit_transfer_bundle(mapping, embeddings, args.out_dir)
     shared = sum(1 for e in mapping.entries if e.shared)
     print(f"{args.variant}: {shared}/{len(mapping.entries)} slots shared -> {args.out_dir}")
-    return [path for path in astuple(bundle) if path is not None]
+    return [path for path in bundle if path is not None]
 
 
 def _cmd_merge_vocab(args):

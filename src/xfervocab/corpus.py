@@ -195,7 +195,8 @@ def make_pseudo_related(corpus: ParallelCorpus, keep_percent: float, seed: int) 
     digits and punctuation pass through and capitalization is preserved.
     Keep sets are word types sampled independently per language, so every
     occurrence of a kept type survives unchanged.  Each side's word types are
-    ciphered once, and sentences are rebuilt from them around their original
+    ciphered once.  A single-spaced sentence, the common case, is rebuilt as
+    its rendered words joined by spaces; any other around its original
     whitespace.
     """
     if not 0.0 <= keep_percent <= 1.0:
@@ -217,6 +218,9 @@ def make_pseudo_related(corpus: ParallelCorpus, keep_percent: float, seed: int) 
         return {word: word if word in kept else word.translate(cipher) for word in side_types}
 
     def transform(sentence: str, rendered: dict[str, str]) -> str:
+        words = sentence.split()
+        if " ".join(words) == sentence:  # single-spaced: every gap is one " ", and every word is a type
+            return " ".join([rendered[word] for word in words])
         parts = _SPACE_RE.split(sentence)  # words at even indices, the whitespace between them at odd ones
         parts[::2] = [rendered.get(word, word) for word in parts[::2]]  # the "" beside edge whitespace is no type
         return "".join(parts)

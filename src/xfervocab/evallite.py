@@ -1,13 +1,14 @@
 """The evaluation statistics that need only the standard library: the
 learning-curve stopping criterion, output token analysis, and the option
 names of the BLEU pipeline.  `xfervocab.mteval` re-exports every name here,
-so `eval stop` and `eval token-analysis` start without numpy.
+so `eval stop` and `eval token-analysis` start without numpy.  The token
+analysis counts each sentence's tokens into plain dicts: a sentence holds a
+few tokens, and a `Counter` costs more to build than they take to count.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -141,8 +142,8 @@ def token_overlap_analysis(
     # and, since max(x, y) = x + y - min(x, y), neither = len(child) - B - R + O.
     tokens = clipped_base = clipped_ref = clipped_both = 0
     for child, base, ref in zip(child_out, baseline_out, reference):
-        base_counts, ref_counts = Counter(base), Counter(ref)
-        for token, count in Counter(child).items():
+        base_counts, ref_counts = _token_counts(base), _token_counts(ref)
+        for token, count in _token_counts(child).items():
             # Each min as a conditional expression: a call per token costs more than its sums.
             in_base = base_counts.get(token, 0)
             in_base = count if in_base > count else in_base
@@ -158,3 +159,12 @@ def token_overlap_analysis(
         clipped_ref - clipped_both,
         tokens - clipped_base - clipped_ref + clipped_both,
     )
+
+
+def _token_counts(tokens: Sequence[str]) -> dict[str, int]:
+    """How often each token occurs: a plain dict, since building a `Counter`
+    costs more than counting a sentence's few tokens."""
+    counts = {}
+    for token in tokens:
+        counts[token] = counts.get(token, 0) + 1
+    return counts

@@ -11,17 +11,18 @@ A sentence's statistics read only its own references and candidates, so
 they are computed over blocks of whole sentences, each holding its
 sentences' references and every system's candidates within _BLOCK_BYTES.
 Beyond one block, a scoring call keeps its output and one word table, which
-tokenizes each distinct whitespace word once for the call.  The bootstrap
-draws its resamples in blocks of the same budget.
+tokenizes each distinct whitespace word once for the call.  A word of
+letters and digits alone (`str.isalnum`) is its own token, with no look at
+its characters: the tokenizer pads and normalizes none of them.  The
+bootstrap draws its resamples in blocks of the same budget.
 """
 
 from __future__ import annotations
 
 import unicodedata
 from array import array
-from dataclasses import astuple, dataclass
 from itertools import chain
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,7 +45,11 @@ _INT32_TOKENS = 2**31  # per-token positions are int32 below this many tokens, e
 
 
 def _tokenize_word(word: str) -> tuple[str, ...]:
-    """The tokens of one whitespace word, normalized."""
+    """The tokens of one whitespace word, normalized.  A word of letters and
+    digits alone is its own token: no character of categories L or N is
+    padded, and _PUNCT_NORMALIZATION maps none."""
+    if word.isalnum():
+        return (word,)
     word = word.translate(_NORMALIZE)
     out = []
     for i, ch in enumerate(word):
@@ -111,8 +116,7 @@ class _WordTable(dict):
         return tok, np.diff(through[np.cumsum(per_line)], prepend=0)
 
 
-@dataclass(frozen=True)
-class BleuReport:
+class BleuReport(NamedTuple):
     score: float
     precisions: tuple[float, ...]
     bp: float
@@ -139,8 +143,7 @@ class BleuReport:
         return render_tsv([header, row])
 
 
-@dataclass(frozen=True)
-class SignificanceResult:
+class SignificanceResult(NamedTuple):
     wins_a: int
     wins_b: int
     ties: int
@@ -149,7 +152,7 @@ class SignificanceResult:
     confidence_level: float
 
     def to_tsv(self) -> str:
-        return render_tsv([("wins_a", "wins_b", "ties", "samples", "better", "confidence_level"), astuple(self)])
+        return render_tsv([("wins_a", "wins_b", "ties", "samples", "better", "confidence_level"), self])
 
 
 def _normalize_references(references, n_sentences: int) -> tuple[list[str], np.ndarray]:

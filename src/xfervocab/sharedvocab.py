@@ -10,7 +10,7 @@ sentences; the mixed corpus exists only for vocabulary generation.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from typing import NamedTuple
 
 from .corpus import ParallelCorpus, sample_equal
 from .textio import render_tsv
@@ -18,15 +18,14 @@ from .wordpiece import Vocabulary, VocabSpec
 from .wordpiece_learner import WordpieceLearner, learn_wordpiece
 
 
-@dataclass(frozen=True)
-class MergedBuildReport:
+class MergedBuildReport(NamedTuple):
     initial_size_tried: int
     final_size: int
     iterations: int
     within_tolerance: bool
 
     def to_tsv(self) -> str:
-        return render_tsv([("initial_size_tried", "final_size", "iterations", "within_tolerance"), astuple(self)])
+        return render_tsv([("initial_size_tried", "final_size", "iterations", "within_tolerance"), self])
 
 
 def merge_vocabs(parent: Vocabulary, child: Vocabulary) -> Vocabulary:

@@ -14,10 +14,9 @@ remap is purely a token-label rewrite.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,8 +26,7 @@ from .wordpiece import MAX_TRAIN_SENTENCES, VARIANTS, Vocabulary, VocabSpec, _co
 from .wordpiece_learner import WordpieceLearner
 
 
-@dataclass(frozen=True)
-class MappingEntry:
+class MappingEntry(NamedTuple):
     slot: int
     parent_token: str
     child_token: str
@@ -36,8 +34,7 @@ class MappingEntry:
     filled_from_parent: bool = False
 
 
-@dataclass(frozen=True)
-class VocabMapping:
+class VocabMapping(NamedTuple):
     """Per-slot record of a parent-to-child vocabulary rewrite."""
 
     entries: tuple[MappingEntry, ...]
@@ -234,8 +231,7 @@ def transform_vocab(
     return Vocabulary(out_tokens, within_tolerance=child.within_tolerance), mapping
 
 
-@dataclass(frozen=True)
-class TransferBundle:
+class TransferBundle(NamedTuple):
     vocabulary_path: Path
     embeddings_path: Path | None
     mapping_path: Path

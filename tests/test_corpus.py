@@ -6,7 +6,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import CYRILLIC, LATIN, desk_sentences
@@ -298,11 +298,15 @@ def oracle_pseudo_related(corpus, keep_percent, seed):
 
 
 # Letters whose case maps are longer than one character (ß, İ, ǰ, ŉ), final
-# and medial sigma, runs of several kinds of whitespace, digits and
+# and medial sigma, runs of several kinds of whitespace (among them those
+# `str.split` splits on beyond ASCII), words beside edge spaces, digits and
 # punctuation, and any other character but a newline.
 PSEUDO_TEXT = st.lists(
     st.one_of(
-        st.sampled_from(["ß", "İ", "ǰ", "ŉ", "Σς", "a", "Ab", "ab", " ", "  ", "\t", "\u3000", "\x1c", "7,5", "!"]),
+        st.sampled_from([
+            "ß", "İ", "ǰ", "ŉ", "Σς", "a", "Ab", "ab", " ", "  ", "\t", "\u3000", "\x1c", "7,5", "!",
+            "\r", "\x85", "\u2028", "\x1f", " a", "a ",
+        ]),
         st.characters(exclude_categories=("Cs",), exclude_characters="\n"),
     ),
     max_size=12,
@@ -315,6 +319,9 @@ PSEUDO_TEXT = st.lists(
     keep=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32),
 )
+# Every sentence single-spaced, then one with a tab: a rewrite path each.
+@example(pairs=[("Ab ab", "ß ŉ 7,5 !"), ("", "a")], keep=0.5, seed=3)
+@example(pairs=[("Ab ab", "ß\tŉ 7,5 !"), ("", "a")], keep=0.5, seed=3)
 def test_pseudo_related_matches_per_occurrence_oracle(pairs, keep, seed):
     corpus = corpus_of(pairs)
     assert make_pseudo_related(corpus, keep, seed) == oracle_pseudo_related(corpus, keep, seed)

@@ -1,7 +1,7 @@
 """The package surface: every exported name still resolves, the learner and
 the numpy-free evaluation names keep their old import paths, the steps that
-never compute with numpy load only the modules their handlers call, and
-every demo runs."""
+never compute with numpy load only the modules their handlers call, no step
+loads `dataclasses`, and every demo runs."""
 
 import ast
 import os
@@ -129,6 +129,37 @@ def test_step_runs_without_numpy(step_inputs, step):
     printed = result.stdout.splitlines()[-1].split()
     assert not {"dataclasses", "inspect"} & set(printed)
     assert printed == sorted(BASE | loaded)
+
+
+# Each step that computes with numpy.  numpy itself loads `inspect`, so only
+# `dataclasses` is checked: no record of the package is a dataclass.
+NUMPY_STEPS = {
+    "eval bleu": "eval bleu --candidates {d}/a.tgt --references {d}/a.src --out {d}/bleu.tsv",
+    "eval bootstrap": (
+        "eval bootstrap --candidates-a {d}/a.src --candidates-b {d}/a.tgt --references {d}/a.src --samples 20 "
+        "--seed 1 --out {d}/bootstrap.tsv"
+    ),
+    "transform-vocab": "transform-vocab --parent-vocab {d}/v.txt --child {d}/a.src --out-dir {d}/no-dataclasses",
+    "merge-vocab": (
+        "merge-vocab --parent-source {d}/a.src --parent-target {d}/a.tgt --child-source {d}/a.tgt --child-target "
+        "{d}/a.src --target-size 60 --tolerance 0.2 --out {d}/m.vocab --report {d}/m.tsv"
+    ),
+    "balanced-vocab": (
+        "balanced-vocab --parent-source {d}/a.src --parent-target {d}/a.tgt --child-source {d}/a.tgt "
+        "--child-target {d}/a.src --target-size 60 --tolerance 0.2 --seed 2 --out {d}/b.vocab"
+    ),
+}
+
+
+@pytest.mark.parametrize("step", NUMPY_STEPS)
+def test_numpy_step_runs_without_dataclasses(step_inputs, step):
+    script = (
+        "import sys; from xfervocab.cli import main; code = main(sys.argv[1:]); "
+        "print('numpy' in sys.modules, 'dataclasses' in sys.modules); sys.exit(code)"
+    )
+    result = run_python(["-c", script, *NUMPY_STEPS[step].format(d=step_inputs).split()])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "True False"
 
 
 def test_transform_vocab_loads_neither_diagnostics_nor_corpus(step_inputs):

@@ -6,6 +6,7 @@ import math
 import random
 import re
 import string
+import sys
 import tracemalloc
 import unicodedata
 from collections import Counter
@@ -211,6 +212,17 @@ def test_tokenizers_follow_this_interpreters_unicode_database():
     assert tokenize_intl(f"a{slide}b") == (["a", slide, "b"] if UNICODE_VERSION >= (14,) else [f"a{slide}b"])
     assert tokenize_intl(f"a{wireless}b") == (["a", wireless, "b"] if UNICODE_VERSION >= (15,) else [f"a{wireless}b"])
     assert pretokenize(f"a{modifier}b") == ([f"a{modifier}b"] if UNICODE_VERSION >= (15,) else ["a", modifier, "b"])
+
+
+def test_alphanumeric_characters_are_neither_padded_nor_normalized():
+    """`_tokenize_word` gives an `isalnum` word back whole.  That is exact
+    only if every such character, in this interpreter's Unicode database, is
+    a letter or a number (categories L and N), which the tokenizer never pads,
+    and no key of the normalization table."""
+    for code in range(sys.maxunicode + 1):
+        ch = chr(code)
+        if ch.isalnum():
+            assert unicodedata.category(ch)[0] in "LN" and ch not in mteval._PUNCT_NORMALIZATION, f"U+{code:04X}"
 
 
 def record_word_tokenizing(monkeypatch):
@@ -827,6 +839,14 @@ def oracle_token_overlap(child_out, baseline_out, reference):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(*[st.lists(st.sampled_from("abcd"), max_size=8)] * 3), max_size=6))
 def test_token_overlap_matches_branch_oracle(sentences):
+    child, base, refs = (list(side) for side in zip(*sentences)) if sentences else ([], [], [])
+    assert token_overlap_analysis(child, base, refs) == oracle_token_overlap(child, base, refs)
+
+
+# Up to 30 tokens a sentence over 12 tokens, so a sentence repeats tokens and clipping bites.
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.lists(st.sampled_from("abcdefghijkl"), max_size=30)] * 3), max_size=6))
+def test_token_overlap_matches_branch_oracle_on_repeated_tokens(sentences):
     child, base, refs = (list(side) for side in zip(*sentences)) if sentences else ([], [], [])
     assert token_overlap_analysis(child, base, refs) == oracle_token_overlap(child, base, refs)
 

@@ -3,12 +3,17 @@ equal, the repr names every field, assignment raises, and the validating
 records refuse bad input with the same messages and keep their own copy of
 the sequences they are given."""
 
+from pathlib import PurePosixPath
+
 import pytest
 
 from xfervocab.corpus import FilterReport, ParallelCorpus
 from xfervocab.diagnostics import OverlapBreakdown
 from xfervocab.errors import AlignmentError, CorpusFormatError
 from xfervocab.evallite import LearningCurve, TokenOverlap
+from xfervocab.mteval import BleuReport, SignificanceResult
+from xfervocab.sharedvocab import MergedBuildReport
+from xfervocab.transfer import MappingEntry, TransferBundle, VocabMapping
 from xfervocab.wordpiece import VocabSpec
 
 # (record, the same record built again, a different one, its repr); a field of each is assigned below.
@@ -51,6 +56,51 @@ RECORDS = {
         lambda: VocabSpec(target_size=100, tolerance=0.01),
         lambda: VocabSpec(100, 0.02),
         "VocabSpec(target_size=100, tolerance=0.01)",
+    ),
+    "BleuReport": (
+        lambda: BleuReport(12.5, (0.5, 0.25), 0.9, 10, 11, "exponential", "intl", 2),
+        lambda: BleuReport(
+            score=12.5, precisions=(0.5, 0.25), bp=0.9, sys_len=10, ref_len=11, smoothing="exponential",
+            tokenization="intl", n_max=2, num_refs=1,
+        ),
+        lambda: BleuReport(12.5, (0.5, 0.25), 0.9, 10, 11, "exponential", "intl", 2, 2),
+        "BleuReport(score=12.5, precisions=(0.5, 0.25), bp=0.9, sys_len=10, ref_len=11, smoothing='exponential', "
+        "tokenization='intl', n_max=2, num_refs=1)",
+    ),
+    "SignificanceResult": (
+        lambda: SignificanceResult(9, 1, 0, 10, "A", 0.05),
+        lambda: SignificanceResult(wins_a=9, wins_b=1, ties=0, samples=10, better="A", confidence_level=0.05),
+        lambda: SignificanceResult(1, 9, 0, 10, "B", 0.05),
+        "SignificanceResult(wins_a=9, wins_b=1, ties=0, samples=10, better='A', confidence_level=0.05)",
+    ),
+    "MergedBuildReport": (
+        lambda: MergedBuildReport(75, 100, 3, True),
+        lambda: MergedBuildReport(initial_size_tried=75, final_size=100, iterations=3, within_tolerance=True),
+        lambda: MergedBuildReport(75, 120, 3, False),
+        "MergedBuildReport(initial_size_tried=75, final_size=100, iterations=3, within_tolerance=True)",
+    ),
+    "MappingEntry": (
+        lambda: MappingEntry(0, "a", "b", False),
+        lambda: MappingEntry(slot=0, parent_token="a", child_token="b", shared=False, filled_from_parent=False),
+        lambda: MappingEntry(0, "a", "b", False, True),
+        "MappingEntry(slot=0, parent_token='a', child_token='b', shared=False, filled_from_parent=False)",
+    ),
+    "VocabMapping": (
+        lambda: VocabMapping((MappingEntry(0, "a", "a", True),)),
+        lambda: VocabMapping(entries=(MappingEntry(0, "a", "a", True),), used_parent_slots=None),
+        lambda: VocabMapping((MappingEntry(0, "a", "a", True),), frozenset({0})),
+        "VocabMapping(entries=(MappingEntry(slot=0, parent_token='a', child_token='a', shared=True, "
+        "filled_from_parent=False),), used_parent_slots=None)",
+    ),
+    "TransferBundle": (
+        lambda: TransferBundle(PurePosixPath("v.txt"), None, PurePosixPath("m.tsv"), None),
+        lambda: TransferBundle(
+            vocabulary_path=PurePosixPath("v.txt"), embeddings_path=None, mapping_path=PurePosixPath("m.tsv"),
+            unused_parent_path=None,
+        ),
+        lambda: TransferBundle(PurePosixPath("v.txt"), PurePosixPath("e.bin"), PurePosixPath("m.tsv"), None),
+        "TransferBundle(vocabulary_path=PurePosixPath('v.txt'), embeddings_path=None, "
+        "mapping_path=PurePosixPath('m.tsv'), unused_parent_path=None)",
     ),
 }
 
