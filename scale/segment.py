@@ -7,11 +7,15 @@ and a Cyrillic corpus (in its own process, with this checkout's `src/`; see
 `tier.py`), then, in a fresh Python process importing the package from DIR
 (default `src/`), segments three corpora under it: the two it was learned
 from and an Armenian one that none of its multi-character tokens start.
-Each phase starts from a fresh `Vocabulary`, so no phase reads a memo that
-an earlier one filled.  It prints one JSON line per run:
+Each phase starts from a fresh `Vocabulary`, so no phase reads what an
+earlier one segmented.  It prints one JSON line per run:
 
-* `apply_s` - `apply_wordpiece` over the three corpora concatenated, and
-  `apply_files_s` the same over each corpus on its own, summed;
+* `apply_s` - `cli.main(["apply-wp", ...])` over the three corpora
+  concatenated, written to a temporary file first, as the command reads
+  them, and `apply_files_s` the same over each corpus on its own, summed;
+* `apply_sentences_s` - a library loop of `apply_wordpiece` once per
+  sentence over the concatenation, each line joined by spaces; it must equal
+  the command's output;
 * `counts_s` - `diagnostics._token_counts` of each corpus, as `diag
   overlap` counts its labelled corpora;
 * `rate_s` - `segmentation_rate` over the concatenation, and `rate_files_s`
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -70,6 +75,7 @@ def measure(case: str, src: Path, tokens: list[str]) -> dict:
     mixed = [sentence for lines in texts.values() for sentence in lines]
     corpus_mb = tier.maxrss_mb()
     sys.path.insert(0, str(src))
+    from xfervocab import cli
     from xfervocab.diagnostics import _token_counts, segmentation_rate
     from xfervocab.wordpiece import Vocabulary, apply_wordpiece
 
@@ -78,7 +84,17 @@ def measure(case: str, src: Path, tokens: list[str]) -> dict:
         result = fn(*args)
         return result, time.perf_counter() - start
 
-    def apply_all(sentences):
+    def apply_wp(name, sentences, tmp):
+        """The `apply-wp` command over the sentences, as a file; returns its output's bytes."""
+        source, out = tmp / f"{name}.txt", tmp / f"{name}.wp"
+        source.write_text("".join(sentence + "\n" for sentence in sentences), encoding="utf-8")
+        argv = ["apply-wp", "--vocab", str(tmp / "v.vocab"), "--input", str(source), "--out", str(out)]
+        code, seconds = timed(cli.main, argv)
+        if code:
+            raise RuntimeError(f"apply-wp exited {code}")
+        return out.read_bytes(), seconds
+
+    def apply_sentences(sentences):
         vocab = Vocabulary(tokens)
         return [" ".join(apply_wordpiece(vocab, sentence)) for sentence in sentences]
 
@@ -86,13 +102,19 @@ def measure(case: str, src: Path, tokens: list[str]) -> dict:
         vocab = Vocabulary(tokens)
         return {name: _token_counts(vocab, lines) for name, lines in texts.items()}
 
-    segmented, apply_s = timed(apply_all, mixed)
-    apply_files_s = sum(timed(apply_all, lines)[1] for lines in texts.values())
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        Vocabulary(tokens).save(tmp / "v.vocab")
+        segmented, apply_s = apply_wp("mixed", mixed, tmp)
+        apply_files_s = sum(apply_wp(name, lines, tmp)[1] for name, lines in texts.items())
+    per_sentence, apply_sentences_s = timed(apply_sentences, mixed)
+    if "".join(line + "\n" for line in per_sentence).encode("utf-8") != segmented:
+        raise AssertionError("apply_wordpiece per sentence differs from apply-wp")
     counts, counts_s = timed(counts_by_corpus)
     rate, rate_s = timed(lambda: segmentation_rate(Vocabulary(tokens), mixed))
     rate_files_s = sum(timed(lambda: segmentation_rate(Vocabulary(tokens), lines))[1] for lines in texts.values())
 
-    apply_digest = sha256("".join(line + "\n" for line in segmented))
+    apply_digest = hashlib.sha256(segmented).hexdigest()
     counts_digest = sha256("".join(
         f"{name}\t{tok}\t{count}\n" for name, table in counts.items() for tok, count in sorted(table.items())
     ))
@@ -100,6 +122,7 @@ def measure(case: str, src: Path, tokens: list[str]) -> dict:
         "case": case,
         "apply_s": round(apply_s, 4),
         "apply_files_s": round(apply_files_s, 4),
+        "apply_sentences_s": round(apply_sentences_s, 4),
         "counts_s": round(counts_s, 4),
         "rate_s": round(rate_s, 4),
         "rate_files_s": round(rate_files_s, 4),

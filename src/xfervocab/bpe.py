@@ -30,8 +30,8 @@ marker.  Entries are pushed after the merge has rewritten all its words,
 when its counts are final, so the order of the words does not matter.
 
 Application replays the merges by learned priority and renders continuation
-tokens with a trailing "@@".  Each table memoizes the tokens of the words it
-has segmented in a least-recently-used cache of a fixed number of words.
+tokens with a trailing "@@".  `_apply_lines` segments each distinct word
+of a call once, through a memo that lives for the call.
 """
 
 from __future__ import annotations
@@ -44,13 +44,10 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CorpusFormatError
-from .textio import read_model_lines, write_lines
+from .textio import _Memo, read_model_lines, write_lines
 
 END_OF_WORD = "</w>"
 MERGE_FILE_HEADER = "#version: xfervocab-1"
-# Words whose tokens one MergeTable remembers, the least recently used
-# forgotten first; read when the table is made.
-_WORD_CACHE_SIZE = 1 << 16
 
 
 class MergeRule(NamedTuple):
@@ -68,7 +65,6 @@ class MergeTable:
             raise ValueError(problem[1])
         self.rules = cleaned
         self._ranks = {rule: i for i, rule in enumerate(cleaned)}
-        self._words = functools.lru_cache(maxsize=_WORD_CACHE_SIZE)(functools.partial(_segment_word, self._ranks))
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -269,11 +265,11 @@ def _check_word(word: str) -> None:
 
 def apply_bpe(table: MergeTable, word: str) -> list[str]:
     """Segment one word with learned merges, rendered with "@@" markers."""
-    return list(table._words(word))
+    return _render_word(table._ranks, word).split(" ")
 
 
-def _segment_word(ranks: dict[MergeRule, int], word: str) -> tuple[str, ...]:
-    """The tokens of one word, which a table's memo keeps."""
+def _render_word(ranks: dict[MergeRule, int], word: str) -> str:
+    """The rendered tokens of one word under a table's merge ranks, joined by spaces."""
     _check_word(word)
     symbols = (*word, END_OF_WORD)
     while len(symbols) > 1:
@@ -285,19 +281,19 @@ def _segment_word(ranks: dict[MergeRule, int], word: str) -> tuple[str, ...]:
         if best is None:
             break
         symbols = _merge_word(symbols, *best[1], _occurrences(symbols, *best[1]))
-    *symbols, last = symbols
-    last = last[: -len(END_OF_WORD)]  # merges join neighbours, so the last symbol ends with the marker
-    if last:
-        symbols.append(last)
-    return (*[s + "@@" for s in symbols[:-1]], symbols[-1])
+    # Merges join neighbours, so the last symbol ends with the marker; a bare one leaves "@@ " before it.
+    return "@@ ".join(symbols).removesuffix(END_OF_WORD).removesuffix("@@ ")
 
 
 def segment_sentence(table: MergeTable, sentence: str) -> list[str]:
     """Apply BPE to every whitespace word of a sentence."""
-    out = []
-    for word in sentence.split():
-        out.extend(apply_bpe(table, word))
-    return out
+    return [tok for word in sentence.split() for tok in apply_bpe(table, word)]
+
+
+def _apply_lines(table: MergeTable, lines: list[str]) -> list[str]:
+    """`" ".join(segment_sentence(table, line))` of each line, each distinct word segmented once."""
+    rendered = _Memo(functools.partial(_render_word, table._ranks))
+    return [" ".join(map(rendered.__getitem__, line.split())) for line in lines]
 
 
 def enumerate_substrings(word: str) -> set[str]:

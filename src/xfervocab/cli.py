@@ -21,7 +21,7 @@ A report command (`diag`, `eval`, `corpus filter` and corpus-mode
 writes (`_report`).  learn-bpe, learn-wp, transform-vocab, balanced-vocab
 and file-mode merge-vocab print one status line; the rest print nothing.
 
-Each handler loads the library modules it calls (`_load`), so a step
+Each handler imports the modules it calls (mostly through `_load`), so a step
 imports only those; only those that compute with numpy import it (learn-wp,
 transform-vocab, merge-vocab, balanced-vocab, eval bleu and eval bootstrap).
 No module defines its records with `dataclasses`, so no step imports it,
@@ -424,10 +424,8 @@ def _cmd_learn_bpe(args):
 
 
 def _cmd_apply_bpe(args):
-    _load("bpe")
-    table = MergeTable.load(args.table)
-    lines = [" ".join(segment_sentence(table, line)) for line in read_lines(args.input)]
-    write_lines(args.out, lines)
+    from .bpe import MergeTable, _apply_lines
+    write_lines(args.out, _apply_lines(MergeTable.load(args.table), read_lines(args.input)))
 
 
 def _cmd_learn_wp(args):
@@ -439,10 +437,8 @@ def _cmd_learn_wp(args):
 
 
 def _cmd_apply_wp(args):
-    _load("wordpiece")
-    vocab = Vocabulary.load(args.vocab)
-    lines = [" ".join(apply_wordpiece(vocab, line)) for line in read_lines(args.input)]
-    write_lines(args.out, lines)
+    from .wordpiece import Vocabulary, _apply_lines
+    write_lines(args.out, _apply_lines(Vocabulary.load(args.vocab), read_lines(args.input)))
 
 
 def _cmd_transform_vocab(args) -> list[Path]:

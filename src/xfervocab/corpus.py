@@ -15,8 +15,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import AlignmentError, CorpusFormatError, Record, SampleSizeError, check_seed
-from .textio import read_lines, render_tsv, write_lines, write_text
-from .wordpiece import Vocabulary, apply_wordpiece
+from .textio import _Memo, read_lines, render_tsv, write_lines, write_text
+from .wordpiece import Vocabulary, pretokenize
 
 _SPACE_RE = re.compile(r"(\s+)")
 
@@ -125,7 +125,9 @@ def filter_by_subword_length(
     """Keep pairs segmenting to at most max_tokens wordpieces on both sides."""
     if max_tokens < 0:
         raise ValueError(f"max_tokens must be non-negative, got {max_tokens}")
-    return _filtered(corpus, lambda sentence: len(apply_wordpiece(vocab, sentence)) <= max_tokens)
+    segment = vocab._units if len(corpus) else None  # as apply_wordpiece, refuses only once there is a sentence
+    lengths = _Memo(lambda unit: len(segment(unit)))
+    return _filtered(corpus, lambda sentence: sum(map(lengths.__getitem__, pretokenize(sentence))) <= max_tokens)
 
 
 def sample_equal(a: ParallelCorpus, b: ParallelCorpus, per_side: int, seed: int) -> ParallelCorpus:

@@ -3,8 +3,8 @@
 Read-only analytics: segmentation rate, vocabulary usage, per-language
 overlap breakdown, and the impact of subword-length filtering.  The rate,
 usage and overlap reports count tokens over the corpus's table of distinct
-units with `wordpiece._unit_token_counts`, which segments each unit once
-through the vocabulary's memo, not sentence by sentence.
+units with `wordpiece._unit_token_counts`, which segments each distinct
+unit once, not sentence by sentence.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """The one line reader, line writer and TSV renderer that every text file
-of the toolkit goes through."""
+of the toolkit goes through, and the memo one segmenting call fills."""
 
 from __future__ import annotations
 
 from numbers import Integral, Real
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import CorpusDecodeError, CorpusFormatError
 
@@ -46,6 +46,16 @@ def render_lines(lines: Iterable[str]) -> str:
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     write_text(path, render_lines(lines))
+
+
+class _Memo(dict):
+    """A table that lives for one call: a key's value is computed on its first lookup."""
+
+    def __init__(self, compute: Callable):
+        self.compute = compute
+
+    def __missing__(self, key):
+        return self.setdefault(key, self.compute(key))
 
 
 def _cell(value: object) -> str:

@@ -12,14 +12,11 @@ A token that ends the last run without the marker takes it ("me" ends
 escaped as a backslash, the decimal digits of its code point, and a
 semicolon, each its own token, so any Unicode text is representable.
 
-A unit's tokens never depend on its neighbours, so each vocabulary segments
-a unit through its own memo (`Vocabulary._units`), a least-recently-used
-cache of _UNIT_CACHE_SIZE units, and `_unit_token_counts` counts tokens over
-a table of distinct units rather than sentence by sentence, for the reports
-and for `transform_vocab`'s unused-parent count.  The prefix table and the
-memo are made on a vocabulary's first segmentation.  The learner, which
-needs numpy, is in `wordpiece_learner`; its public names still import from
-here.
+A unit's tokens never depend on its neighbours, so `_apply_lines` segments
+each distinct unit of a call once, through a memo that lives for the call,
+and `_unit_token_counts` counts tokens over a table of distinct units.  The
+prefix table is made on a vocabulary's first segmentation.  The learner,
+which needs numpy, is in `wordpiece_learner`; its names import from here.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CorpusFormatError, EscapeDecodeError, Record
-from .textio import read_model_lines, render_lines, write_text
+from .textio import _Memo, read_model_lines, render_lines, write_text
 
 # End-of-unit marker appended to every word-level unit before matching.
 WORD_MARKER = "_"
@@ -52,10 +49,6 @@ MAX_TRAIN_SENTENCES = 20_000_000
 # group keeps each unsafe character in what `split` returns.
 _UNSAFE_CHARS = "\\" + WORD_MARKER
 _UNSAFE_RE = re.compile("([" + re.escape(_UNSAFE_CHARS) + "])")
-
-# Units whose tokens one Vocabulary remembers, the least recently used
-# forgotten first; read when the vocabulary first segments.
-_UNIT_CACHE_SIZE = 1 << 16
 
 # ASCII digits only, the only ones the encoder writes: \d would also take "١٢".
 _ESCAPE_RE = re.compile(r"\\([0-9]+);")
@@ -146,16 +139,14 @@ class Vocabulary:
 
     @functools.cached_property
     def _units(self) -> Callable[[str], tuple[str, ...]]:
-        """The memoised unit -> tokens function, the one per-unit path of
-        segmentation and the reports.  Its prefix table and memo are made on
-        first use, since most vocabularies a learner or a size search builds
-        never segment.  A vocabulary that cannot escape every character is
-        refused, on every use."""
+        """The unit -> tokens function, with no memo.  Its prefix table is made
+        on first use, since most vocabularies a learner or a size search
+        builds never segment.  A vocabulary that cannot escape every
+        character is refused, on every use."""
         missing = next((tok for tok in ESCAPE_TOKENS if tok not in self._index), None)
         if missing is not None:
             raise ValueError(f"vocabulary lacks escape token {missing!r}; cannot segment arbitrary text")
-        segment = functools.partial(_segment_unit, _prefixes(self._tokens))
-        return functools.lru_cache(maxsize=_UNIT_CACHE_SIZE)(segment)
+        return functools.partial(_segment_unit, _prefixes(self._tokens))
 
     @classmethod
     def with_ascii_fallback(cls, tokens: Iterable[str]) -> "Vocabulary":
@@ -259,11 +250,15 @@ class VocabSpec(Record):
 
 def apply_wordpiece(vocab: Vocabulary, sentence: str) -> list[str]:
     """Segment a sentence into wordpiece tokens under the given vocabulary."""
-    segment = vocab._units
-    out: list[str] = []
-    for unit in pretokenize(sentence):
-        out += segment(unit)
-    return out
+    segment = vocab._units  # refuses a vocabulary that cannot segment, for an empty sentence too
+    return [tok for unit in pretokenize(sentence) for tok in segment(unit)]
+
+
+def _apply_lines(vocab: Vocabulary, lines: list[str]) -> list[str]:
+    """`" ".join(apply_wordpiece(vocab, line))` of each line, each distinct unit segmented once."""
+    segment = vocab._units if lines else None  # as apply_wordpiece, refuses only once there is a line
+    rendered = _Memo(lambda unit: " ".join(segment(unit)))
+    return [" ".join(map(rendered.__getitem__, pretokenize(line))) for line in lines]
 
 
 def detokenize(tokens: Sequence[str]) -> str:

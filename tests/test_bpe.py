@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import xfervocab.bpe as bpe
 from xfervocab.bpe import (
     END_OF_WORD,
     MergeRule,
     MergeTable,
+    _apply_lines,
     apply_bpe,
     enumerate_substrings,
     learn_bpe,
@@ -52,17 +52,35 @@ def oracle_learn(corpora, num_merges):
         rules.append(MergeRule(*best))
         rewritten = Counter()
         for symbols, f in words.items():
-            out, i = [], 0
-            while i < len(symbols):
-                if i + 1 < len(symbols) and (symbols[i], symbols[i + 1]) == best:
-                    out.append(symbols[i] + symbols[i + 1])
-                    i += 2
-                else:
-                    out.append(symbols[i])
-                    i += 1
-            rewritten[tuple(out)] += f
+            rewritten[oracle_merge(symbols, best)] += f
         words = dict(rewritten)
     return rules
+
+
+def oracle_merge(symbols, pair):
+    """The symbols with each occurrence of pair merged, scanned left to right."""
+    out, i = [], 0
+    while i < len(symbols):
+        if i + 1 < len(symbols) and (symbols[i], symbols[i + 1]) == pair:
+            out.append(symbols[i] + symbols[i + 1])
+            i += 2
+        else:
+            out.append(symbols[i])
+            i += 1
+    return tuple(out)
+
+
+def oracle_apply(table, word):
+    """Replay the merges present, lowest rank first, then drop the end marker
+    (and a symbol it leaves empty) and mark every symbol but the last "@@"."""
+    ranks = {rule: i for i, rule in enumerate(table)}
+    symbols = (*word, END_OF_WORD)
+    while present := [ranks[pair] for pair in zip(symbols, symbols[1:]) if pair in ranks]:
+        symbols = oracle_merge(symbols, table.rules[min(present)])
+    *symbols, last = symbols
+    if last != END_OF_WORD:
+        symbols.append(last[: -len(END_OF_WORD)])
+    return [symbol + "@@" for symbol in symbols[:-1]] + symbols[-1:]
 
 
 def test_apply_toy_table_older():
@@ -197,17 +215,23 @@ def test_apply_is_lossless_and_cached_results_are_fresh(training, words):
         expected = list(tokens)
         tokens.append("mutated")
         tokens[0] = ""
-        # The second call is served from the cache; a new table starts empty.
+        # A second call, and a new table, return a fresh list.
         assert apply_bpe(table, word) == apply_bpe(MergeTable(table.rules), word) == expected
 
 
-def test_word_cache_stops_at_its_bound(monkeypatch):
-    monkeypatch.setattr(bpe, "_WORD_CACHE_SIZE", 2)
-    table = learn_bpe([["abc abd bcd cd"]], 6)
-    words = ["abc", "abd", "bcd", "cd", "abcd"]
-    first = [apply_bpe(table, w) for w in words]
-    assert table._words.cache_info().currsize == 2
-    assert [apply_bpe(table, w) for w in words] == first
+# Lines whose words repeat, split by runs of spaces, tabs and "\r", with the
+# marker's and the continuation's characters inside words.
+BPE_LINE_PIECES = ["ab", "ba", "abab", "é", "@@", "@", "</w>", "w>", "<", " ", "  ", "\t", "\r", "a@@b"]
+bpe_lines = st.lists(st.lists(st.sampled_from(BPE_LINE_PIECES), max_size=10).map("".join), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(training=bpe_lines, lines=bpe_lines, num_merges=st.integers(1, 40))
+def test_per_call_apply_matches_the_per_sentence_function_and_oracle(training, lines, num_merges):
+    table = learn_bpe([[*training, "ab ba é@@ </w>"]], num_merges)
+    assert _apply_lines(table, lines) == [" ".join(segment_sentence(table, line)) for line in lines]
+    for word in {word for line in lines for word in line.split()}:
+        assert apply_bpe(table, word) == oracle_apply(table, word)
 
 
 def test_rendered_output_never_contains_end_marker(latin_corpus):

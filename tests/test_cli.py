@@ -502,6 +502,7 @@ def desk(tmp_path_factory):
     write(d / "dup.vocab", ["a", "b", "a"])
     write(d / "blank.vocab", ["a", "", "b"])
     write(d / "empty.txt", [])
+    write(d / "blank_line.txt", [""])
     (d / "emb.bin").write_bytes(b"\x02\x00\x00\x00\x02\x00\x00\x00\x00\x00\x80\x3f")
     return d
 
@@ -682,17 +683,15 @@ def test_every_command_shape_runs_alike_in_a_fresh_process(run_all_shapes, seed1
 
 
 # Each tuning constant at its least legal value: one-sentence statistics
-# blocks, one-row bootstrap and edit-distance blocks, int64 token positions
-# and no memo in either segmentation cache.
+# blocks, one-row bootstrap and edit-distance blocks, and int64 token positions.
 SHRUNK_CONSTANTS = """
-from xfervocab import bpe, mteval, transfer, wordpiece
+from xfervocab import mteval, transfer
 mteval._BLOCK_BYTES = transfer._BLOCK_BYTES = mteval._INT32_TOKENS = 0
-wordpiece._UNIT_CACHE_SIZE = bpe._WORD_CACHE_SIZE = 0
 """
 
 
 def test_every_command_shape_ignores_the_tuning_constants(run_all_shapes, seed1_shapes):
-    """A block or memo size bounds memory and time, never a byte: every shape
+    """A block size bounds memory and time, never a byte: every shape
     prints and writes the same with each one shrunk."""
     shrunk = run_all_shapes(SHRUNK_CONSTANTS + ALL_SHAPES_SCRIPT, "1")
     assert shrunk == seed1_shapes
@@ -896,7 +895,27 @@ ERROR_PATHS = [
     (["corpus", "mix", "--authentic-tsv", "{d}/pair.tsv", "--synthetic-tsv", "{d}/pair.tsv", "--factor",
       "99999999999999999999", "--seed", "1", "--out-tsv", "{d}/e70.tsv"],
      "factor 99999999999999999999 asks for more pairs than memory can hold"),
+    # A vocabulary without the escape tokens is refused once a line is read, even a blank one.
+    (["apply-wp", "--vocab", "{d}/parent.vocab", "--input", "{d}/blank_line.txt", "--out", "{d}/e71.wp"],
+     "vocabulary lacks escape token '\\\\'; cannot segment arbitrary text"),
+    (["diag", "filter-impact", "--vocab", "{d}/parent.vocab", "--source", "{d}/blank_line.txt", "--target",
+      "{d}/blank_line.txt", "--threshold", "5", "--out", "{d}/e72.tsv"],
+     "vocabulary lacks escape token '\\\\'; cannot segment arbitrary text"),
 ]
+
+
+# ... and never when no line is read: over empty inputs the same vocabulary segments nothing.
+@pytest.mark.parametrize("argv, out", [
+    (["apply-wp", "--vocab", "{d}/parent.vocab", "--input", "{d}/empty.txt", "--out", "{t}/out"], ""),
+    (["diag", "filter-impact", "--vocab", "{d}/parent.vocab", "--source", "{d}/empty.txt", "--target",
+      "{d}/empty.txt", "--threshold", "5", "--out", "{t}/out"], "kept\tdropped\tdropped_fraction\n0\t0\t0.0\n"),
+    (["corpus", "filter", "--source", "{d}/empty.txt", "--target", "{d}/empty.txt", "--vocab", "{d}/parent.vocab",
+      "--max-subwords", "5", "--out-tsv", "{t}/out"], ""),
+], ids=["apply-wp", "diag-filter-impact", "corpus-filter"])
+def test_vocabulary_without_escapes_passes_an_input_without_lines(desk, tmp_path, capsys, argv, out):
+    assert main([arg.format(d=desk, t=tmp_path) for arg in argv]) == 0
+    assert (tmp_path / "out").read_text(encoding="utf-8") == out
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv, message", ERROR_PATHS)

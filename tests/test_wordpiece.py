@@ -17,12 +17,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import LATIN, desk_sentences
-import xfervocab.wordpiece as wordpiece
 import xfervocab.wordpiece_learner as wordpiece_learner
+from xfervocab.corpus import ParallelCorpus, filter_by_subword_length
 from xfervocab.errors import CorpusFormatError, EscapeDecodeError
 from xfervocab.wordpiece import (
     ESCAPE_TOKENS,
     _CandidateBuilder,
+    _apply_lines,
     WORD_MARKER,
     VocabSpec,
     Vocabulary,
@@ -308,9 +309,26 @@ def test_one_pattern_pretokenize_matches_two_step_split(text):
 @settings(max_examples=200, deadline=None)
 @given(vocab=segment_vocabs, texts=st.lists(st.text(SEGMENT_ALPHABET, max_size=30), max_size=6))
 def test_apply_through_warm_cache_matches_fresh_vocabulary_and_oracle(vocab, texts):
-    for text in texts + texts:  # the second round reads only remembered units
+    for text in texts + texts:  # the second round repeats the first, on the same vocabulary
         assert apply_wordpiece(vocab, text) == apply_wordpiece(Vocabulary(vocab.tokens), text)
         assert apply_wordpiece(vocab, text) == oracle_apply(vocab, text)
+
+
+# Lines that repeat units, with runs of spaces, tabs and "\r", blank lines, the
+# marker, the escape, letters no token starts, and units that hold spaces.
+LINE_PIECES = ["ab", "ba", "aab", "19", "é", "ř", "x", "_", "\\", " ", "  ", "\t", "\r", ". .", "a_b", "b\\a"]
+pooled_lines = st.lists(st.lists(st.sampled_from(LINE_PIECES), max_size=10).map("".join), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vocab=segment_vocabs, lines=pooled_lines, max_tokens=st.integers(0, 12))
+def test_per_call_paths_match_the_per_sentence_function(vocab, lines, max_tokens):
+    assert _apply_lines(vocab, lines) == [" ".join(apply_wordpiece(vocab, line)) for line in lines]
+    corpus = ParallelCorpus(lines, lines[::-1])
+    kept, report = filter_by_subword_length(corpus, vocab, max_tokens)
+    fits = [len(apply_wordpiece(vocab, line)) <= max_tokens for line in lines]
+    assert kept.pairs == [pair for pair, a, b in zip(corpus, fits, fits[::-1]) if a and b]
+    assert report.kept == len(kept)
 
 
 def test_mutating_a_result_leaves_later_results_unchanged(czech_vocab):
@@ -318,35 +336,6 @@ def test_mutating_a_result_leaves_later_results_unchanged(czech_vocab):
     first.append("x")
     first[0] = "y"
     assert apply_wordpiece(czech_vocab, SENTENCE) == CZECH_TOKENS
-
-
-def test_unit_cache_stops_growing_at_its_bound(monkeypatch):
-    monkeypatch.setattr(wordpiece, "_UNIT_CACHE_SIZE", 5)
-    vocab = Vocabulary.with_ascii_fallback(["ab", "ba_"])
-    units = ["".join(random.Random(i).choices("ab", k=6)) for i in range(40)]
-    for unit in units:
-        assert apply_wordpiece(vocab, unit) == oracle_apply(vocab, unit)
-    assert vocab._units.cache_info().currsize == 5
-    assert apply_wordpiece(vocab, " ".join(units)) == oracle_apply(vocab, " ".join(units))
-    assert vocab._units.cache_info().currsize == 5
-
-
-def test_unit_cache_keeps_the_most_recent_units(monkeypatch):
-    monkeypatch.setattr(wordpiece, "_UNIT_CACHE_SIZE", 5)
-    vocab = Vocabulary.with_ascii_fallback(["ab", "ba_"])
-    units = list(dict.fromkeys("".join(random.Random(i).choices("ab", k=8)) for i in range(60)))
-    assert len(units) > 10
-    for unit in units:
-        assert apply_wordpiece(vocab, unit) == oracle_apply(vocab, unit)
-    before = vocab._units.cache_info()
-    recent = " ".join(units[-5:])
-    assert apply_wordpiece(vocab, recent) == oracle_apply(vocab, recent)
-    after = vocab._units.cache_info()
-    assert (after.hits - before.hits, after.misses - before.misses) == (5, 0)
-    # The first units were forgotten; segmented again, they are still right.
-    early = " ".join(units[:5])
-    assert apply_wordpiece(vocab, early) == oracle_apply(vocab, early)
-    assert vocab._units.cache_info().misses - after.misses == 5
 
 
 def test_vocabulary_validation():
