@@ -6,7 +6,8 @@ manifest with the exact argument vector, the seed, the tool version, and
 the SHA-256 digest of every declared file the argv names, `--config`
 included: inputs hashed before the command runs, outputs after it returns,
 plus the files `transform-vocab` writes into `--out-dir`.  Re-running the
-recorded argv reproduces the artifacts byte for byte.  The manifest's seed
+recorded argv under the same Python and numpy (Unicode database, draws,
+SIMD level) reproduces the artifacts byte for byte.  The manifest's seed
 is `--seed` as given, also where the run draws nothing from it
 (`transform-vocab --variant frequency|levenshtein`, `corpus corrupt --mode
 sort_target`).

@@ -683,10 +683,10 @@ def test_every_command_shape_runs_alike_in_a_fresh_process(run_all_shapes, seed1
 
 
 # Each tuning constant at its least legal value: one-sentence statistics
-# blocks, one-row bootstrap and edit-distance blocks, and int64 token positions.
+# blocks, and one-row bootstrap and edit-distance blocks.
 SHRUNK_CONSTANTS = """
 from xfervocab import mteval, transfer
-mteval._BLOCK_BYTES = transfer._BLOCK_BYTES = mteval._INT32_TOKENS = 0
+mteval._BLOCK_BYTES = transfer._BLOCK_BYTES = 0
 """
 
 

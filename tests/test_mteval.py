@@ -654,21 +654,6 @@ def test_corpora_stats_memory_grows_by_the_output_rows():
     assert large - small < 2 * 6000 * 10 * 8 + (1 << 20)
 
 
-def test_int64_token_positions_change_no_statistic(monkeypatch):
-    """Positions are int32 below `_INT32_TOKENS` tokens; at 0 every position is
-    int64, and BLEU and the bootstrap must read the same."""
-    cand_a, cand_b, refs = desk_eval_set(4)
-
-    def statistics():
-        stats = _corpora_stats([cand_a, cand_b], refs, 4, "intl")
-        return stats, bleu(cand_a, refs), paired_bootstrap(cand_a, cand_b, refs, samples=200, seed=3)
-
-    int32 = statistics()
-    monkeypatch.setattr(mteval, "_INT32_TOKENS", 0)
-    int64 = statistics()
-    assert np.array_equal(int32[0], int64[0]) and int32[1:] == int64[1:]
-
-
 def test_empty_reference_group_raises():
     with pytest.raises(ValueError):
         sentence_stats(["a b"], [["a b"], []])
