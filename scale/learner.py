@@ -13,8 +13,8 @@ line holds) and prints:
 * `digest` - SHA-256 of the learned vocabulary, to compare two checkouts.
 
 Cases (target 8000): `desk-50k`, the `lt5` desk corpus at 50 000 sentences
-over 20 000 word types; `long-300` and `long-800`, `tier.long_word_corpus`
-with one random word of that many letters.
+over 20 000 word types; `long-300`, `long-800`, `long-2000` and `long-5000`,
+`tier.long_word_corpus` with one random word of that many letters.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import partial
 import tier
 
 TARGET = 8000
-CASES = ("desk-50k", "long-300", "long-800")
+CASES = ("desk-50k", "long-300", "long-800", "long-2000", "long-5000")
 
 
 def measure(case: str, probe: tier.Probe) -> dict:

@@ -174,7 +174,7 @@ def _corpora_stats(corpora: Sequence[Sequence[str]], references, n_max: int, tok
     they are computed over blocks of whole sentences, each holding its
     sentences' references and every corpus's candidates, and as many
     sentences as fit in _BLOCK_BYTES (one, if a sentence is larger), sized
-    by their characters.  Beyond one block, memory is the output and the
+    by their characters and lines.  Beyond one block, memory is the output and the
     call's word table: every distinct whitespace word is tokenized once for
     the call, and every distinct token has one id."""
     if n_max < 1:
@@ -187,7 +187,7 @@ def _corpora_stats(corpora: Sequence[Sequence[str]], references, n_max: int, tok
     chars = np.add.reduceat(np.fromiter(map(len, refs), np.int64, len(refs)), ref_ends - group_sizes)
     for corpus in corpora:
         chars += np.fromiter(map(len, corpus), np.int64, len(group_sizes))
-    ends = np.cumsum(_line_bytes(chars), out=chars)  # the bytes of the sentences' lines, through each
+    ends = np.cumsum(_line_bytes(chars, group_sizes + len(corpora)), out=chars)  # the bytes of the sentences' lines, through each
     stats = np.empty((len(corpora), len(group_sizes), 2 * n_max + 2), np.int64)
     start = done = 0
     while start < len(group_sizes):
@@ -200,12 +200,18 @@ def _corpora_stats(corpora: Sequence[Sequence[str]], references, n_max: int, tok
     return stats
 
 
-def _line_bytes(chars):
-    """Bytes a statistics block takes for lines of `chars` characters: a
-    line holds at most one token a character, and a token takes under 160
-    bytes of the block's word lists and arrays (measured under tracemalloc:
-    at most 148 a character, on punctuation-only lines)."""
-    return 160 * chars
+def _line_bytes(chars, lines):
+    """Bytes a statistics block takes for `lines` lines of `chars`
+    characters in all.  A line holds at most one token a character, and a
+    token takes under 160 bytes of the block's word lists and arrays; a line
+    takes under 256 bytes more of its own, in its word list and its rows of
+    the block's arrays, however short it is.  Measured under tracemalloc, on
+    blocks of 8000 sentences of one reference and two candidates each, the
+    word table already filled: at most 148 bytes a character on
+    punctuation-only lines; 201 bytes a line on empty lines at n_max 4 (231
+    at n_max 9); 241 a line on one-character lines, so 81 beyond their
+    character; and 1107 a line, 26 a character, on desk lines."""
+    return 160 * chars + 256 * lines
 
 
 def _block_stats(tok: np.ndarray, lengths: np.ndarray, group_sizes: np.ndarray, n_ids: int, n_max: int) -> np.ndarray:

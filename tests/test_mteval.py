@@ -592,7 +592,10 @@ def test_corpora_stats_matches_counter_oracle_on_desk_corpora(n_max, tokenizatio
 
 def sentence_bytes(corpora, refs):
     """The bytes of each sentence's lines in a statistics block."""
-    return [int(mteval._line_bytes(sum(map(len, [*group, *lines])))) for group, *lines in zip(refs, *corpora)]
+    return [
+        int(mteval._line_bytes(sum(map(len, [*group, *lines])), len(group) + len(lines)))
+        for group, *lines in zip(refs, *corpora)
+    ]
 
 
 def counted_blocks(monkeypatch):
@@ -652,6 +655,21 @@ def test_corpora_stats_memory_grows_by_the_output_rows():
     small = stats_peak([cand_a[:2000], cand_b[:2000]], refs[:2000])
     large = stats_peak([cand_a, cand_b], refs)
     assert large - small < 2 * 6000 * 10 * 8 + (1 << 20)
+
+
+@pytest.mark.parametrize("line", ["", "a"])
+def test_corpora_stats_blocks_hold_their_budget_on_short_lines(monkeypatch, line):
+    """Sentences whose lines are all empty have no characters, and a
+    one-character line takes more than a token's bytes; a block is sized by
+    its lines too, so it stays within its budget.  With a 1 MiB budget,
+    2000 such sentences already fill two blocks, and from 2000 to 8000 only
+    the output rows grow (960 kB).  Beside the 1.28 MB output, the peak is
+    one block and 32 bytes a sentence of bookkeeping."""
+    monkeypatch.setattr(mteval, "_BLOCK_BYTES", 1 << 20)
+    small = stats_peak([[line] * 2000] * 2, [line] * 2000)
+    large = stats_peak([[line] * 8000] * 2, [line] * 8000)
+    assert large - small < 2 * 6000 * 10 * 8 + (1 << 20)
+    assert large - 2 * 8000 * 10 * 8 < mteval._BLOCK_BYTES + 32 * 8000
 
 
 def test_empty_reference_group_raises():

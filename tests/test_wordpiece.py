@@ -3,6 +3,7 @@ token-emitting greedy oracle, plus the learner contract: exact and
 tolerance-bounded sizes, determinism, escape totality, and the incremental
 threshold ladder against a recount-from-scratch oracle."""
 
+import functools
 import random
 import re
 import unicodedata
@@ -96,7 +97,7 @@ def test_roundtrip_random_sentences():
     charset = "aehinorst .,!?-_\\éž09"
     for _ in range(300):
         text = "".join(rng.choice(charset) for _ in range(rng.randint(1, 40)))
-        text = " ".join(text.split())  # single spaces, the promised domain
+        text = " ".join(text.split())  # single spaces
         if not text:
             continue
         assert detokenize(apply_wordpiece(vocab, text)) == text
@@ -217,6 +218,31 @@ def test_apply_matches_greedy_oracle_on_learned_vocabularies(latin_corpus):
             vocab = learner.learn(VocabSpec(target_size=target))
         for sentence in sentences:
             assert apply_wordpiece(vocab, sentence) == oracle_apply(vocab, sentence)
+
+
+# Any text: tabs, CRLF, runs of spaces, the marker, the escape, text that
+# looks like an escape, combining marks (category Mn, neither letter nor
+# digit) on letters and alone, and any other character.
+ROUNDTRIP_PIECES = ["\t", "\r\n", "\r", " ", "  ", "   ", "_", "\\", "\\12;", "a", "é", "e\u0301", "\u0308", "7", "."]
+roundtrip_texts = st.lists(
+    st.one_of(st.sampled_from(ROUNDTRIP_PIECES), st.characters(exclude_categories=("Cs",))), max_size=30
+).map("".join)
+
+
+@functools.cache
+def learned_roundtrip_vocab():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return learn_wordpiece([desk_sentences(11, LATIN, 500, 300)], VocabSpec(target_size=300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=roundtrip_texts, learned=st.booleans())
+@example(text=" a\t b  c\r\n", learned=False)
+@example(text="e\u0301 \u0301a _ \\ \\65;", learned=True)
+def test_detokenize_inverts_apply_on_any_text(text, learned):
+    vocab = learned_roundtrip_vocab() if learned else Vocabulary.with_ascii_fallback(["the", "e\u0301", "a_"])
+    assert detokenize(apply_wordpiece(vocab, text)) == text
 
 
 def test_detokenize_malformed_escape():
@@ -570,6 +596,12 @@ long_oracle_corpora = st.lists(st.text("abc", min_size=1, max_size=5), min_size=
 )
 
 
+def ranked_raw(learner):
+    """Threshold-1 counts aligned with the whole ranking: the ranked nodes',
+    then 0 for each token of the tail."""
+    return learner._ranked_raw.tolist() + [0] * int(learner._tail_ends[-1] if len(learner._tail_ends) else 0)
+
+
 def check_ladder_against_oracle(sentences, refine_iterations, extra):
     counts = _count_units([sentences], len(sentences))
     base, ranking, raw = oracle_ranking(counts, refine_iterations)
@@ -577,7 +609,7 @@ def check_ladder_against_oracle(sentences, refine_iterations, extra):
         learner = WordpieceLearner(counts)
     assert learner.base_tokens == base
     assert learner._ranked_tokens() == ranking
-    learned_raw = dict(zip(ranking, learner._ranked_raw.tolist())) | dict(zip(base, learner._base_raw))
+    learned_raw = dict(zip(ranking, ranked_raw(learner))) | dict(zip(base, learner._base_raw))
     assert learned_raw == {tok: raw.get(tok, 0) for tok in learned_raw}
     assert set(learned_raw) == set(raw) | set(base)
     # Targets inside the inventory, at its end, and past it (tolerance misses).
@@ -606,7 +638,7 @@ def test_incremental_ladder_matches_recount_oracle_at_desk_scale():
     base, ranking, raw = oracle_ranking(counts)
     learner = WordpieceLearner(counts)
     assert learner._ranked_tokens() == ranking
-    assert learner._ranked_raw.tolist() == [raw.get(tok, 0) for tok in ranking]
+    assert ranked_raw(learner) == [raw.get(tok, 0) for tok in ranking]
     assert learner._base_raw == [raw.get(tok, 0) for tok in base]
 
 
@@ -665,19 +697,19 @@ def oracle_candidates(unit_counts, base):
 # Units as the learner sees them, and beyond: runs of up to 40 characters
 # repeating shared pieces, units of only "_" and "\", "_" and "\" inside
 # runs, and characters outside the Basic Multilingual Plane.
-builder_units = st.dictionaries(
-    st.one_of(
-        st.lists(st.sampled_from(["ab", "ba", "abc", "a", "\U0001f600", "é"]), min_size=1, max_size=20)
-        .map("".join)
-        .map(lambda unit: unit[:40]),
-        st.text("_\\", min_size=1, max_size=6),
-        st.text("ab._\\", min_size=1, max_size=40),
-        st.text(ORACLE_ALPHABET, min_size=1, max_size=8),
-    ),
-    st.integers(1, 70_000),
-    min_size=1,
-    max_size=25,
+builder_unit_keys = st.one_of(
+    st.lists(st.sampled_from(["ab", "ba", "abc", "a", "\U0001f600", "é"]), min_size=1, max_size=20)
+    .map("".join)
+    .map(lambda unit: unit[:40]),
+    st.text("_\\", min_size=1, max_size=6),
+    st.text("ab._\\", min_size=1, max_size=40),
+    st.text(ORACLE_ALPHABET, min_size=1, max_size=8),
 )
+builder_units = st.dictionaries(builder_unit_keys, st.integers(1, 70_000), min_size=1, max_size=25)
+
+
+def explicit_nodes(builder):
+    return [builder.strings[k][:n] for k, n in zip(builder.owner.tolist(), builder._lengths.tolist())]
 
 
 @settings(max_examples=300, deadline=None)
@@ -690,18 +722,311 @@ def test_candidate_builder_matches_substring_enumeration(unit_counts):
     base = WordpieceLearner(unit_counts).base_tokens
     builder = _CandidateBuilder(unit_counts, base)
     want = oracle_candidates(unit_counts, base)
-    for name in ("_parent", "_lengths", "_suffix", "_final", "_first", "_weights"):
+    for name in ("_final", "_weights"):
         got = getattr(builder, name)
         assert got.dtype == want[name].dtype and np.array_equal(got, want[name]), name
-    assert builder._blocks == want["_blocks"]
-    assert builder.base_ids == want["base_ids"]
+    assert np.array_equal(builder._first, want["_first"])
+    # Ids index arrays, so they are intp; lengths are values.
+    for name in ("_parent", "_suffix", "_prefix", "_first", "owner", "_end", "_whole"):
+        assert getattr(builder, name).dtype == np.intp, name
+    assert builder._lengths.dtype == np.int32
+    nodes = explicit_nodes(builder)
+    assert len(set(nodes)) == len(nodes)
+    assert [nodes[i] for i in builder._suffix.tolist()] == [want["tokens"][i] for i in want["_suffix"].tolist()]
+    assert [nodes[i] for i in builder.base_ids] == base
+    # The explicit nodes are exactly the candidates where a string ends or
+    # that have two children; every other one is a unary interior.
+    children = np.bincount(want["_parent"] + 1, minlength=len(want["tokens"]) + 1)[1:]
+    ending = set(base) | {want["tokens"][i] for i in want["_suffix"].tolist()}
+    explicit = {tok for tok, kids in zip(want["tokens"], children.tolist()) if tok in ending or kids >= 2}
+    assert set(nodes) == explicit
+    for tok, kids in zip(want["tokens"], children.tolist()):
+        assert tok in explicit or (kids == 1 and tok not in ending)
+    # Each node's parent is its nearest explicit proper prefix; roots are
+    # the length-1 nodes, and ids go in depth blocks, deepest first.
+    assert [nodes[p] if p >= 0 else None for p in builder._parent.tolist()] == [
+        next((tok[:n] for n in range(len(tok) - 1, 0, -1) if tok[:n] in explicit), None) for tok in nodes
+    ]
+    roots = len(nodes) - sum(last - first for first, last in builder._blocks)
+    assert builder._lengths[:roots].tolist() == [1] * roots and builder._lengths[roots:].min(initial=2) >= 2
+    above = (0, roots)
+    for first, last in reversed(builder._blocks):
+        assert first == above[1] and last > first
+        assert ((builder._parent[first:last] >= above[0]) & (builder._parent[first:last] < above[1])).all()
+        above = (first, last)
+    assert above[1] == len(nodes)
     # The learner's tie-break: (owner, length) order is lexical order.
-    assert np.array_equal(np.lexsort((builder._lengths, builder.owner)), np.argsort(want["lex_rank"]))
-    rendered = [builder.strings[k][:n] for k, n in zip(builder.owner.tolist(), builder._lengths.tolist())]
-    assert rendered == want["tokens"]
+    assert [nodes[i] for i in np.lexsort((builder._lengths, builder.owner)).tolist()] == sorted(nodes)
     # Counts as subtree sums pushed to the parent one length block at a time.
     counts = np.zeros(len(want["tokens"]), np.int64)
     np.add.at(counts, want["_suffix"], want["_weights"])
     for first, last in want["_blocks"]:
         np.add.at(counts, want["_parent"][first:last], counts[first:last])
-    assert np.array_equal(builder.counts(), counts)
+    oracle_id = {tok: i for i, tok in enumerate(want["tokens"])}
+    assert np.array_equal(builder.counts(), counts[[oracle_id[tok] for tok in nodes]])
+
+
+# The uncompacted builder, the oracle for the explicit-node one: every
+# candidate has an id, and carries move one length block at a time.
+class UncompactedBuilder:
+    """Candidate counts over a fixed universe, updated as the token set moves.
+
+    A unit contributes its frequency to every substring that starts at one
+    of its segment starts and ends within that start's safe run: a chain of
+    prefixes ending at the whole run suffix.  Every segment start under any
+    token set is also a start of the base segmentation, so the prefixes of
+    the run suffixes there form a fixed universe.  It is built from the
+    sorted distinct suffixes: at length L, suffix k holds a candidate no
+    earlier suffix holds iff it is at least L long and shares fewer than L
+    characters with suffix k - 1.  Each candidate gets an id in (-length,
+    token) order, with its immediate prefix as its parent, and is rendered
+    as strings[owner[id]][:length] only when asked for.  The strings a
+    candidate prefixes form one range of the sorted order, so its count is
+    a range sum over the run suffixes of the active starts, and the prefix
+    discount is one carry pushed to the parent, one length block at a
+    time.  A move to a new token set walks every unit's greedy segmentation
+    at once over the base starts, and recounts only the starts whose
+    activity flipped.
+    """
+
+    def __init__(self, unit_counts: Counter, base: list[str]):
+        units = sorted(unit_counts)
+        # The run suffix at every base segment start, unit by unit, over `_runs`.
+        # A base start is every safe position except a word-final marker after
+        # a safe character, which the base segmentation fuses onto it.
+        suffixes = []
+        offsets = array("i", [0])
+        for unit in units:
+            *inner, last = wordpiece_learner._runs(unit)[::2]
+            for run in inner:
+                suffixes += [run[i:] for i in range(len(run))]
+            suffixes += [last[i:] for i in range(max(len(last) - 1, 1))]
+            offsets.append(len(suffixes))
+
+        # The universe is every prefix of these suffixes, plus the base (of
+        # length 1, so a base token adds itself and no other prefix).  Sorted,
+        # string k holds the prefixes longer than its common prefix with
+        # string k - 1 that no earlier string holds, in lexical order.  Each
+        # temporary goes once used: what the learner holds at its peak adds
+        # to the peak of the step that calls it.
+        strings = sorted(set(suffixes).union(base))
+        rank = dict(zip(strings, range(len(strings))))
+        start_rank = np.fromiter(map(rank.__getitem__, suffixes), np.int32, len(suffixes))
+        del suffixes
+        lens = np.fromiter(map(len, strings), np.int32, len(strings))
+        codes = np.frombuffer("".join(strings).encode("utf-32-le", "surrogatepass"), np.uint32)
+        ends = np.cumsum(lens, dtype=np.int64)
+        shared = wordpiece_learner._common_prefixes(codes, ends - lens, lens)
+        # Only a final run ends with the marker.
+        final = codes[ends - 1] == ord(WORD_MARKER)
+        del codes, ends
+        top = int(lens.max())
+        per_length = np.cumsum(np.bincount(shared + 1, minlength=top + 2) - np.bincount(lens + 1, minlength=top + 2))
+        total = int((lens - shared).sum())
+        # after[L]: the candidates longer than L, so the first id of length L.
+        after = (total - np.cumsum(per_length[: top + 1])).tolist()
+        # (first, last) id of each length block, longest first, length >= 2.
+        self._blocks = [(after[n], after[n - 1]) for n in range(top, 1, -1)]
+        self._lengths = np.repeat(np.arange(top, 0, -1, dtype=np.int32), per_length[top:0:-1])
+
+        # One step per length over the strings at least that long: string k
+        # starts a new candidate iff its common prefix with string k - 1 is
+        # shorter, so ids in (-length, token) order follow from one cumsum,
+        # and each candidate's parent is the id one step before on its string.
+        self._parent = np.empty(total, np.int32)
+        # The strings a candidate prefixes are a range of the sorted order,
+        # [owner, end): the first renders it, and its count sums the range.
+        self.owner = np.empty(total, np.int32)
+        self._end = np.empty(total, np.int32)
+        whole_id = np.empty(len(strings), np.int32)
+        active = np.arange(len(strings), dtype=np.int32)
+        active_lens, ids = lens, np.full(len(strings), -1, np.int32)
+        for length in range(1, top + 1):
+            keep = active_lens >= length
+            active, active_lens, above = active[keep], active_lens[keep], ids[keep]
+            new = shared[active] < length
+            ids = np.cumsum(new, dtype=np.int32) + np.int32(after[length] - 1)
+            heads = np.flatnonzero(new)
+            made = ids[heads]
+            self._parent[made] = above[heads]
+            self.owner[made] = active[heads]
+            self._end[made] = active[np.append(heads[1:], len(active)) - 1] + 1
+            whole = active_lens == length
+            whole_id[active[whole]] = ids[whole]
+        self.strings = strings
+        self._whole = whole_id
+        self.base_ids = whole_id[[rank[tok] for tok in base]].tolist()
+        del rank
+
+        # Id of the run suffix of each start (the deepest candidate it
+        # counts), and whether that run ends its unit.
+        self._suffix = whole_id[start_rank]
+        self._final = final[start_rank]
+        offsets = np.frombuffer(offsets, np.int32)
+        self._first = offsets[:-1]
+        freqs = [unit_counts[unit] for unit in units]
+        self._weights = np.repeat(np.asarray(freqs, np.min_scalar_type(max(freqs))), np.diff(offsets))
+
+        # Summed frequency of the active starts whose run suffix each id is.
+        self._suffix_counts = np.zeros(total, np.int64)
+        np.add.at(self._suffix_counts, self._suffix, self._weights)
+        self._active = np.ones(len(self._suffix), bool)
+
+    def counts(self) -> np.ndarray:
+        """Candidate counts under the current segmentation: the summed
+        suffix counts of the strings each candidate prefixes."""
+        running = np.zeros(len(self._whole) + 1, np.int64)
+        np.cumsum(self._suffix_counts[self._whole], out=running[1:])
+        return running[self._end] - running[self.owner]
+
+    def select(self, counts: np.ndarray, min_count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Candidates of length >= 2 whose count, discounted by the selected
+        candidates they prefix, reaches min_count, and the discounted counts."""
+        carry = np.zeros_like(counts)
+        adjusted = np.zeros_like(counts)
+        selected = np.zeros(len(counts), bool)
+        for first, last in self._blocks:
+            block = slice(first, last)
+            np.subtract(counts[block], carry[block], out=adjusted[block])
+            np.greater_equal(adjusted[block], min_count, out=selected[block])
+            np.add.at(carry, self._parent[block], carry[block] + adjusted[block] * selected[block])
+        return selected, adjusted
+
+    def move_to(self, selected: np.ndarray) -> None:
+        """Walk every unit's greedy segmentation under the base tokens plus
+        selected, and recount the starts whose activity flips.  The match at
+        a start is the deepest id in the set on its run suffix's prefix
+        chain, or the whole word-final suffix when its parent is in the set
+        (marker fusion).  Starts are consecutive within a run and a run's
+        end leads to the next run's first start, so the walk steps from
+        index j to j + match until a match consumes the final run."""
+        # deep[i]: the deepest id in the set on i's prefix chain.  Every
+        # length-1 id is a base token, so only longer blocks can miss.
+        deep = np.arange(len(self._lengths), dtype=np.int32)
+        for first, last in reversed(self._blocks):
+            np.copyto(deep[first:last], deep[self._parent[first:last]], where=~selected[first:last])
+        suffix = self._suffix
+        parent = self._parent[suffix]  # -1 for a lone marker, never its own deepest id
+        whole = self._lengths[suffix]
+        match = np.where(self._final & (deep[parent] == parent), whole, self._lengths[deep[suffix]])
+        done = self._final & (match == whole)
+        active = np.zeros_like(self._active)
+        frontier = self._first
+        while len(frontier):
+            active[frontier] = True
+            frontier = frontier[~done[frontier]]
+            frontier = frontier + match[frontier]
+            frontier = frontier[~active[frontier]]  # a closure never revisits a start, so the loop ends
+        flipped = np.flatnonzero(active != self._active)
+        weights = self._weights[flipped].astype(np.int64)
+        np.add.at(self._suffix_counts, suffix[flipped], np.where(active[flipped], weights, -weights))
+        self._active = active
+
+
+class UncompactedLearner(WordpieceLearner):
+    """The learner over `UncompactedBuilder`, its ladder and rendering
+    verbatim.  Its ranking has no tail: every candidate is ranked, so the
+    shared `learn` pads its counts with no zeros."""
+
+    def __init__(self, unit_counts: Counter):
+        if not unit_counts:
+            raise ValueError("cannot learn a vocabulary from an empty corpus")
+        chars = set()
+        for unit in unit_counts:
+            chars.update(unit)
+        chars -= set(wordpiece_learner._UNSAFE_CHARS)
+        self._base = sorted(chars.union(ESCAPE_TOKENS))
+        builder = UncompactedBuilder(unit_counts, self._base)
+        # Pass 1 starts from the base at every threshold, so its counts are
+        # shared.  The threshold-1 build selects every candidate of length
+        # >= 2 from them, so each one's discounted count is its count less
+        # its children's.  Its children's strings cover its own but the one
+        # equal to it, so that is the frequency of the starts whose whole
+        # run suffix it is: its suffix count before the first move_to.  The
+        # base keeps its full counts.
+        first_counts = builder.counts()
+        raw = np.where(builder._lengths >= 2, builder._suffix_counts, first_counts)
+        thresholds, level = [], max(unit_counts.values())
+        while level >= 2:
+            thresholds.append(level)
+            level //= 2
+        ranked = np.zeros(len(raw), bool)
+        ranked[builder.base_ids] = True
+        levels = []
+        for threshold in thresholds + [1]:
+            if threshold == 1:
+                selected, adjusted = builder._lengths >= 2, raw
+            else:
+                selected, adjusted = builder.select(first_counts, threshold)
+                previous = np.zeros_like(selected)
+                for _ in range(wordpiece_learner._REFINE_ITERATIONS - 1):
+                    if np.array_equal(selected, previous):
+                        break  # a fixed point: further passes repeat it
+                    builder.move_to(selected)
+                    previous = selected
+                    selected, adjusted = builder.select(builder.counts(), threshold)
+            new = np.flatnonzero(selected & ~ranked)
+            # (owner, length) order is lexical order: the owner is the first
+            # sorted string a candidate prefixes, and of two candidates with
+            # one owner the shorter prefixes the longer.
+            new = new[np.lexsort((builder._lengths[new], builder.owner[new], -adjusted[new]))]
+            ranked[new] = True
+            levels.append(new)
+        order = np.concatenate(levels)
+        # The ranking as (string, length) pairs: token i is
+        # self._strings[self._ranked_string[i]][: self._ranked_length[i]].
+        self._strings = builder.strings
+        self._ranked_string = builder.owner[order]
+        self._ranked_length = builder._lengths[order]
+        # Threshold-1 counts, aligned with the ranking and with the base.
+        self._ranked_raw = raw[order]
+        self._base_raw = raw[builder.base_ids].tolist()
+
+    def _ranked_tokens(self, stop: int | None = None) -> list[str]:
+        """The first `stop` tokens of the ranking (all of them when None)."""
+        strings = self._strings
+        pairs = zip(self._ranked_string[:stop].tolist(), self._ranked_length[:stop].tolist())
+        return [strings[k][:n] for k, n in pairs]
+
+
+# Units beside builder_units: runs of 200 to 230 characters (pieces that
+# repeat, so deep chains branch, and "_", "\\" and "." inside), and short
+# words of the same pieces, frequent enough to be selected mid-word, so
+# their word-final occurrences fuse with the marker.
+long_builder_units = st.dictionaries(
+    st.one_of(
+        builder_unit_keys,
+        st.lists(st.sampled_from(["ab", "ba", "abc", "cab"]), min_size=100, max_size=120).map("".join),
+        st.text("abc", min_size=200, max_size=230),
+        st.text("ab._\\", min_size=200, max_size=230),
+        st.lists(st.sampled_from(["ab", "ba", "abc"]), min_size=1, max_size=3).map("".join),
+    ),
+    st.integers(1, 5000),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(unit_counts=long_builder_units, picks=st.lists(st.floats(0, 1), max_size=3))
+@example(unit_counts={"ab" * 150: 3, "ab": 40, "abab": 9}, picks=[0.5])
+@example(unit_counts={"a" * 230: 1, "a": 5}, picks=[0.0, 0.99])
+def test_explicit_node_ladder_matches_uncompacted_builder(unit_counts, picks):
+    unit_counts = Counter(unit_counts)
+    learner, oracle = WordpieceLearner(unit_counts), UncompactedLearner(unit_counts)
+    assert learner.base_tokens == oracle.base_tokens
+    tokens = oracle._ranked_tokens()
+    assert learner._ranked_tokens() == tokens
+    assert ranked_raw(learner) == oracle._ranked_raw.tolist()
+    assert learner._base_raw == oracle._base_raw
+    # Targets in the ranked nodes, at their end, in the tail, at its end and past it.
+    base, ranked = len(learner.base_tokens), len(learner._ranked_raw)
+    targets = {base, base + ranked, base + len(tokens), base + len(tokens) + 5}
+    targets |= {base + ranked + int(pick * (len(tokens) - ranked)) for pick in picks}
+    targets |= {base + int(pick * ranked) for pick in picks}
+    for target in targets:
+        spec = VocabSpec(target_size=target)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got, want = learner.learn(spec), oracle.learn(spec)
+        assert (got.tokens, got.within_tolerance) == (want.tokens, want.within_tolerance)
